@@ -10,42 +10,46 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import partial
 
-__all__ = ["chunk_plan", "parallel_chunk_map"]
+import numpy as np
+
+__all__ = ["parallel_chunk_map"]
 
 
-def chunk_plan(n_items: int, chunk_size: int) -> list[tuple[int, int, int]]:
-    """(start, count, chunk_index) triples covering range(n_items)."""
+def _chunk_plan(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
+    """(count, chunk_index) pairs covering range(n_items)."""
     if n_items < 1:
         raise ValueError("n_items must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    plan = []
-    start = 0
-    index = 0
-    while start < n_items:
-        count = min(chunk_size, n_items - start)
-        plan.append((start, count, index))
-        start += count
-        index += 1
-    return plan
+    return [(min(chunk_size, n_items - start), index)
+            for index, start in enumerate(range(0, n_items, chunk_size))]
 
 
-def parallel_chunk_map(task, n_items: int, chunk_size: int, workers: int | None = None) -> list:
-    """Run task(start, count, chunk_index) over every chunk, in chunk order.
+def _run_chunk(task, seed: int, count: int, chunk_index: int):
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    return task(rng, count)
 
+
+def parallel_chunk_map(task, n_items: int, chunk_size: int, seed: int,
+                       workers: int | None = None) -> list:
+    """Run task(rng, count) over every chunk, in chunk order.
+
+    rng is the chunk's own stream, SeedSequence(seed, spawn_key=(chunk_index,)).
     task must be picklable (a module-level function or functools.partial of
     one) when workers > 1.  workers=None uses os.cpu_count().
     """
-    chunks = chunk_plan(n_items, chunk_size)
+    run = partial(_run_chunk, task, seed)
+    plan = _chunk_plan(n_items, chunk_size)
     if workers is None or workers <= 0:
         workers = os.cpu_count() or 1
-    workers = min(workers, len(chunks))
+    workers = min(workers, len(plan))
     if workers == 1:
-        return [task(start, count, index) for start, count, index in chunks]
+        return [run(count, index) for count, index in plan]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context()
     with ctx.Pool(workers) as pool:
-        return pool.starmap(task, chunks, chunksize=max(1, len(chunks) // (4 * workers)))
+        return pool.starmap(run, plan, chunksize=max(1, len(plan) // (4 * workers)))

@@ -8,6 +8,11 @@ embedding the resolved configuration, the seed, and the package version,
 so any output is reproducible from the file alone.  Exit codes: 0 for a
 decided run, 2 for a mathematically honest "undecided", 1 for errors,
 each error being a one-line diagnostic naming the offending parameter.
+
+Each command function takes the parsed namespace and returns
+(results, exit code, CSV table or None); main() alone writes the output.
+The envelope's config is the namespace minus _NOT_CONFIG, and --config
+files set parser defaults, so any flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .bms import SurveySpec, bhattacharyya, delta_of, is_trivial_survey
@@ -36,128 +42,116 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
+# Namespace entries that steer a run without changing its results.
+_NOT_CONFIG = frozenset({"func", "tool", "command", "out", "config", "workers", "trace_csv"})
+
 
 class CliError(Exception):
     """One-line user-facing diagnostic; must name the offending parameter."""
+
+
+@contextmanager
+def _blame(flags: str):
+    """Re-raise library ValueError/OSError as a CliError naming flags."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise CliError(f"{flags}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Command parsers own --config and receive only their own arguments.
+        if any(action.dest == "config" for action in self._actions):
+            self._apply_config(args)
+        return super().parse_known_args(args, namespace)
 
-def _parse_model(text: str, theta: float) -> TreeModel:
-    parts = text.strip().split(":")
-    try:
-        if parts[0] == "regular" and len(parts) == 2:
-            return TreeModel.regular(int(parts[1]), theta)
-        if parts[0] == "poisson" and len(parts) == 2:
-            return TreeModel.poisson(float(parts[1]), theta)
-    except ValueError as exc:
-        raise CliError(f"--model/--theta: {exc}") from None
-    raise CliError(f"--model: cannot parse {text!r} (want regular:D or poisson:D)")
+    def _apply_config(self, args) -> None:
+        """Load --config key=value lines as this parser's defaults.
+
+        Defaults go through each flag's type= like typed values, and a flag
+        the file supplies is no longer required.  This mutates the parser,
+        so build a fresh one per parse (main does).
+        """
+        probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        probe.add_argument("--config")
+        try:
+            path = probe.parse_known_args(args)[0].config
+        except argparse.ArgumentError as exc:
+            raise CliError(str(exc)) from None
+        if path is None:
+            return
+        with _blame("--config"), open(path) as fh:
+            lines = fh.read().splitlines()
+        actions = {a.dest: a for a in self._actions if a.option_strings and a.dest != "help"}
+        values = {}
+        for ln, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise CliError(f"--config: line {ln} is not key=value: {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest == "config":
+                raise CliError("--config: config files cannot nest")
+            if dest not in actions:
+                raise CliError(f"--config: line {ln}: unknown key {key!r}")
+            values[dest] = value
+            actions[dest].required = False
+        self.set_defaults(**values)
 
 
-def _parse_survey(text: str) -> SurveySpec:
-    try:
-        return SurveySpec.parse(text)
-    except (ValueError, OSError) as exc:
-        raise CliError(f"--survey: {exc}") from None
-
-
-def _parse_bool(text: str, flag: str) -> bool:
+def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise CliError(f"{flag}: expected true or false, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
-def _merge_config(argv: list) -> list:
-    """Append key=value pairs from --config as flags; explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise CliError("--config: missing file path")
-    path = argv[at + 1]
+def _float_or_none(text: str) -> float | None:
+    if text.strip().lower() == "none":
+        return None
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"--config: {exc}") from None
-    merged = list(argv)
-    for ln, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"--config: line {ln} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        flag = "--" + key.strip()
-        if flag == "--config":
-            raise CliError("--config: config files cannot nest")
-        if flag not in argv:
-            merged.extend([flag, value.strip()])
-    return merged
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or none, got {text!r}") from None
 
 
-def _grid(args) -> GridConfig:
-    try:
-        return GridConfig(r_max=args.grid_rmax, n_bins=args.grid_bins)
-    except ValueError as exc:
-        raise CliError(f"--grid-bins/--grid-rmax: {exc}") from None
+def _parse_model(text: str, theta: float) -> TreeModel:
+    parts = text.strip().split(":")
+    with _blame("--model/--theta"):
+        if parts[0] == "regular" and len(parts) == 2:
+            return TreeModel.regular(int(parts[1]), theta)
+        if parts[0] == "poisson" and len(parts) == 2:
+            return TreeModel.poisson(float(parts[1]), theta)
+    raise CliError(f"--model: cannot parse {text!r} (want regular:D or poisson:D)")
 
 
-def _json_default(obj):
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()        # numpy scalars keep their Python type
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _parse_survey(text: str) -> SurveySpec:
+    with _blame("--survey"):
+        return SurveySpec.parse(text)
 
 
-def _emit(args, command: str, config: dict, results: dict) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "treebp",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "seed": config.get("seed", 0),
-        "results": results,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
-    out = getattr(args, "out", None)
-    if out and not str(out).endswith(".csv"):
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _de_config(args, **extra) -> DEConfig:
+    with _blame("--grid-bins/--grid-rmax"):
+        grid = GridConfig(r_max=args.grid_rmax, n_bins=args.grid_bins)
+    with _blame("--depth/--tol"):
+        return DEConfig(grid=grid, max_depth=args.depth, convergence_tol=args.tol, **extra)
 
 
 # ---------------------------------------------------------------------------
 # de
 
-def _cmd_de_run(args) -> int:
+def _cmd_de_run(args):
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    cfg = DEConfig(grid=_grid(args), max_depth=args.depth,
-                   convergence_tol=args.tol,
-                   include_root_survey=_parse_bool(args.include_root_survey,
-                                                   "--include-root-survey"))
-    config = {"model": args.model, "theta": args.theta, "survey": args.survey,
-              "depth": args.depth, "tol": args.tol,
-              "include_root_survey": cfg.include_root_survey,
-              "grid_bins": args.grid_bins, "grid_rmax": args.grid_rmax,
-              "seed": args.seed}
+    cfg = _de_config(args, include_root_survey=args.include_root_survey)
     if is_trivial_survey(survey) and model.snr <= 1.0:
         # Below the reconstruction threshold with no survey the uniform
         # fixed point is exact; the quantized engine would stall just shy
@@ -169,25 +163,19 @@ def _cmd_de_run(args) -> int:
             "limit": {"prob_error": 0.5, "capacity": 0.0,
                       "chi2_capacity": 0.0, "bhattacharyya": 1.0},
         }
-        _emit(args, "de run", config, results)
-        return EXIT_OK
+        return results, EXIT_OK, None
     report = run_pair(model, survey, cfg)
     if args.trace_csv:
         report.write_trace_csv(args.trace_csv)
     results = report.as_dict()
     results["method"] = "density_evolution"
-    _emit(args, "de run", config, results)
-    return EXIT_UNDECIDED if report.undecided else EXIT_OK
+    return results, EXIT_UNDECIDED if report.undecided else EXIT_OK, None
 
 
-def _cmd_de_probe(args) -> int:
+def _cmd_de_probe(args):
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    cfg = DEConfig(grid=_grid(args), max_depth=args.depth, convergence_tol=args.tol)
-    config = {"model": args.model, "theta": args.theta, "survey": args.survey,
-              "depth": args.depth, "tol": args.tol,
-              "grid_bins": args.grid_bins, "grid_rmax": args.grid_rmax,
-              "seed": args.seed}
+    cfg = _de_config(args)
     z = bhattacharyya(delta_of(survey))
     region = region_criterion(model.snr, z)
     probe = uniqueness_probe(model, survey, cfg=cfg)
@@ -207,14 +195,13 @@ def _cmd_de_probe(args) -> int:
         "region_bound_value": region.bound_value,
         "probe": probe.as_dict(),
     }
-    _emit(args, "de probe", config, results)
-    return code
+    return results, code, None
 
 
 # ---------------------------------------------------------------------------
 # thresholds
 
-def _cmd_thresholds_constants(args) -> int:
+def _cmd_thresholds_constants(args):
     bounds = survey_strength_bounds()
     results = {
         "alpha_star": high_snr_threshold(),
@@ -224,241 +211,183 @@ def _cmd_thresholds_constants(args) -> int:
         "peak_gain": peak_contraction_gain(),
         "d2_window_endpoint": regular_d2_window_endpoint(),
     }
-    _emit(args, "thresholds constants", {"seed": args.seed}, results)
-    return EXIT_OK
+    return results, EXIT_OK, None
 
 
-def _cmd_thresholds_region(args) -> int:
+def _cmd_thresholds_region(args):
     if args.x_steps < 1 or args.y_steps < 1:
         raise CliError("--x-steps/--y-steps: must be positive")
     xs = [args.x_min + i * (args.x_max - args.x_min) / max(args.x_steps - 1, 1)
           for i in range(args.x_steps)]
     ys = [args.y_min + i * (args.y_max - args.y_min) / max(args.y_steps - 1, 1)
           for i in range(args.y_steps)]
-    try:
+    with _blame("--family"):
         points = bi_region_scan(xs, ys, family=args.family)
-    except ValueError as exc:
-        raise CliError(f"--family: {exc}") from None
-    config = {"x_min": args.x_min, "x_max": args.x_max, "x_steps": args.x_steps,
-              "y_min": args.y_min, "y_max": args.y_max, "y_steps": args.y_steps,
-              "family": args.family, "seed": args.seed}
-    if args.out and str(args.out).endswith(".csv"):
-        _write_csv(args.out, ["x", "y", "bound_value", "in_region", "criterion"],
-                   [[repr(p.x), repr(p.y), repr(p.bound_value),
-                     p.in_region, p.criterion] for p in points])
-        return EXIT_OK
-    results = {"points": [p.__dict__ for p in points]}
-    _emit(args, "thresholds region", config, results)
-    return EXIT_OK
+    table = (["x", "y", "bound_value", "in_region", "criterion"],
+             [[repr(p.x), repr(p.y), repr(p.bound_value), p.in_region, p.criterion]
+              for p in points])
+    return {"points": [p.__dict__ for p in points]}, EXIT_OK, table
 
 
 # ---------------------------------------------------------------------------
 # mc
 
-def _cmd_mc_entropy(args) -> int:
+def _cmd_mc_entropy(args):
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    include_root = _parse_bool(args.include_root_survey, "--include-root-survey")
-    config = {"model": args.model, "theta": args.theta, "survey": args.survey,
-              "depth": args.depth, "samples": args.samples,
-              "boundary": args.boundary, "include_root_survey": include_root,
-              "seed": args.seed}
+    common = dict(seed=args.seed, include_root_survey=args.include_root_survey,
+                  workers=args.workers)
     if args.boundary == "pair":
-        pair = estimate_entropy_pair(model, survey, args.depth, args.samples,
-                                     seed=args.seed, include_root_survey=include_root,
-                                     workers=args.workers)
-        results = {"leaves": pair.leaves.as_dict(), "no_leaves": pair.no_leaves.as_dict(),
-                   "diff": pair.diff.as_dict()}
-    else:
-        try:
-            boundary = BoundaryCondition.parse(args.boundary)
-        except ValueError as exc:
-            raise CliError(f"--boundary: {exc}") from None
-        res = estimate_entropy(model, survey, args.depth, boundary, args.samples,
-                               seed=args.seed, include_root_survey=include_root,
-                               workers=args.workers)
-        results = {"entropy": res.as_dict()}
-    _emit(args, "mc entropy", config, results)
-    return EXIT_OK
+        with _blame("--depth/--samples"):
+            pair = estimate_entropy_pair(model, survey, args.depth, args.samples, **common)
+        return pair.as_dict(), EXIT_OK, None
+    with _blame("--boundary"):
+        boundary = BoundaryCondition.parse(args.boundary)
+    with _blame("--depth/--samples"):
+        res = estimate_entropy(model, survey, args.depth, boundary, args.samples, **common)
+    return {"entropy": res.as_dict()}, EXIT_OK, None
 
 
-def _cmd_mc_majority(args) -> int:
+def _cmd_mc_majority(args):
     model = _parse_model(args.model, args.theta)
-    kind = model.kind
-    config = {"model": args.model, "theta": args.theta, "eta": args.eta,
-              "depth": args.depth, "samples": args.samples,
-              "seed": args.seed}
-    try:
-        report = majority_stats(model.d, args.theta, args.eta, args.depth,
-                                args.samples, kind=kind, seed=args.seed,
-                                workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"--eta/--depth: {exc}") from None
-    _emit(args, "mc majority", config, report.as_dict())
-    return EXIT_OK
+    with _blame("--eta/--depth/--samples"):
+        report = majority_stats(model.d, args.theta, args.eta, args.depth, args.samples,
+                                kind=model.kind, seed=args.seed, workers=args.workers)
+    return report.as_dict(), EXIT_OK, None
 
 
-def _cmd_mc_wsm(args) -> int:
+def _cmd_mc_wsm(args):
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    config = {"model": args.model, "theta": args.theta, "survey": args.survey,
-              "depth": args.depth, "samples": args.samples,
-              "boundary_llr": args.boundary_llr,
-              "seed": args.seed}
-    report = wsm_probe(model, survey, args.depth, args.samples, seed=args.seed,
-                       boundary_magnitude=args.boundary_llr, workers=args.workers)
-    _emit(args, "mc wsm", config, report.as_dict())
-    return EXIT_UNDECIDED if report.status == "no_separation_found" else EXIT_OK
+    with _blame("--model/--survey/--depth/--samples/--boundary-llr"):
+        report = wsm_probe(model, survey, args.depth, args.samples, seed=args.seed,
+                           boundary_magnitude=args.boundary_llr, workers=args.workers)
+    code = EXIT_UNDECIDED if report.status == "no_separation_found" else EXIT_OK
+    return report.as_dict(), code, None
 
 
-def _cmd_mc_degradation(args) -> int:
+def _cmd_mc_degradation(args):
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    config = {"model": args.model, "theta": args.theta, "survey": args.survey,
-              "depth": args.depth, "samples": args.samples, "bins": args.bins,
-              "seed": args.seed}
-    try:
+    with _blame("--depth/--samples/--bins"):
         report = degradation_check(model, survey, args.depth, args.samples,
-                                   n_bins=args.bins, seed=args.seed,
-                                   workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"--bins: {exc}") from None
-    _emit(args, "mc degradation", config, report.as_dict())
-    return EXIT_OK
+                                   n_bins=args.bins, seed=args.seed, workers=args.workers)
+    return report.as_dict(), EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
 # sbm
 
-def _cmd_sbm_exact(args) -> int:
-    eps = None if args.eps is None or args.eps == "none" else float(args.eps)
-    config = {"n": args.n, "a": args.a, "b": args.b, "eps": eps,
-              "graphs": args.graphs, "seed": args.seed}
-    try:
-        res = exact_conditional_entropy(args.n, args.a, args.b, eps, args.graphs,
+def _cmd_sbm_exact(args):
+    with _blame("--n/--a/--b/--eps/--graphs"):
+        res = exact_conditional_entropy(args.n, args.a, args.b, args.eps, args.graphs,
                                         seed=args.seed, workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"--n/--a/--b/--eps: {exc}") from None
-    _emit(args, "sbm exact", config, {"entropy_per_vertex": res.as_dict()})
-    return EXIT_OK
+    return {"entropy_per_vertex": res.as_dict()}, EXIT_OK, None
 
 
-def _cmd_sbm_integral(args) -> int:
-    config = {"a": args.a, "b": args.b, "eps_points": args.eps_points,
-              "seed": args.seed}
-    try:
+def _cmd_sbm_integral(args):
+    with _blame("--a/--b/--eps-points"):
         report = sbm_entropy_via_trees(args.a, args.b, args.eps_points)
-    except ValueError as exc:
-        raise CliError(f"--a/--b/--eps-points: {exc}") from None
-    if args.out and str(args.out).endswith(".csv"):
-        _write_csv(args.out, ["eps", "entropy", "flagged"],
-                   [[repr(e), repr(h), f]
-                    for e, h, f in zip(report.eps_values, report.entropy_values,
-                                       report.flagged)])
-        return EXIT_UNDECIDED if report.status == "undecided" else EXIT_OK
-    _emit(args, "sbm integral", config, report.as_dict())
-    return EXIT_UNDECIDED if report.status == "undecided" else EXIT_OK
+    table = (["eps", "entropy", "flagged"],
+             [[repr(e), repr(h), f] for e, h, f in
+              zip(report.eps_values, report.entropy_values, report.flagged)])
+    return report.as_dict(), EXIT_UNDECIDED if report.status == "undecided" else EXIT_OK, table
 
 
-def _cmd_sbm_derivative(args) -> int:
-    h_values = [float(h) for h in str(args.h).split(",") if h]
-    config = {"n": args.n, "a": args.a, "b": args.b, "eps": args.eps,
-              "h": args.h, "graphs": args.graphs, "seed": args.seed}
-    try:
-        report = derivative_identity_scan(args.n, args.a, args.b, args.eps,
-                                          h_values, args.graphs, seed=args.seed,
-                                          workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"--n/--a/--b/--eps/--h: {exc}") from None
-    _emit(args, "sbm derivative", config, report.as_dict())
-    return EXIT_OK
+def _cmd_sbm_derivative(args):
+    with _blame("--n/--a/--b/--eps/--h/--graphs"):
+        h_values = [float(h) for h in args.h.split(",") if h]
+        report = derivative_identity_scan(args.n, args.a, args.b, args.eps, h_values,
+                                          args.graphs, seed=args.seed, workers=args.workers)
+    return report.as_dict(), EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
 # spin-sync
 
-def _cmd_spin_sync_mi(args) -> int:
-    try:
+def _cmd_spin_sync_mi(args):
+    with _blame("--graph/--radius"):
         graph = SyncGraph.parse(args.graph, radius=args.radius)
-    except ValueError as exc:
-        raise CliError(f"--graph/--radius: {exc}") from None
     exact = {"auto": None, "yes": True, "no": False}.get(args.exact)
     if args.exact not in ("auto", "yes", "no"):
         raise CliError(f"--exact: expected auto, yes, or no, got {args.exact!r}")
-    config = {"graph": args.graph, "theta": args.theta, "eps": args.eps,
-              "radius": args.radius, "samples": args.samples,
-              "exact": args.exact, "seed": args.seed}
-    try:
+    with _blame("--theta/--eps/--graph/--samples"):
         res = mi_root_boundary(graph, args.theta, args.eps, exact=exact,
                                n_obs_samples=args.samples, seed=args.seed,
                                workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"--theta/--eps/--graph: {exc}") from None
-    if args.out and str(args.out).endswith(".csv"):
-        _write_csv(args.out,
-                   ["radius", "value", "stderr", "method", "ball_size",
-                    "boundary_size", "n_edges"],
-                   [[args.radius, repr(res.value), repr(res.stderr), res.method,
-                     res.ball_size, res.boundary_size, res.n_edges]])
-        return EXIT_OK
-    _emit(args, "spin-sync mi", config, res.as_dict())
-    return EXIT_OK
+    table = (["radius", "value", "stderr", "method", "ball_size", "boundary_size", "n_edges"],
+             [[args.radius, repr(res.value), repr(res.stderr), res.method,
+               res.ball_size, res.boundary_size, res.n_edges]])
+    return res.as_dict(), EXIT_OK, table
+
+
+# Commands whose results also come as a CSV table (--out *.csv).
+_TABLE_COMMANDS = frozenset({_cmd_thresholds_region, _cmd_sbm_integral, _cmd_spin_sync_mi})
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(p, grid: bool = False, workers: bool = False):
-    p.add_argument("--seed", type=int, default=0, help="deterministic seed (integer)")
-    p.add_argument("--config", help="flat key=value file; explicit flags win")
-    p.add_argument("--out", help="output path (.json report, .csv where tabular)")
-    if grid:
-        p.add_argument("--grid-bins", type=int, default=2001,
-                       help="quantization bins (odd integer >= 3)")
-        p.add_argument("--grid-rmax", type=float, default=30.0,
-                       help="grid saturation magnitude (> 0)")
-    if workers:
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all cores; result invariant)")
+def _flags(*parents) -> argparse.ArgumentParser:
+    """A parent parser for flags that several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> _Parser:
+    common = _flags()
+    common.add_argument("--seed", type=int, default=0, help="deterministic seed (integer)")
+    common.add_argument("--config", help="flat key=value file; explicit flags win")
+    common.add_argument("--out", help="output path (.json report, .csv where tabular)")
+    workers = _flags()
+    workers.add_argument("--workers", type=int, default=None,
+                         help="worker processes (default: all cores; result invariant)")
+    grid = _flags()
+    grid.add_argument("--grid-bins", type=int, default=2001,
+                      help="quantization bins (odd integer >= 3)")
+    grid.add_argument("--grid-rmax", type=float, default=30.0,
+                      help="grid saturation magnitude (> 0)")
+    model = _flags()
+    model.add_argument("--model", required=True, help="regular:D or poisson:D")
+    theta = _flags()
+    theta.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
+    survey = _flags()
+    survey.add_argument("--survey", required=True,
+                        help="bsc:p | bec:eps | trivial | custom:@file.csv")
+    root_survey = _flags()
+    root_survey.add_argument("--include-root-survey", type=_parse_bool, default=True,
+                             help="count the root's own survey (true/false)")
+    de_flags = _flags(model, theta, survey, grid)
+    de_flags.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance (> 0)")
+    trees = _flags(model, theta)
+    trees.add_argument("--depth", type=int, required=True,
+                       help="tree depth (>= 1; entropy and degradation take 0)")
+    trees.add_argument("--samples", type=int, default=100_000, help="tree samples (>= 2)")
+
     top = _Parser(prog="treebp", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"treebp {__version__}")
     tools = top.add_subparsers(dest="tool", required=True)
 
-    de = tools.add_parser("de", help="density evolution").add_subparsers(
-        dest="command", required=True)
-    p = de.add_parser("run", help="paired evolution from both boundary extremes")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
-    p.add_argument("--survey", required=True,
-                   help="bsc:p | bec:eps | trivial | custom:@file.csv")
+    def area(name, help):
+        return tools.add_parser(name, help=help).add_subparsers(dest="command", required=True)
+
+    def command(group, name, func, help, *parents):
+        p = group.add_parser(name, help=help, parents=[*parents, common])
+        p.set_defaults(func=func)
+        return p
+
+    de = area("de", "density evolution")
+    p = command(de, "run", _cmd_de_run, "paired evolution from both boundary extremes",
+                de_flags, root_survey)
     p.add_argument("--depth", type=int, default=200, help="maximum depth (>= 1)")
-    p.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance (> 0)")
-    p.add_argument("--include-root-survey", default="true",
-                   help="count the root's own survey (true/false)")
     p.add_argument("--trace-csv", help="write the per-depth trace to this CSV path")
-    _add_common(p, grid=True)
-    p.set_defaults(func=_cmd_de_run)
-
-    p = de.add_parser("probe", help="fixed-point uniqueness probe with certification")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
-    p.add_argument("--survey", required=True,
-                   help="bsc:p | bec:eps | trivial | custom:@file.csv")
+    p = command(de, "probe", _cmd_de_probe, "fixed-point uniqueness probe with certification",
+                de_flags)
     p.add_argument("--depth", type=int, default=400, help="maximum depth (>= 1)")
-    p.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance (> 0)")
-    _add_common(p, grid=True)
-    p.set_defaults(func=_cmd_de_probe)
 
-    th = tools.add_parser("thresholds", help="closed-form constants and regions") \
-        .add_subparsers(dest="command", required=True)
-    p = th.add_parser("constants", help="threshold constants as JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_thresholds_constants)
-
-    p = th.add_parser("region", help="certified boundary-irrelevance region scan")
+    th = area("thresholds", "closed-form constants and regions")
+    command(th, "constants", _cmd_thresholds_constants, "threshold constants as JSON")
+    p = command(th, "region", _cmd_thresholds_region,
+                "certified boundary-irrelevance region scan")
     p.add_argument("--x-min", type=float, default=0.25, help="min branching SNR")
     p.add_argument("--x-max", type=float, default=4.0, help="max branching SNR")
     p.add_argument("--x-steps", type=int, default=16, help="SNR grid points")
@@ -466,79 +395,39 @@ def build_parser() -> _Parser:
     p.add_argument("--y-max", type=float, default=0.95, help="max survey parameter")
     p.add_argument("--y-steps", type=int, default=10, help="survey grid points")
     p.add_argument("--family", default="bec", help="survey family: bec or bms")
-    _add_common(p)
-    p.set_defaults(func=_cmd_thresholds_region)
 
-    mc = tools.add_parser("mc", help="sampled-tree estimators").add_subparsers(
-        dest="command", required=True)
-    p = mc.add_parser("entropy", help="root conditional entropy estimates")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
-    p.add_argument("--survey", required=True,
-                   help="bsc:p | bec:eps | trivial | custom:@file.csv")
-    p.add_argument("--depth", type=int, required=True, help="tree depth (>= 0)")
-    p.add_argument("--samples", type=int, default=100_000, help="tree samples (>= 2)")
+    mc = area("mc", "sampled-tree estimators")
+    p = command(mc, "entropy", _cmd_mc_entropy, "root conditional entropy estimates",
+                trees, survey, root_survey, workers)
     p.add_argument("--boundary", default="pair",
                    help="pair | perfect | none | plus:B | minus:B")
-    p.add_argument("--include-root-survey", default="true",
-                   help="count the root's own survey (true/false)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_mc_entropy)
-
-    p = mc.add_parser("majority", help="boundary majority vote statistics")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
+    p = command(mc, "majority", _cmd_mc_majority, "boundary majority vote statistics", trees,
+                workers)
     p.add_argument("--eta", type=float, required=True,
                    help="leaf observation flip probability in (0, 1/2)")
-    p.add_argument("--depth", type=int, required=True, help="tree depth (>= 1)")
-    p.add_argument("--samples", type=int, default=100_000, help="tree samples (>= 2)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_mc_majority)
-
-    p = mc.add_parser("wsm", help="boundary sensitivity probe")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
-    p.add_argument("--survey", required=True,
-                   help="bsc:p | bec:eps | trivial | custom:@file.csv")
-    p.add_argument("--depth", type=int, required=True, help="tree depth (>= 1)")
-    p.add_argument("--samples", type=int, default=100_000, help="tree samples (>= 2)")
+    p = command(mc, "wsm", _cmd_mc_wsm, "boundary sensitivity probe", trees, survey,
+                workers)
     p.add_argument("--boundary-llr", type=float, default=30.0,
                    help="boundary magnitude B for the +-B runs (> 0)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_mc_wsm)
-
-    p = mc.add_parser("degradation", help="binned leaves-vs-none ordering check")
-    p.add_argument("--model", required=True, help="regular:D or poisson:D")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
-    p.add_argument("--survey", required=True,
-                   help="bsc:p | bec:eps | trivial | custom:@file.csv")
-    p.add_argument("--depth", type=int, required=True, help="tree depth (>= 1)")
-    p.add_argument("--samples", type=int, default=100_000, help="tree samples (>= 2)")
+    p = command(mc, "degradation", _cmd_mc_degradation,
+                "binned leaves-vs-none ordering check", trees, survey, workers)
     p.add_argument("--bins", type=int, default=20, help="quantile bins (>= 1)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_mc_degradation)
 
-    sbm = tools.add_parser("sbm", help="block-model oracles").add_subparsers(
-        dest="command", required=True)
-    p = sbm.add_parser("exact", help="exact small-n conditional entropy")
+    sbm = area("sbm", "block-model oracles")
+    p = command(sbm, "exact", _cmd_sbm_exact, "exact small-n conditional entropy", workers)
     p.add_argument("--n", type=int, required=True, help="vertices (<= 14)")
     p.add_argument("--a", type=float, required=True, help="within intensity (0 <= a <= n)")
     p.add_argument("--b", type=float, required=True, help="across intensity (0 <= b <= n)")
-    p.add_argument("--eps", default=None,
+    p.add_argument("--eps", type=_float_or_none, default=None,
                    help="survey erasure in [0,1], or none for no survey")
     p.add_argument("--graphs", type=int, default=200, help="graph samples (>= 1)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_sbm_exact)
-
-    p = sbm.add_parser("integral", help="tree-side entropy integral over erasure")
+    p = command(sbm, "integral", _cmd_sbm_integral, "tree-side entropy integral over erasure")
     p.add_argument("--a", type=float, required=True, help="within intensity (> 0)")
     p.add_argument("--b", type=float, required=True, help="across intensity (> 0)")
     p.add_argument("--eps-points", type=int, default=33,
                    help="quadrature points on [0, 1] (>= 3)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sbm_integral)
-
-    p = sbm.add_parser("derivative", help="erasure derivative identity check")
+    p = command(sbm, "derivative", _cmd_sbm_derivative, "erasure derivative identity check",
+                workers)
     p.add_argument("--n", type=int, required=True, help="vertices (<= 12)")
     p.add_argument("--a", type=float, required=True, help="within intensity")
     p.add_argument("--b", type=float, required=True, help="across intensity")
@@ -546,37 +435,65 @@ def build_parser() -> _Parser:
     p.add_argument("--h", default="0.05",
                    help="step size(s), comma separated, eps +- h inside (0, 1)")
     p.add_argument("--graphs", type=int, default=200, help="graph samples (>= 2)")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_sbm_derivative)
 
-    ss = tools.add_parser("spin-sync", help="root-boundary information checks") \
-        .add_subparsers(dest="command", required=True)
-    p = ss.add_parser("mi", help="root-boundary mutual information on a ball")
-    p.add_argument("--graph", required=True,
-                   help="path:K | cycle:K | grid:RxC | tree:ARITY:DEPTH")
-    p.add_argument("--theta", type=float, required=True, help="edge correlation in [0,1)")
+    ss = area("spin-sync", "root-boundary information checks")
+    p = command(ss, "mi", _cmd_spin_sync_mi, "root-boundary mutual information on a ball",
+                theta, workers)
+    p.add_argument("--graph", required=True, help="path:K | cycle:K | grid:RxC | tree:ARITY:DEPTH")
     p.add_argument("--eps", type=float, required=True, help="survey erasure in [0,1]")
     p.add_argument("--radius", type=int, default=1, help="ball radius (>= 1)")
     p.add_argument("--samples", type=int, default=20_000,
                    help="observation samples when not exact (>= 2)")
     p.add_argument("--exact", default="auto", help="auto | yes | no")
-    _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_spin_sync_mi)
-
     return top
 
 
+# ---------------------------------------------------------------------------
+# output
+
+def _json_default(obj):
+    item = getattr(obj, "item", None)
+    if callable(item):
+        return item()        # numpy scalars keep their Python type
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _write_output(args, results: dict, table) -> None:
+    """The CSV table for --out *.csv, else the JSON envelope to --out or stdout."""
+    if args.out and args.out.endswith(".csv"):
+        header, rows = table
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": "treebp",
+        "version": __version__,
+        "command": f"{args.tool} {args.command}",
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+        "seed": args.seed,
+        "results": results,
+    }
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _merge_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        if args.out and args.out.endswith(".csv") and args.func not in _TABLE_COMMANDS:
+            raise CliError(f"--out: '{args.tool} {args.command}' has no CSV table; "
+                           "give a .json path")
+        results, code, table = args.func(args)
+        _write_output(args, results, table)
+        return code
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -152,7 +152,7 @@ def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
     n = values.size
     if float(values.min()) == float(values.max()):
         return EstimatorResult(float(values[0]), 0.0, n, seed)
-    sd = float(np.std(values, ddof=1)) if n > 1 else 0.0
+    sd = float(np.std(values, ddof=1))
     return EstimatorResult(float(np.mean(values)), sd / math.sqrt(n), n, seed)
 
 
@@ -438,9 +438,8 @@ def _boundary_base(boundary: BoundaryCondition, levels: _ChunkLevels,
     raise ValueError("custom boundaries are only supported by bp_upward")
 
 
-def _root_deltas_chunk(start, count, chunk_index, *, model, survey, depth, boundaries,
-                       include_root_survey, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
+                       include_root_survey):
     if depth == 0:
         spins = _rademacher(rng, count)
         out = np.empty((len(boundaries), count))
@@ -471,17 +470,16 @@ def _root_deltas_chunk(start, count, chunk_index, *, model, survey, depth, bound
 
 def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
                          include_root_survey, workers) -> np.ndarray:
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     for boundary in boundaries:
         if boundary.kind == "custom":
             raise ValueError("custom boundaries are only supported by bp_upward")
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
-                   boundaries=tuple(boundaries), include_root_survey=include_root_survey,
-                   seed=seed)
-    parts = parallel_chunk_map(task, n_samples, _chunk_trees(model, depth), workers)
+                   boundaries=tuple(boundaries), include_root_survey=include_root_survey)
+    parts = parallel_chunk_map(task, n_samples, _chunk_trees(model, depth), seed, workers)
     return np.concatenate(parts, axis=1)
 
 
@@ -611,8 +609,7 @@ def majority_closed_forms(d: float, theta: float, eta: float, depth: int,
     return mean, var
 
 
-def _majority_chunk(start, count, chunk_index, *, d, theta, eta, depth, kind, seed, shift):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _majority_chunk(rng, count, *, d, theta, eta, depth, kind, shift):
     flip = 0.5 * (1.0 - theta)
     nplus = np.ones(count, dtype=np.int64)
     total = np.ones(count, dtype=np.int64)
@@ -695,8 +692,8 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 
     mean_cf, var_cf = majority_closed_forms(d, theta, eta, depth, kind)
     task = partial(_majority_chunk, d=d, theta=theta, eta=eta, depth=depth,
-                   kind=kind, seed=seed, shift=mean_cf)
-    parts = parallel_chunk_map(task, n_samples, 1 << 14, workers)
+                   kind=kind, shift=mean_cf)
+    parts = parallel_chunk_map(task, n_samples, 1 << 14, seed, workers)
 
     n = sum(p[0] for p in parts)
     s1 = sum(p[1] for p in parts)
@@ -735,9 +732,7 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 # Weak spatial mixing probe
 
 
-def _wsm_gap_chunk(start, count, chunk_index, *, model, survey, depth, magnitude,
-                   include_root_survey, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
                                   need_leaf_spin_sums=False, need_leaf_counts=True)
     theta = model.theta
@@ -762,9 +757,7 @@ def _wsm_gap_chunk(start, count, chunk_index, *, model, survey, depth, magnitude
     return stats
 
 
-def _wsm_min_chunk(start, count, chunk_index, *, model, survey, depth, magnitude,
-                   include_root_survey, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
                                   need_leaf_spin_sums=False, need_leaf_counts=True)
     theta = model.theta
@@ -849,8 +842,8 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
     """Probe boundary sensitivity; regime chosen by the sign of d*theta - 1."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     if not 0.0 < boundary_magnitude <= LLR_MAX:
         raise ValueError(f"boundary magnitude must lie in (0, {LLR_MAX:g}]")
     dtheta = model.d * model.theta
@@ -859,8 +852,8 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
     if dtheta <= 1.0:
         task = partial(_wsm_gap_chunk, model=model, survey=survey, depth=depth,
                        magnitude=boundary_magnitude,
-                       include_root_survey=include_root_survey, seed=seed)
-        parts = parallel_chunk_map(task, n_samples, chunk, workers)
+                       include_root_survey=include_root_survey)
+        parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
         stats = np.zeros((depth + 1, 3))
         for p in parts:
             stats += p
@@ -891,8 +884,8 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
                          status="no_separation_found")
     task = partial(_wsm_min_chunk, model=model, survey=survey, depth=depth,
                    magnitude=boundary_magnitude,
-                   include_root_survey=include_root_survey, seed=seed)
-    parts = parallel_chunk_map(task, n_samples, chunk, workers)
+                   include_root_survey=include_root_survey)
+    parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     mins = np.full(depth + 1, math.inf)
     for p in parts:
         np.minimum(mins, p, out=mins)

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
-from ._parallel import chunk_plan, parallel_chunk_map
+from ._parallel import parallel_chunk_map
 from .bms import SurveySpec
 from .density_evolution import DEConfig, InitCondition, TreeModel, bp_fixed_point
 from .monte_carlo import EstimatorResult
@@ -52,7 +52,6 @@ __all__ = [
     "survey_averaged_entropy",
     "single_vertex_entropy_all_revealed",
     "DerivativeReport",
-    "derivative_identity_check",
     "derivative_identity_scan",
     "TreeIntegralReport",
     "sbm_entropy_via_trees",
@@ -266,8 +265,7 @@ def reference_conditional_entropy(inst: SBMInstance,
     return math.fsum(terms)
 
 
-def _exact_entropy_chunk(start, count, chunk_index, *, n, a, b, epsilon, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _exact_entropy_chunk(rng, count, *, n, a, b, epsilon):
     out = np.empty(count)
     for t in range(count):
         inst = _sample_sbm_rng(n, a, b, rng)
@@ -288,8 +286,8 @@ def exact_conditional_entropy(n: int, a: float, b: float, epsilon: float | None,
     if n_graph_samples < 1:
         raise ValueError("n_graph_samples must be positive")
     chunk = max(1, min(256, 2_000_000 // (1 << n)))
-    task = partial(_exact_entropy_chunk, n=n, a=a, b=b, epsilon=epsilon, seed=seed)
-    vals = np.concatenate(parallel_chunk_map(task, n_graph_samples, chunk, workers))
+    task = partial(_exact_entropy_chunk, n=n, a=a, b=b, epsilon=epsilon)
+    vals = np.concatenate(parallel_chunk_map(task, n_graph_samples, chunk, seed, workers))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return EstimatorResult(mean, stderr, int(vals.size), seed)
@@ -377,8 +375,7 @@ def single_vertex_entropy_all_revealed(inst: SBMInstance) -> float:
 # Derivative identity
 
 
-def _derivative_chunk(start, count, chunk_index, *, n, a, b, epsilon, h_values, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _derivative_chunk(rng, count, *, n, a, b, epsilon, h_values):
     n_h = len(h_values)
     diff_first = np.empty((n_h, count))   # derivative minus n * first-vertex term
     diff_sum = np.empty((n_h, count))     # derivative minus the vertex sum
@@ -458,8 +455,8 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
 
     chunk = max(1, min(64, 1_000_000 // (1 << (2 * min(n, 10)))))
     task = partial(_derivative_chunk, n=n, a=a, b=b, epsilon=epsilon,
-                   h_values=tuple(h_values), seed=seed)
-    parts = parallel_chunk_map(task, n_graph_samples, chunk, workers)
+                   h_values=tuple(h_values))
+    parts = parallel_chunk_map(task, n_graph_samples, chunk, seed, workers)
     diff_first = np.concatenate([p[0] for p in parts], axis=1)
     diff_sum = np.concatenate([p[1] for p in parts], axis=1)
 
@@ -484,12 +481,6 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
         stderr_diff_sum=[float(x) for x in se_sum],
         curvature_fit=fit, identity_ok=identity_ok, scaling_ok=scaling_ok,
     )
-
-
-def derivative_identity_check(n: int, a: float, b: float, epsilon: float, h: float,
-                              n_graph_samples: int, seed: int = 0,
-                              workers: int | None = None) -> DerivativeReport:
-    return derivative_identity_scan(n, a, b, epsilon, [h], n_graph_samples, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +655,7 @@ def sandwich_report(n: int, a: float, b: float, epsilon: float, depth: int,
     if n > MAX_SUBSET_N:
         raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
 
-    def chunk(start, count, chunk_index):
-        rng = np.random.default_rng(np.random.SeedSequence(seed,
-                                                           spawn_key=(chunk_index,)))
+    def chunk(rng, count):
         vals = np.empty(count)
         for t in range(count):
             inst = _sample_sbm_rng(n, a, b, rng)
@@ -674,8 +663,7 @@ def sandwich_report(n: int, a: float, b: float, epsilon: float, depth: int,
             vals[t] = _leave_one_out_entropy(table, n, 0, epsilon)
         return vals
 
-    vals = np.concatenate([chunk(s, c, i) for s, c, i in
-                           chunk_plan(n_graph_samples, 64)])
+    vals = np.concatenate(parallel_chunk_map(chunk, n_graph_samples, 64, seed, workers=1))
     exact_mean = float(vals.mean())
     exact_stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
 

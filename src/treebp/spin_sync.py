@@ -254,8 +254,7 @@ def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:
     return MIResult(float(total), 0.0, "exact", 0, nb, n_bnd, ne)
 
 
-def _mi_sample_chunk(start, count, chunk_index, *, graph, theta, epsilon, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _mi_sample_chunk(rng, count, *, graph, theta, epsilon):
     nb, idx, edge_signs, root_local, d_mask, _, ne = _ball_tables(graph)
     delta = (1.0 - theta) / 2.0
     size = 1 << nb
@@ -308,9 +307,8 @@ def mi_root_boundary(graph: SyncGraph, theta: float, epsilon: float,
 
     if n_obs_samples < 2:
         raise ValueError("n_obs_samples must be at least two")
-    task = partial(_mi_sample_chunk, graph=graph, theta=theta,
-                   epsilon=epsilon, seed=seed)
-    vals = np.concatenate(parallel_chunk_map(task, n_obs_samples, 512, workers))
+    task = partial(_mi_sample_chunk, graph=graph, theta=theta, epsilon=epsilon)
+    vals = np.concatenate(parallel_chunk_map(task, n_obs_samples, 512, seed, workers))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return MIResult(mean, stderr, "sampled", int(vals.size), nb, n_bnd, ne)

@@ -195,24 +195,10 @@ def bi_region_scan(x_values, y_values, family: str = "bec") -> list[RegionPoint]
     in_region is equivalent to bound_value < 1; criterion records which of
     the nested certificates applies first: SNR below 1, the survey-strength
     box, or the relaxed contraction bound itself.  Decreasing the survey's
-    Bhattacharyya coefficient never removes a point.
+    Bhattacharyya coefficient never removes a point.  Each point is
+    region_criterion at the family's worst-case Z for y, so the box is a
+    test on Z: BMS error probabilities y and 1 - y get the same label.
     """
-    bounds = survey_strength_bounds()
-    box_limit = bounds.z_bound if family == "bec" else bounds.pe_bound
-    points = []
-    for x in np.asarray(x_values, dtype=float):
-        for y in np.asarray(y_values, dtype=float):
-            z = _worst_case_z(family, float(y))
-            a = float(x)
-            value = a * math.exp(-0.5 * max(a - 1.0, 0.0)) * z
-            if a < 1.0:
-                crit = "dtheta2_lt_1"
-            elif y < box_limit:
-                crit = "corollary_box"
-            elif value < 1.0:
-                crit = "relaxed"
-            else:
-                crit = "none"
-            points.append(RegionPoint(x=a, y=float(y), bound_value=value,
-                                      in_region=value < 1.0, criterion=crit))
-    return points
+    return [region_criterion(float(x), _worst_case_z(family, float(y)), float(y))
+            for x in np.asarray(x_values, dtype=float)
+            for y in np.asarray(y_values, dtype=float)]

@@ -86,6 +86,19 @@ def test_bad_parameter_names_flag(capsys):
     assert code == 1 and "--exact" in err
     code, _, err = run_cli(capsys)
     assert code == 1
+    for command in ("run", "probe"):
+        code, _, err = run_cli(capsys, "de", command, "--model", "regular:3",
+                               "--theta", "0.5", "--survey", "trivial", "--tol", "2")
+        assert code == 1 and "--tol" in err
+        code, _, err = run_cli(capsys, "de", command, "--model", "regular:3",
+                               "--theta", "0.5", "--survey", "trivial", "--depth", "0")
+        assert code == 1 and "--depth" in err
+    code, _, err = run_cli(capsys, "de", "run", "--model", "regular:3", "--theta", "0.5",
+                           "--survey", "trivial", "--include-root-survey", "maybe")
+    assert code == 1 and "--include-root-survey" in err
+    code, _, err = run_cli(capsys, "sbm", "exact", "--n", "6", "--a", "3", "--b", "1",
+                           "--eps", "half")
+    assert code == 1 and "--eps" in err
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -180,3 +193,143 @@ def test_mc_entropy_single_boundary(capsys):
                          "--boundary", "plus:2.0")
     assert code == 0
     assert "entropy" in doc["results"]
+
+
+def write_config(tmp_path, **values):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    return str(path)
+
+
+MAJORITY = ("mc", "majority", "--model", "regular:3", "--eta", "0.1", "--depth", "2",
+            "--samples", "200")
+
+
+@pytest.mark.parametrize("theta_flag", [("--theta=0.5",), ("--thet", "0.5")])
+def test_config_loses_to_every_flag_form(capsys, tmp_path, theta_flag):
+    cfg = write_config(tmp_path, theta=0.7)
+    code, doc = run_json(capsys, *MAJORITY, *theta_flag, "--config", cfg)
+    assert code == 0 and doc["config"]["theta"] == 0.5
+
+
+def test_config_equals_form_is_read(capsys, tmp_path):
+    cfg = write_config(tmp_path, samples=500)
+    code, doc = run_json(capsys, *MAJORITY[:-2], "--theta", "0.5", f"--config={cfg}")
+    assert code == 0 and doc["config"]["samples"] == 500
+
+
+def test_config_takes_envelope_keys(capsys, tmp_path):
+    cfg = write_config(tmp_path, grid_bins=1001, **{"grid-rmax": 20.0})
+    code, doc = run_json(capsys, "de", "run", "--model", "regular:3", "--theta", "0.5",
+                         "--survey", "trivial", "--config", cfg)
+    assert code == 0
+    assert doc["config"]["grid_bins"] == 1001 and doc["config"]["grid_rmax"] == 20.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "trivial",
+     "--include-root-survey", "false", "--grid-bins", "1001"),
+    ("mc", "entropy", "--model", "regular:2", "--theta", "0.6", "--survey", "bec:0.5",
+     "--depth", "2", "--samples", "300", "--boundary", "plus:2.0", "--seed", "4"),
+    ("sbm", "exact", "--n", "5", "--a", "3", "--b", "1", "--eps", "none", "--graphs", "8"),
+])
+def test_envelope_config_reproduces_the_run(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    config = json.loads(out)["config"]
+    cfg = write_config(tmp_path, **config)
+    code2, out2, err = run_cli(capsys, *argv[:2], "--config", cfg)
+    assert err == "" and (code2, out2) == (code, out)
+
+
+def test_required_flags_may_come_from_config(capsys, tmp_path):
+    cfg = write_config(tmp_path, model="regular:2", theta=0.6, survey="bec:0.5", depth=2)
+    code, doc = run_json(capsys, "mc", "entropy", "--samples", "300", "--config", cfg)
+    assert code == 0
+    assert doc["config"]["model"] == "regular:2" and doc["config"]["depth"] == 2
+    code, _, err = run_cli(capsys, "mc", "entropy", "--samples", "300")
+    assert code == 1 and "--model" in err
+
+
+@pytest.mark.parametrize("line", ["config=other.cfg", "bogus=1", "func=print"])
+def test_config_rejects_nesting_and_unknown_keys(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *MAJORITY, "--theta", "0.5", "--config", str(cfg))
+    assert code == 1 and out == "" and "--config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "trivial"),
+    ("sbm", "exact", "--n", "5", "--a", "3", "--b", "1", "--graphs", "4"),
+    ("thresholds", "constants"),
+])
+def test_out_csv_needs_a_table(capsys, tmp_path, argv):
+    out = tmp_path / "result.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == "" and "--out" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("entropy", ()), ("wsm", ()), ("degradation", ("--bins", "2")),
+])
+def test_mc_samples_below_two_rejected(capsys, command, extra):
+    code, out, err = run_cli(capsys, "mc", command, "--model", "regular:2",
+                             "--theta", "0.4", "--survey", "bec:0.5", "--depth", "2",
+                             "--samples", "1", *extra)
+    assert code == 1 and out == "" and "--samples" in err
+
+
+# The envelope config each subcommand writes; saved result files rely on
+# exactly these keys and values.
+ENVELOPE_CONFIGS = [
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "trivial",
+      "--trace-csv", "{tmp}/trace.csv"),
+     {"depth": 200, "grid_bins": 2001, "grid_rmax": 30.0, "include_root_survey": True,
+      "model": "regular:3", "seed": 0, "survey": "trivial", "theta": 0.5, "tol": 1e-09}),
+    (("de", "probe", "--model", "regular:4", "--theta", "0.75", "--survey", "bec:0.95",
+      "--depth", "20", "--grid-bins", "501"),
+     {"depth": 20, "grid_bins": 501, "grid_rmax": 30.0, "model": "regular:4", "seed": 0,
+      "survey": "bec:0.95", "theta": 0.75, "tol": 1e-09}),
+    (("thresholds", "constants"), {"seed": 0}),
+    (("thresholds", "region", "--x-steps", "5", "--y-steps", "4"),
+     {"family": "bec", "seed": 0, "x_max": 4.0, "x_min": 0.25, "x_steps": 5,
+      "y_max": 0.95, "y_min": 0.05, "y_steps": 4}),
+    (("mc", "entropy", "--model", "regular:3", "--theta", "0.7", "--survey", "bec:0.6",
+      "--depth", "3", "--samples", "300", "--seed", "3", "--workers", "1"),
+     {"boundary": "pair", "depth": 3, "include_root_survey": True, "model": "regular:3",
+      "samples": 300, "seed": 3, "survey": "bec:0.6", "theta": 0.7}),
+    (("mc", "majority", "--model", "regular:3", "--theta", "0.6", "--eta", "0.1",
+      "--depth", "3", "--samples", "2000", "--seed", "2", "--workers", "1"),
+     {"depth": 3, "eta": 0.1, "model": "regular:3", "samples": 2000, "seed": 2,
+      "theta": 0.6}),
+    (("mc", "wsm", "--model", "regular:2", "--theta", "0.4", "--survey", "trivial",
+      "--depth", "4", "--samples", "300", "--seed", "1", "--workers", "1"),
+     {"boundary_llr": 30.0, "depth": 4, "model": "regular:2", "samples": 300, "seed": 1,
+      "survey": "trivial", "theta": 0.4}),
+    (("mc", "degradation", "--model", "regular:3", "--theta", "0.7", "--survey", "bec:0.6",
+      "--depth", "3", "--samples", "2000", "--bins", "5", "--seed", "9", "--workers", "1"),
+     {"bins": 5, "depth": 3, "model": "regular:3", "samples": 2000, "seed": 9,
+      "survey": "bec:0.6", "theta": 0.7}),
+    (("sbm", "exact", "--n", "6", "--a", "3", "--b", "1", "--eps", "none", "--graphs", "30",
+      "--seed", "7", "--workers", "1"),
+     {"a": 3.0, "b": 1.0, "eps": None, "graphs": 30, "n": 6, "seed": 7}),
+    (("sbm", "integral", "--a", "3", "--b", "1", "--eps-points", "5"),
+     {"a": 3.0, "b": 1.0, "eps_points": 5, "seed": 0}),
+    (("sbm", "derivative", "--n", "6", "--a", "3", "--b", "1", "--eps", "0.5",
+      "--h", "0.1,0.05", "--graphs", "80", "--seed", "2", "--workers", "1"),
+     {"a": 3.0, "b": 1.0, "eps": 0.5, "graphs": 80, "h": "0.1,0.05", "n": 6, "seed": 2}),
+    (("spin-sync", "mi", "--graph", "path:9", "--theta", "0.8", "--eps", "0.9",
+      "--radius", "2", "--workers", "1"),
+     {"eps": 0.9, "exact": "auto", "graph": "path:9", "radius": 2, "samples": 20000,
+      "seed": 0, "theta": 0.8}),
+]
+
+
+@pytest.mark.parametrize("argv, config", ENVELOPE_CONFIGS,
+                         ids=[" ".join(argv[:2]) for argv, _ in ENVELOPE_CONFIGS])
+def test_envelope_config_keys_and_values(capsys, tmp_path, argv, config):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    _, doc = run_json(capsys, *argv)
+    assert doc["command"] == " ".join(argv[:2])
+    assert json.dumps(doc["config"], sort_keys=True) == json.dumps(config, sort_keys=True)

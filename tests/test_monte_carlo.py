@@ -277,6 +277,17 @@ def test_wsm_validation():
                   boundary_magnitude=0.0)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda m, s: estimate_entropy(m, s, 2, BoundaryCondition.none(), 1),
+    lambda m, s: estimate_entropy_pair(m, s, 2, 1),
+    lambda m, s: degradation_check(m, s, 2, 1, 2),
+    lambda m, s: wsm_probe(m, s, 2, 1),
+], ids=["entropy", "entropy_pair", "degradation", "wsm"])
+def test_estimators_need_two_samples(estimator):
+    with pytest.raises(ValueError, match="two samples"):
+        estimator(TreeModel.regular(2, 0.4), SurveySpec.bec(0.5))
+
+
 def test_result_dictionaries():
     result = estimate_entropy(TreeModel.regular(2, 0.5), SurveySpec.bec(0.5), 2,
                               BoundaryCondition.none(), 500, seed=1)

@@ -184,3 +184,15 @@ def test_bi_region_scan_bms_family():
     assert not outside.in_region
     with pytest.raises(ValueError):
         bi_region_scan([1.0], [0.5], family="gaussian")
+
+
+def test_bi_region_scan_uses_the_region_ladder():
+    # a BMS error probability y and 1 - y give the same Z, so both sit in the box
+    pe_bound = survey_strength_bounds().pe_bound
+    xs, ys = [0.5, 2.0, 6.0], [0.1, pe_bound + 1e-3, 0.5, 1.0 - pe_bound + 1e-3, 0.95]
+    for p in bi_region_scan(xs, ys, family="bms"):
+        ref = region_criterion(p.x, 2.0 * math.sqrt(p.y * (1.0 - p.y)), p.y)
+        assert p == ref
+        assert p.in_region == (p.bound_value < 1.0)
+    labels = {p.y: p.criterion for p in bi_region_scan([2.0], ys, family="bms")}
+    assert labels[0.1] == labels[0.95] == "corollary_box"
