@@ -200,27 +200,39 @@ def delta_of(spec: SurveySpec) -> DeltaDistribution:
     return spec.custom
 
 
+# Per-atom terms: each channel functional is E[term(delta)] under the
+# crossover law, whatever form (atom list or LLR grid) the law is kept in.
+_TERMS = {
+    "prob_error": lambda d: d,
+    "capacity": lambda d: math.log(2.0) - binary_entropy(d),
+    "chi2_capacity": lambda d: (1.0 - 2.0 * d) ** 2,
+    "bhattacharyya": lambda d: 2.0 * np.sqrt(d * (1.0 - d)),
+}
+
+
+def _expect(name: str, deltas, weights) -> float:
+    """E[term(delta)] of the named functional over weighted crossover atoms."""
+    return float(np.dot(weights, _TERMS[name](deltas)))
+
+
 def prob_error(dist: DeltaDistribution) -> float:
     """MAP error probability of the channel: E[delta]."""
-    return float(np.dot(dist.weights, dist.deltas))
+    return _expect("prob_error", dist.deltas, dist.weights)
 
 
 def capacity(dist: DeltaDistribution) -> float:
     """Channel capacity in nats: E[log 2 - h_b(delta)]."""
-    d, w = dist.deltas, dist.weights
-    per_atom = math.log(2.0) + xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)
-    return float(np.dot(w, per_atom))
+    return _expect("capacity", dist.deltas, dist.weights)
 
 
 def chi2_capacity(dist: DeltaDistribution) -> float:
     """Chi-square capacity: E[(1 - 2 delta)^2]."""
-    return float(np.dot(dist.weights, (1.0 - 2.0 * dist.deltas) ** 2))
+    return _expect("chi2_capacity", dist.deltas, dist.weights)
 
 
 def bhattacharyya(dist: DeltaDistribution) -> float:
     """Bhattacharyya coefficient: E[2 sqrt(delta (1 - delta))]."""
-    d = dist.deltas
-    return float(np.dot(dist.weights, 2.0 * np.sqrt(d * (1.0 - d))))
+    return _expect("bhattacharyya", dist.deltas, dist.weights)
 
 
 def is_trivial_survey(spec: SurveySpec) -> bool:

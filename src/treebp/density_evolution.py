@@ -103,7 +103,6 @@ class DEConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     max_depth: int = 200
     convergence_tol: float = 1e-9
-    tail_tol: float = 1e-12
     include_root_survey: bool = True
 
     def __post_init__(self):
@@ -160,14 +159,14 @@ def _survey_distribution(survey: SurveySpec, grid: GridConfig) -> SymmetricLLRDi
 
 
 def _step_views(mu: SymmetricLLRDistribution, model: TreeModel,
-                survey_dist: SymmetricLLRDistribution | None,
-                cfg: DEConfig) -> tuple[SymmetricLLRDistribution, SymmetricLLRDistribution]:
+                survey_dist: SymmetricLLRDistribution | None
+                ) -> tuple[SymmetricLLRDistribution, SymmetricLLRDistribution]:
     """One evolution step; returns (without, with) the new node's own survey."""
     child = flip_mix(apply_edge_map(mu, model.theta), model.flip)
     if model.kind == "regular":
         agg = power_convolve(child, int(model.d))
     else:
-        agg = poisson_convolve(child, model.d, cfg.tail_tol)
+        agg = poisson_convolve(child, model.d)
     agg = resymmetrize(agg)
     if survey_dist is None:
         return agg, agg
@@ -181,7 +180,7 @@ def de_step(mu: SymmetricLLRDistribution, model: TreeModel, survey: SurveySpec,
     if cfg.grid != mu.grid:
         raise ValueError("grid mismatch between distribution and config")
     survey_dist = _survey_distribution(survey, mu.grid)
-    return _step_views(mu, model, survey_dist, cfg)[1]
+    return _step_views(mu, model, survey_dist)[1]
 
 
 @dataclass(frozen=True)
@@ -280,24 +279,20 @@ def run_pair(model: TreeModel, survey: SurveySpec, cfg: DEConfig | None = None) 
 
     mu = InitCondition.perfect_leaves().initial_distribution(grid)
     mut = InitCondition.no_leaves().initial_distribution(grid)
-    view, viewt = mu, mut
 
     records: list[DepthRecord] = []
-    im, imt = info_measures(view), info_measures(viewt)
+    im, imt = info_measures(mu), info_measures(mut)
     gap = imt.bhattacharyya - im.bhattacharyya
     records.append(DepthRecord(0, im, imt, gap, math.nan))
 
     converged = False
     seq_done = False
     for _ in range(cfg.max_depth):
-        pre, post = _step_views(mu, model, survey_dist, cfg)
-        pret, postt = _step_views(mut, model, survey_dist, cfg)
-        mu, mut = post, postt
-        view = post if cfg.include_root_survey else pre
-        viewt = postt if cfg.include_root_survey else pret
-
+        pre, mu = _step_views(mu, model, survey_dist)
+        pret, mut = _step_views(mut, model, survey_dist)
         prev, prevt = im, imt
-        im, imt = info_measures(view), info_measures(viewt)
+        im = info_measures(mu if cfg.include_root_survey else pre)
+        imt = info_measures(mut if cfg.include_root_survey else pret)
         prev_gap = gap
         gap = imt.bhattacharyya - im.bhattacharyya
         ratio = gap / prev_gap if prev_gap > _RATIO_FLOOR else math.nan
@@ -376,7 +371,6 @@ def check_boundary_irrelevance(model: TreeModel, survey: SurveySpec,
 
 @dataclass
 class FixedPointResult:
-    delta: DeltaDistribution
     trace: list[InfoMeasures]
     converged: bool
     init: str
@@ -397,14 +391,11 @@ def bp_fixed_point(model: TreeModel, survey: SurveySpec, init: InitCondition,
     grid = cfg.grid
     survey_dist = _survey_distribution(survey, grid)
     mu = init.initial_distribution(grid)
-    view = mu
-    trace = [info_measures(view)]
+    trace = [info_measures(mu)]
     converged = False
     for _ in range(cfg.max_depth):
-        pre, post = _step_views(mu, model, survey_dist, cfg)
-        mu = post
-        view = post if cfg.include_root_survey else pre
-        trace.append(info_measures(view))
+        pre, mu = _step_views(mu, model, survey_dist)
+        trace.append(info_measures(mu if cfg.include_root_survey else pre))
         prev, cur = trace[-2], trace[-1]
         change = max(abs(cur.prob_error - prev.prob_error),
                      abs(cur.bhattacharyya - prev.bhattacharyya),
@@ -412,10 +403,8 @@ def bp_fixed_point(model: TreeModel, survey: SurveySpec, init: InitCondition,
         if change < cfg.convergence_tol:
             converged = True
             break
-    from .llr_dist import to_delta
-
-    return FixedPointResult(delta=to_delta(view), trace=trace, converged=converged,
-                            init=init.describe(), depth=len(trace) - 1)
+    return FixedPointResult(trace=trace, converged=converged, init=init.describe(),
+                            depth=len(trace) - 1)
 
 
 @dataclass

@@ -9,9 +9,15 @@ Grid placement uses mean-preserving two-point splitting: an off-grid atom is
 divided between its two neighboring bin centers so that the mean LLR is kept
 exactly.  Sums of grid positions land back on the grid, so convolution is
 exact apart from boundary saturation, which folds out-of-range mass onto the
-outermost bins.  Conversion to crossover-mixture form and back projects onto
-the exactly paired cone; density evolution uses that projection after every
-step to stop quantization drift of the symmetry.
+outermost bins.
+
+Bins at +r and -r form a pair, which reads as one crossover atom at
+delta = 1/(1+e^r) carrying the pair's mass.  The projection onto the exactly
+paired cone splits each pair's mass in place as (1-delta, delta), so it moves
+no mass between pairs and is idempotent; density evolution applies it after
+every step to stop quantization drift of the symmetry.  Channel functionals
+are read off the same pairs.  The crossover-mixture form (DeltaDistribution)
+is only an import and export format.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .bms import DeltaDistribution, capacity
+from .bms import _TERMS, DeltaDistribution, _expect
 
 __all__ = [
     "GridConfig",
@@ -245,52 +251,62 @@ def from_delta(dist: DeltaDistribution, grid: GridConfig) -> SymmetricLLRDistrib
     return SymmetricLLRDistribution(grid, masses, pos_inf_mass=pos_inf)
 
 
-def symmetry_defect(mu: SymmetricLLRDistribution) -> float:
-    """L1 distance from the exactly paired cone (mass(-r) = e^-r mass(r))."""
+def _pairs(mu: SymmetricLLRDistribution, symmetry_tol: float = math.inf):
+    """Read a law on its +-r bin pairs, checking the pairing first.
+
+    Returns (r, pair, center, inf, defect): the positive centers, the pair
+    masses mass(r) + mass(-r), the center mass, the total infinite mass and
+    the symmetry defect.  A defect beyond ``symmetry_tol`` means the masses
+    cannot have come from a valid symmetric law and raises SymmetryError.
+    """
     c = mu.grid.center_index
     hi = mu.masses[c + 1:]
     lo = mu.masses[:c][::-1]
     r = mu.grid.centers()[c + 1:]
     pair = hi + lo
-    expected_lo = expit(-r) * pair
-    return float(np.abs(lo - expected_lo).sum()) + mu.neg_inf_mass
+    defect = float(np.abs(lo - expit(-r) * pair).sum()) + mu.neg_inf_mass
+    if defect > symmetry_tol:
+        raise SymmetryError(f"symmetry defect {defect:.3g} exceeds tolerance {symmetry_tol:.3g}")
+    return r, pair, float(mu.masses[c]), mu.pos_inf_mass + mu.neg_inf_mass, defect
+
+
+def _atoms(mu: SymmetricLLRDistribution, symmetry_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Crossover atoms (deltas, weights): one per pair, then center and infinity."""
+    r, pair, center, inf, _ = _pairs(mu, symmetry_tol)
+    return np.append(expit(-r), (0.5, 0.0)), np.append(pair, (center, inf))
+
+
+def symmetry_defect(mu: SymmetricLLRDistribution) -> float:
+    """L1 distance from the exactly paired cone (mass(-r) = e^-r mass(r))."""
+    return _pairs(mu)[-1]
 
 
 def to_delta(mu: SymmetricLLRDistribution,
              symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> DeltaDistribution:
     """Crossover-mixture form of a symmetric LLR law.
 
-    Paired bins at +-r merge into one atom at delta = 1/(1+e^r).  A defect
-    beyond ``symmetry_tol`` means the masses cannot have come from a valid
-    symmetric law and raises SymmetryError.
+    Paired bins at +-r merge into one atom at delta = 1/(1+e^r); a defect
+    beyond ``symmetry_tol`` raises SymmetryError.
     """
-    defect = symmetry_defect(mu)
-    if defect > symmetry_tol:
-        raise SymmetryError(f"symmetry defect {defect:.3g} exceeds tolerance {symmetry_tol:.3g}")
-    c = mu.grid.center_index
-    hi = mu.masses[c + 1:]
-    lo = mu.masses[:c][::-1]
-    r = mu.grid.centers()[c + 1:]
-    pair = hi + lo
-    keep = pair > 0.0
-    atoms = [(float(expit(-ri)), float(wi)) for ri, wi in zip(r[keep], pair[keep])]
-    center = float(mu.masses[c])
-    if center > 0.0:
-        atoms.append((0.5, center))
-    inf_w = mu.pos_inf_mass + mu.neg_inf_mass
-    if inf_w > 0.0:
-        atoms.append((0.0, inf_w))
-    return DeltaDistribution(atoms)
+    return DeltaDistribution(zip(*_atoms(mu, symmetry_tol)))
 
 
 def resymmetrize(mu: SymmetricLLRDistribution,
                  symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricLLRDistribution:
-    """Project onto the exactly paired cone (round trip through delta form).
+    """Project onto the exactly paired cone by splitting each pair in place.
 
-    Atoms of the delta form sit exactly at grid centers, so the round trip
-    moves no mass between pairs, only rebalances within each pair.
+    The pair at +-r keeps its mass, divided as expit(r) : expit(-r); the
+    center stays, both infinite atoms fold onto +inf, and the total is
+    renormalized to 1 to absorb rounding drift of the convolutions.
     """
-    return from_delta(to_delta(mu, symmetry_tol), mu.grid)
+    r, pair, center, inf, _ = _pairs(mu, symmetry_tol)
+    c = mu.grid.center_index
+    m = np.empty(mu.grid.n_bins)
+    m[c + 1:] = expit(r) * pair
+    m[c - 1::-1] = expit(-r) * pair
+    m[c] = center
+    total = float(m.sum()) + inf
+    return SymmetricLLRDistribution(mu.grid, m / total, pos_inf_mass=inf / total)
 
 
 # -- transforms ------------------------------------------------------------
@@ -298,12 +314,25 @@ def resymmetrize(mu: SymmetricLLRDistribution,
 def edge_llr_map(r, theta: float):
     """LLR transform across one broadcast edge: 2 artanh(theta tanh(r/2)).
 
-    Contracts by a factor theta in the Lipschitz sense and saturates at
-    +-log((1+theta)/(1-theta)); +-inf map to the saturation values.
+    Evaluated as sign(r) log((a + b e^-|r|) / (b + a e^-|r|)) with
+    a = 1 + theta, b = 1 - theta: one exp and one log, exact at +-inf,
+    free of overflow and exactly odd.  Contracts by a factor theta in the
+    Lipschitz sense and saturates at +-log(a/b).
     """
-    t = theta * np.tanh(0.5 * np.asarray(r, dtype=float))
-    out = np.log1p(t) - np.log1p(-t)
-    return out if out.ndim else float(out)
+    x = np.asarray(r, dtype=float)
+    flat = x.reshape(-1)
+    a, b = 1.0 + theta, 1.0 - theta
+    u = np.abs(flat)            # in place from here on: MC calls this on big arrays
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    out = b * u
+    out += a
+    u *= a
+    u += b
+    out /= u
+    np.log(out, out=out)
+    np.copysign(out, flat, out=out)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def apply_edge_map(mu: SymmetricLLRDistribution, theta: float) -> SymmetricLLRDistribution:
@@ -313,7 +342,7 @@ def apply_edge_map(mu: SymmetricLLRDistribution, theta: float) -> SymmetricLLRDi
     grid = mu.grid
     positions = edge_llr_map(grid.centers(), theta)
     masses = _deposit(grid, positions, mu.masses)
-    sat = math.log1p(theta) - math.log1p(-theta)
+    sat = edge_llr_map(math.inf, theta)
     if mu.pos_inf_mass > 0.0 or mu.neg_inf_mass > 0.0:
         masses += _deposit(grid, [sat, -sat], [mu.pos_inf_mass, mu.neg_inf_mass])
     return SymmetricLLRDistribution(grid, masses)
@@ -408,25 +437,18 @@ def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
 
 def info_measures(mu: SymmetricLLRDistribution,
                   symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> InfoMeasures:
-    """All channel functionals, via the crossover form; potential_mean is
-    computed directly on the grid and equals the Bhattacharyya value exactly
-    on re-symmetrized laws."""
-    from .bms import bhattacharyya, chi2_capacity, prob_error
-
-    dd = to_delta(mu, symmetry_tol)
-    return InfoMeasures(
-        prob_error=prob_error(dd),
-        capacity=capacity(dd),
-        chi2_capacity=chi2_capacity(dd),
-        bhattacharyya=bhattacharyya(dd),
-        potential_mean=mu.potential_mean(),
-    )
+    """All channel functionals, read off the grid's bin pairs; potential_mean
+    is the grid expectation E[exp(-R/2)] and equals the Bhattacharyya value
+    exactly on re-symmetrized laws."""
+    d, w = _atoms(mu, symmetry_tol)
+    return InfoMeasures(**{name: _expect(name, d, w) for name in _TERMS},
+                        potential_mean=mu.potential_mean())
 
 
 def entropy(mu: SymmetricLLRDistribution,
             symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> float:
     """Conditional entropy of the broadcast bit given the observation, nats."""
-    return math.log(2.0) - capacity(to_delta(mu, symmetry_tol))
+    return math.log(2.0) - _expect("capacity", *_atoms(mu, symmetry_tol))
 
 
 # -- serialization ---------------------------------------------------------

@@ -18,6 +18,7 @@ contribution to its parent reduces to the net spin sum, a binomial draw.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -165,18 +166,6 @@ def _nodes_per_tree(model: TreeModel, depth: int) -> int:
 
 def _chunk_trees(model: TreeModel, depth: int) -> int:
     return max(1, min(_CHUNK_TREE_CAP, _CHUNK_NODE_BUDGET // _nodes_per_tree(model, depth)))
-
-
-def _edge_map_fast(r: np.ndarray, theta: float) -> np.ndarray:
-    """edge_llr_map for bounded float arrays, arranged as one exp + one log."""
-    a, b = 1.0 + theta, 1.0 - theta
-    u = np.exp(r)
-    num = u * a
-    num += b
-    u *= b
-    u += a
-    np.divide(num, u, out=num)
-    return np.log(num, out=num)
 
 
 def _rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -400,23 +389,23 @@ def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.nda
     return np.bincount(par, weights=msg, minlength=levels.sizes[j])
 
 
-def _upward_from_base(base: np.ndarray, levels: _ChunkLevels, theta: float,
-                      include_root_survey: bool) -> np.ndarray:
-    """Upward pass from the depth-(k-1) pre-survey values to the root."""
+def _upward_levels(base: np.ndarray, levels: _ChunkLevels, theta: float,
+                   include_root_survey: bool):
+    """Upward pass from the depth-(k-1) pre-survey values to the root.
+
+    Yields the saturated LLRs of each level, depth k-1 first, root last.
+    Works in place, starting on ``base``.
+    """
     k = len(levels.sizes)
     surveys = levels.surveys
-    if surveys[k - 1] is not None and (k - 1 > 0 or include_root_survey):
-        r = base + surveys[k - 1]
-    else:
-        r = base.copy()
-    np.clip(r, -LLR_MAX, LLR_MAX, out=r)
-    for j in range(k - 2, -1, -1):
-        msg = _edge_map_fast(r, theta)
-        r = _aggregate_children(msg, levels, j)
+    r = base
+    for j in range(k - 1, -1, -1):
+        if j < k - 1:
+            r = _aggregate_children(edge_llr_map(r, theta), levels, j)
         if surveys[j] is not None and (j > 0 or include_root_survey):
             r += surveys[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
-    return r
+        yield r
 
 
 def _boundary_base(boundary: BoundaryCondition, levels: _ChunkLevels,
@@ -463,7 +452,7 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
     out = np.empty((len(boundaries), count))
     for i, boundary in enumerate(boundaries):
         base = _boundary_base(boundary, levels, model.theta)
-        r = _upward_from_base(base, levels, model.theta, include_root_survey)
+        r = deque(_upward_levels(base, levels, model.theta, include_root_survey), maxlen=1)[0]
         out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
     return out
 
@@ -735,23 +724,13 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
                                   need_leaf_spin_sums=False, need_leaf_counts=True)
-    theta = model.theta
-    surveys = levels.surveys
-    stats = np.zeros((depth + 1, 3))
     n_leaves = levels.n_leaves()
+    plus = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
+    up_plus, up_minus = (_upward_levels(base, levels, model.theta, include_root_survey)
+                         for base in (plus, -plus))
+    stats = np.zeros((depth + 1, 3))
     stats[depth] = (2.0 * magnitude * n_leaves, (2.0 * magnitude) ** 2 * n_leaves, n_leaves)
-
-    rp = _boundary_base(BoundaryCondition.plus(magnitude), levels, theta)
-    rm = -rp
-    for j in range(depth - 1, -1, -1):
-        if j < depth - 1:
-            rp = _aggregate_children(_edge_map_fast(rp, theta), levels, j)
-            rm = _aggregate_children(_edge_map_fast(rm, theta), levels, j)
-        if surveys[j] is not None and (j > 0 or include_root_survey):
-            rp = rp + surveys[j]
-            rm = rm + surveys[j]
-        rp = np.clip(rp, -LLR_MAX, LLR_MAX)
-        rm = np.clip(rm, -LLR_MAX, LLR_MAX)
+    for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
         g = np.abs(rp - rm)
         stats[j] = (g.sum(), (g * g).sum(), g.size)
     return stats
@@ -760,19 +739,11 @@ def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
 def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
                                   need_leaf_spin_sums=False, need_leaf_counts=True)
-    theta = model.theta
-    surveys = levels.surveys
+    base = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude
-
-    r = _boundary_base(BoundaryCondition.plus(magnitude), levels, theta)
-    for j in range(depth - 1, -1, -1):
-        if j < depth - 1:
-            r = _aggregate_children(_edge_map_fast(r, theta), levels, j)
-        if surveys[j] is not None and (j > 0 or include_root_survey):
-            r = r + surveys[j]
-        r = np.clip(r, -LLR_MAX, LLR_MAX)
-        mins[j] = r.min()
+    mins[depth - 1::-1] = [r.min() for r in
+                           _upward_levels(base, levels, model.theta, include_root_survey)]
     return mins
 
 

@@ -1,11 +1,22 @@
 """Quantized LLR laws: conversions, transforms, convolution, functionals."""
 
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from treebp.bms import DeltaDistribution, SurveySpec, delta_of, prob_error
+from treebp.bms import (
+    DeltaDistribution,
+    SurveySpec,
+    bhattacharyya,
+    capacity,
+    chi2_capacity,
+    delta_of,
+    prob_error,
+)
+from treebp.density_evolution import TreeModel, de_step
 from treebp.llr_dist import (
     GridConfig,
     SymmetricLLRDistribution,
@@ -94,24 +105,63 @@ def test_to_delta_rejects_asymmetric_mass():
         to_delta(mu, symmetry_tol=1e-3)
 
 
+@lru_cache(maxsize=None)
+def _saturating_law():
+    """regular:4 theta=0.8 bec:0.5 after 8 steps: about half the mass at |r| > 24."""
+    mu = _point(math.inf)
+    for _ in range(8):
+        mu = de_step(mu, TreeModel.regular(4, 0.8), SurveySpec.bec(0.5))
+    return mu
+
+
 def test_resymmetrize_projects_and_is_idempotent():
     # child-message law: edge map plus broadcast flip keeps the pairing
     # up to quantization; projection removes the quantization residue
-    mu = flip_mix(apply_edge_map(from_delta(delta_of(SurveySpec.bec(0.3)), GRID), 0.7), 0.15)
-    assert symmetry_defect(mu) < 5e-3
-    fixed = resymmetrize(mu)
-    assert symmetry_defect(fixed) < 1e-12
-    again = resymmetrize(fixed)
-    np.testing.assert_allclose(again.masses, fixed.masses, atol=1e-14)
+    child = flip_mix(apply_edge_map(from_delta(delta_of(SurveySpec.bec(0.3)), GRID), 0.7), 0.15)
+    assert symmetry_defect(child) < 5e-3
+    saturating = _saturating_law()
+    assert saturating.masses[np.abs(GRID.centers()) > 24].sum() > 0.4
+    for mu in (child, saturating):
+        fixed = resymmetrize(mu)
+        assert symmetry_defect(fixed) < 1e-12
+        again = resymmetrize(fixed)
+        np.testing.assert_allclose(again.masses, fixed.masses, atol=1e-14)
+        assert fixed.tv_distance(again) <= 1e-12
+
+
+def test_info_measures_match_the_crossover_form():
+    inf_atoms = flip_mix(from_delta(DeltaDistribution([(0.0, 0.7), (0.2, 0.3)]), GRID), 0.01)
+    assert inf_atoms.pos_inf_mass > 0.0 and inf_atoms.neg_inf_mass > 0.0
+    center = flip_mix(apply_edge_map(from_delta(delta_of(SurveySpec.bec(0.3)), GRID), 0.7), 0.15)
+    assert center.masses[GRID.center_index] > 0.25
+    # At saturation to_delta merges atoms closer than MERGE_TOL in delta, and
+    # 2 sqrt(delta (1 - delta)) is steep there, so its Bhattacharyya value
+    # moves by ~1e-9; the grid value matches the grid sum E[exp(-R/2)].
+    saturating = _saturating_law()
+    for mu, z_tol in ((inf_atoms, 1e-12), (center, 1e-12), (saturating, 1e-8)):
+        im, dd = info_measures(mu), to_delta(mu)
+        assert im.prob_error == pytest.approx(prob_error(dd), abs=1e-12)
+        assert im.capacity == pytest.approx(capacity(dd), abs=1e-12)
+        assert im.chi2_capacity == pytest.approx(chi2_capacity(dd), abs=1e-12)
+        assert im.bhattacharyya == pytest.approx(bhattacharyya(dd), abs=z_tol)
+    im = info_measures(saturating)
+    assert im.bhattacharyya == pytest.approx(im.potential_mean, abs=1e-12)
 
 
 def test_edge_map_values():
     assert edge_llr_map(0.0, 0.9) == 0.0
     assert edge_llr_map(math.inf, 0.8) == pytest.approx(math.log(9.0))
     assert edge_llr_map(5.0, 0.0) == 0.0
-    # odd function
-    r = np.linspace(-8, 8, 33)
-    np.testing.assert_allclose(edge_llr_map(-r, 0.6), -edge_llr_map(r, 0.6), atol=1e-14)
+    assert isinstance(edge_llr_map(1.0, 0.5), float)
+    np.testing.assert_allclose(edge_llr_map(np.array([math.inf, -math.inf]), 0.8),
+                               [math.log(9.0), -math.log(9.0)], rtol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = edge_llr_map(np.array([1000.0, -1000.0]), 0.8)
+    np.testing.assert_allclose(far, [math.log(9.0), -math.log(9.0)], rtol=1e-15)
+    # odd function, exactly
+    r = np.concatenate([np.linspace(-8, 8, 33), np.random.default_rng(5).uniform(-40, 40, 1000)])
+    assert np.array_equal(edge_llr_map(-r, 0.6), -edge_llr_map(r, 0.6))
 
 
 def test_edge_map_is_theta_lipschitz():
