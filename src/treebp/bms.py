@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "DeltaDistribution",
@@ -36,11 +35,22 @@ _MASS_SLACK = 1e-8     # input weights must sum to 1 within this
 _RANGE_SLACK = 1e-9
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(p), 0.0)
+
+
 def binary_entropy(p):
     """Binary entropy in nats, elementwise, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
-    out = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    out = -(_xlogx(p) + _xlogx(1.0 - p))
     return out if out.ndim else float(out)
+
+
+def _entropy_of_masses(p: np.ndarray) -> float:
+    """Shannon entropy -sum p log p of a mass vector, nats, with 0 log 0 = 0."""
+    nz = p[p > 0.0]
+    return -float(nz @ np.log(nz))
 
 
 class DeltaDistribution:
@@ -48,9 +58,10 @@ class DeltaDistribution:
 
     Atoms are stored sorted by descending delta with strictly distinct
     deltas.  Construction canonicalizes: deltas are clipped to [0, 1/2],
-    atoms within ``MERGE_TOL`` of each other are merged (weight-averaged
-    delta), weights below ``WEIGHT_FLOOR`` are dropped, and the remaining
-    weights are renormalized to sum to exactly 1.  Instances are immutable.
+    weights below ``WEIGHT_FLOOR`` are dropped, each run of atoms within
+    ``MERGE_TOL`` of the run's first atom is merged into one (weight-averaged
+    delta), and the weights are renormalized to sum to exactly 1.  Instances
+    are immutable.
     """
 
     __slots__ = ("deltas", "weights")
@@ -79,12 +90,14 @@ class DeltaDistribution:
         order = np.argsort(-d, kind="stable")
         d, w = d[order], w[order]
         md, mw = [d[0]], [w[0]]
+        anchor = d[0]          # first atom of the current run: no run spans more than MERGE_TOL
         for di, wi in zip(d[1:], w[1:]):
-            if md[-1] - di <= MERGE_TOL:
+            if anchor - di <= MERGE_TOL:
                 tot = mw[-1] + wi
                 md[-1] = (md[-1] * mw[-1] + di * wi) / tot
                 mw[-1] = tot
             else:
+                anchor = di
                 md.append(di)
                 mw.append(wi)
         deltas = np.array(md, dtype=float)

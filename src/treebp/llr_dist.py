@@ -7,9 +7,11 @@ reserved atoms at +inf and -inf for perfectly informative observations.
 
 Grid placement uses mean-preserving two-point splitting: an off-grid atom is
 divided between its two neighboring bin centers so that the mean LLR is kept
-exactly.  Sums of grid positions land back on the grid, so convolution is
-exact apart from boundary saturation, which folds out-of-range mass onto the
-outermost bins.
+exactly.  Sums of grid positions land back on the grid.  Sums of independent
+LLRs (pairs, fixed powers, compound Poisson) are taken by FFT on a zero-padded
+grid long enough that the sum does not wrap; offsets outside the sum's exact
+support are then set to exactly 0, and out-of-range mass is folded onto the
+outermost bins once, after the full sum.
 
 Bins at +r and -r form a pair, which reads as one crossover atom at
 delta = 1/(1+e^r) carrying the pair's mass.  The projection onto the exactly
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .bms import _TERMS, DeltaDistribution, _expect
 
@@ -91,6 +92,15 @@ def _centers(r_max: float, n_bins: int) -> np.ndarray:
     c = np.linspace(-r_max, r_max, n_bins)
     c.setflags(write=False)
     return c
+
+
+@lru_cache(maxsize=32)
+def _crossovers(r_max: float, n_bins: int) -> np.ndarray:
+    """delta = 1/(1+e^r) = q/(1+q), q = e^-r, at the positive centers r."""
+    q = np.exp(-_centers(r_max, n_bins)[(n_bins + 1) // 2:])
+    d = q / (1.0 + q)
+    d.setflags(write=False)
+    return d
 
 
 def _deposit(grid: GridConfig, positions, weights) -> np.ndarray:
@@ -254,26 +264,27 @@ def from_delta(dist: DeltaDistribution, grid: GridConfig) -> SymmetricLLRDistrib
 def _pairs(mu: SymmetricLLRDistribution, symmetry_tol: float = math.inf):
     """Read a law on its +-r bin pairs, checking the pairing first.
 
-    Returns (r, pair, center, inf, defect): the positive centers, the pair
-    masses mass(r) + mass(-r), the center mass, the total infinite mass and
-    the symmetry defect.  A defect beyond ``symmetry_tol`` means the masses
-    cannot have come from a valid symmetric law and raises SymmetryError.
+    Returns (delta, pair, center, inf, defect): the crossover 1/(1+e^r) of
+    each positive center r, the pair masses mass(r) + mass(-r), the center
+    mass, the total infinite mass and the symmetry defect.  A defect beyond
+    ``symmetry_tol`` means the masses cannot have come from a valid
+    symmetric law and raises SymmetryError.
     """
     c = mu.grid.center_index
     hi = mu.masses[c + 1:]
     lo = mu.masses[:c][::-1]
-    r = mu.grid.centers()[c + 1:]
+    delta = _crossovers(mu.grid.r_max, mu.grid.n_bins)
     pair = hi + lo
-    defect = float(np.abs(lo - expit(-r) * pair).sum()) + mu.neg_inf_mass
+    defect = float(np.abs(lo - delta * pair).sum()) + mu.neg_inf_mass
     if defect > symmetry_tol:
         raise SymmetryError(f"symmetry defect {defect:.3g} exceeds tolerance {symmetry_tol:.3g}")
-    return r, pair, float(mu.masses[c]), mu.pos_inf_mass + mu.neg_inf_mass, defect
+    return delta, pair, float(mu.masses[c]), mu.pos_inf_mass + mu.neg_inf_mass, defect
 
 
 def _atoms(mu: SymmetricLLRDistribution, symmetry_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Crossover atoms (deltas, weights): one per pair, then center and infinity."""
-    r, pair, center, inf, _ = _pairs(mu, symmetry_tol)
-    return np.append(expit(-r), (0.5, 0.0)), np.append(pair, (center, inf))
+    delta, pair, center, inf, _ = _pairs(mu, symmetry_tol)
+    return np.append(delta, (0.5, 0.0)), np.append(pair, (center, inf))
 
 
 def symmetry_defect(mu: SymmetricLLRDistribution) -> float:
@@ -295,15 +306,15 @@ def resymmetrize(mu: SymmetricLLRDistribution,
                  symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricLLRDistribution:
     """Project onto the exactly paired cone by splitting each pair in place.
 
-    The pair at +-r keeps its mass, divided as expit(r) : expit(-r); the
+    The pair at +-r keeps its mass, divided as 1 - delta : delta; the
     center stays, both infinite atoms fold onto +inf, and the total is
     renormalized to 1 to absorb rounding drift of the convolutions.
     """
-    r, pair, center, inf, _ = _pairs(mu, symmetry_tol)
+    delta, pair, center, inf, _ = _pairs(mu, symmetry_tol)
     c = mu.grid.center_index
     m = np.empty(mu.grid.n_bins)
-    m[c + 1:] = expit(r) * pair
-    m[c - 1::-1] = expit(-r) * pair
+    m[c + 1:] = (1.0 - delta) * pair
+    m[c - 1::-1] = delta * pair
     m[c] = center
     total = float(m.sum()) + inf
     return SymmetricLLRDistribution(mu.grid, m / total, pos_inf_mass=inf / total)
@@ -358,6 +369,44 @@ def flip_mix(mu: SymmetricLLRDistribution, delta: float) -> SymmetricLLRDistribu
     return SymmetricLLRDistribution(mu.grid, m, pos_inf_mass=pos, neg_inf_mass=neg)
 
 
+def _support(mu: SymmetricLLRDistribution) -> tuple[int, int]:
+    """Offsets (lo, hi) from the center bin of the first and last nonzero bins."""
+    nz = np.flatnonzero(mu.masses)
+    c = mu.grid.center_index
+    return int(nz[0]) - c, int(nz[-1]) - c
+
+
+def _spectral_sum(laws, lo: int, hi: int, combine) -> SymmetricLLRDistribution:
+    """Law of a sum of independent LLRs, computed in the Fourier domain.
+
+    Each law is placed circularly (center bin at index 0) on a zero-padded
+    power-of-two length that holds every offset of the inputs and of the sum
+    without wrapping; ``combine`` maps the input spectra to the spectrum of
+    the sum, whose exact support is [lo, hi].  After the inverse transform,
+    offsets outside [lo, hi] are dropped (they hold only rounding noise),
+    rounding negatives are clipped, mass beyond +-r_max is folded onto the
+    boundary bins once, after the whole sum, and the total is renormalized
+    to 1 (for a Poisson sum this restores the neglected tail, as a truncated
+    mixture would).
+    """
+    grid = laws[0].grid
+    c = grid.center_index
+    supports = [_support(mu) for mu in laws]
+    reach = max(-lo, hi, *(max(-a, b) for a, b in supports))
+    size = 1 << (2 * reach + 1).bit_length()          # power of two >= 2 reach + 2
+    spectra = []
+    for mu, (a, b) in zip(laws, supports):
+        x = np.zeros(size)
+        x[np.arange(a, b + 1) % size] = mu.masses[c + a:c + b + 1]
+        spectra.append(np.fft.rfft(x))
+    offsets = np.arange(lo, hi + 1)
+    vals = np.fft.irfft(combine(*spectra), size)[offsets % size]
+    np.clip(vals, 0.0, None, out=vals)
+    bins = np.clip(offsets + c, 0, grid.n_bins - 1)
+    m = np.bincount(bins, weights=vals, minlength=grid.n_bins)
+    return SymmetricLLRDistribution(grid, m / m.sum())
+
+
 def convolve(mu1: SymmetricLLRDistribution,
              mu2: SymmetricLLRDistribution) -> SymmetricLLRDistribution:
     """Law of the sum of two independent LLRs on the shared grid.
@@ -370,40 +419,32 @@ def convolve(mu1: SymmetricLLRDistribution,
         raise ValueError("grid mismatch")
     if not (mu1.is_finite and mu2.is_finite):
         raise ValueError("convolve requires finite LLR laws")
-    grid = mu1.grid
-    full = np.convolve(mu1.masses, mu2.masses)
-    start = grid.n_bins - 1 - grid.center_index
-    m = full[start:start + grid.n_bins].copy()
-    m[0] += full[:start].sum()
-    m[-1] += full[start + grid.n_bins:].sum()
-    return SymmetricLLRDistribution(grid, m)
+    (lo1, hi1), (lo2, hi2) = _support(mu1), _support(mu2)
+    return _spectral_sum((mu1, mu2), lo1 + lo2, hi1 + hi2, np.multiply)
 
 
 def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDistribution:
-    """count-fold self-convolution by iterated doubling; count = 0 is the unit."""
+    """count-fold self-convolution, F^count in the Fourier domain; count = 0
+    is the unit and count = 1 returns mu itself."""
     if count < 0 or int(count) != count:
         raise ValueError("count must be a nonnegative integer")
     count = int(count)
     if count == 0:
         return SymmetricLLRDistribution.unit(mu.grid)
-    result = None
-    base = mu
-    e = count
-    while True:
-        if e & 1:
-            result = base if result is None else convolve(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = convolve(base, base)
+    if count == 1:
+        return mu
+    lo, hi = _support(mu)
+    return _spectral_sum((mu,), count * lo, count * hi, lambda f: f ** count)
 
 
 def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
                      tail_tol: float = 1e-12) -> SymmetricLLRDistribution:
-    """Poisson(mean_count) mixture of self-convolutions.
+    """Poisson(mean_count) mixture of self-convolutions (compound Poisson law).
 
-    The count is truncated at the smallest B with P[count > B] < tail_tol
-    and the mixture weights are renormalized.
+    Computed in closed form as exp(mean_count (F - 1)) in the Fourier
+    domain.  ``tail_tol`` sizes the zero padding: with B the smallest count
+    such that P[count > B] < tail_tol, no term with count <= B wraps around,
+    so the neglected (wrapped or dropped) mass stays below tail_tol.
     """
     if mean_count < 0:
         raise ValueError("mean_count must be nonnegative")
@@ -411,26 +452,19 @@ def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
         raise ValueError("tail_tol must lie in (0, 1e-6]")
     if not mu.is_finite:
         raise ValueError("poisson_convolve requires a finite LLR law")
-    grid = mu.grid
     if mean_count == 0.0:
-        return SymmetricLLRDistribution.unit(grid)
-
-    pmf = math.exp(-mean_count)
-    cum = pmf
-    acc = np.zeros(grid.n_bins)
-    acc[grid.center_index] = pmf
-    cur = SymmetricLLRDistribution.unit(grid)
+        return SymmetricLLRDistribution.unit(mu.grid)
+    pmf = cum = math.exp(-mean_count)
     b = 0
     while cum < 1.0 - tail_tol:
         b += 1
         if b > 100000:
             raise RuntimeError("poisson truncation failed to terminate")
-        cur = convolve(cur, mu)
         pmf *= mean_count / b
         cum += pmf
-        acc += pmf * cur.masses
-    acc /= acc.sum()
-    return SymmetricLLRDistribution(grid, acc)
+    lo, hi = _support(mu)
+    return _spectral_sum((mu,), min(b * lo, 0), max(b * hi, 0),
+                         lambda f: np.exp(mean_count * (f - 1.0)))
 
 
 # -- functionals -----------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -728,12 +728,23 @@ def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
     plus = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
     up_plus, up_minus = (_upward_levels(base, levels, model.theta, include_root_survey)
                          for base in (plus, -plus))
-    stats = np.zeros((depth + 1, 3))
-    stats[depth] = (2.0 * magnitude * n_leaves, (2.0 * magnitude) ** 2 * n_leaves, n_leaves)
+    stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
+    stats[depth] = (n_leaves, 2.0 * magnitude, 0.0)
     for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
         g = np.abs(rp - rm)
-        stats[j] = (g.sum(), (g * g).sum(), g.size)
+        mean = g.mean() if g.size else 0.0
+        stats[j] = (g.size, mean, np.dot(g - mean, g - mean))
     return stats
+
+
+def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chan et al.'s pairwise update of rows (count, mean, M2)."""
+    na, ma, sa = a.T
+    nb, mb, sb = b.T
+    n = na + nb
+    w = nb / np.maximum(n, 1.0)
+    delta = mb - ma
+    return np.stack([n, ma + delta * w, sa + sb + delta * delta * na * w], axis=1)
 
 
 def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
@@ -825,16 +836,11 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
                        magnitude=boundary_magnitude,
                        include_root_survey=include_root_survey)
         parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
-        stats = np.zeros((depth + 1, 3))
-        for p in parts:
-            stats += p
+        stats = reduce(_merge_moments, parts)
         gaps, stderrs = [], []
-        for j in range(depth + 1):
-            s, s2, n = stats[j]
-            mean = s / n if n > 0 else math.nan
-            var = max(s2 / n - mean * mean, 0.0) if n > 1 else 0.0
-            gaps.append(mean)
-            stderrs.append(math.sqrt(var / n) if n > 1 else 0.0)
+        for n, mean, m2 in stats:
+            gaps.append(float(mean) if n > 0 else math.nan)
+            stderrs.append(math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0)
         ratios = [gaps[j] / gaps[j + 1] for j in range(depth)
                   if gaps[j + 1] > 1e-9 and not math.isnan(gaps[j])]
         rate = max(ratios) if ratios else math.nan

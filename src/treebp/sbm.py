@@ -28,10 +28,9 @@ from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from ._parallel import parallel_chunk_map
-from .bms import SurveySpec
+from .bms import SurveySpec, _entropy_of_masses
 from .density_evolution import DEConfig, InitCondition, TreeModel, bp_fixed_point
 from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
@@ -213,12 +212,18 @@ def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> 
     return ll
 
 
+def _logsumexp(v: np.ndarray) -> float:
+    """log sum exp(v), shifted by the largest entry; -inf entries add 0."""
+    m = float(v.max())
+    return m + math.log(float(np.exp(v - m).sum()))
+
+
 def _entropy_from_loglik(ll: np.ndarray) -> float:
     finite = ll > -math.inf
     vals = ll[finite]
     if vals.size == 0:
         raise ValueError("no labeling is consistent with the conditioning")
-    z = float(logsumexp(vals))
+    z = _logsumexp(vals)
     p = np.exp(vals - z)
     return float(z - np.dot(p, vals))
 
@@ -302,7 +307,7 @@ def subset_entropy_table(inst: SBMInstance) -> np.ndarray:
     if n > MAX_SUBSET_N:
         raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
     ll = label_loglik(inst)
-    z = float(logsumexp(ll))
+    z = _logsumexp(ll)
     p = np.exp(ll - z)
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
@@ -310,7 +315,7 @@ def subset_entropy_table(inst: SBMInstance) -> np.ndarray:
     out[0] = 0.0
     for s in range(1, size):
         marg = np.bincount(idx & s, weights=p, minlength=size)
-        out[s] = -float(xlogy(marg, marg).sum())
+        out[s] = _entropy_of_masses(marg)
     return out
 
 
@@ -354,7 +359,7 @@ def single_vertex_entropy_all_revealed(inst: SBMInstance) -> float:
     the zero-erasure limit.
     """
     ll = label_loglik(inst)
-    z = float(logsumexp(ll[ll > -math.inf]))
+    z = _logsumexp(ll[ll > -math.inf])
     p = np.exp(ll - z)
     size = ll.size
     lo = np.arange(size, dtype=np.int64)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import xlogy
 
 from ._parallel import parallel_chunk_map
+from .bms import _entropy_of_masses
 
 __all__ = [
     "MAX_BALL",
@@ -207,7 +207,7 @@ def _ball_tables(graph: SyncGraph):
 
 def _masked_entropy_sum(weights: np.ndarray, keys: np.ndarray, size: int) -> float:
     grouped = np.bincount(keys, weights=weights, minlength=size)
-    return -float(xlogy(grouped, grouped).sum())
+    return _entropy_of_masses(grouped)
 
 
 def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:

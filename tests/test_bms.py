@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from treebp.bms import (
+    MERGE_TOL,
+    WEIGHT_FLOOR,
     DeltaDistribution,
     SurveySpec,
     bhattacharyya,
@@ -112,6 +114,20 @@ def test_atom_canonicalization():
     np.testing.assert_allclose(dist.weights, [0.5, 0.5])
     assert np.all(np.diff(dist.deltas) < 0)
     assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.2])
+def test_merge_runs_span_at_most_merge_tol(factor):
+    # a chain of atoms 0.6 MERGE_TOL apart with rising weights: merging into
+    # the running weighted mean let it follow the chain (67 and 60 atoms,
+    # the first spanning ~85 MERGE_TOL); anchored runs merge pairs only
+    deltas = 0.25 - 0.6 * MERGE_TOL * np.arange(200)
+    weights = factor ** np.arange(200)
+    weights /= weights.sum()
+    kept = int((weights > WEIGHT_FLOOR).sum())      # 200 at 1.1, 180 at 1.2
+    dist = DeltaDistribution(zip(deltas, weights))
+    assert len(dist) == kept // 2
+    assert len(dist) >= (100 if factor == 1.1 else 90)
 
 
 def test_atom_floor_drops_and_renormalizes():

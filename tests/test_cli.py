@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treebp
 from treebp.cli import main
 
 
@@ -99,6 +104,15 @@ def test_bad_parameter_names_flag(capsys):
     code, _, err = run_cli(capsys, "sbm", "exact", "--n", "6", "--a", "3", "--b", "1",
                            "--eps", "half")
     assert code == 1 and "--eps" in err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(treebp.__file__).resolve().parents[1])
+    code = ("import sys, treebp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_reruns_are_byte_identical(capsys):

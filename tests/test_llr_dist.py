@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebp.bms import (
     DeltaDistribution,
@@ -134,11 +136,11 @@ def test_info_measures_match_the_crossover_form():
     assert inf_atoms.pos_inf_mass > 0.0 and inf_atoms.neg_inf_mass > 0.0
     center = flip_mix(apply_edge_map(from_delta(delta_of(SurveySpec.bec(0.3)), GRID), 0.7), 0.15)
     assert center.masses[GRID.center_index] > 0.25
-    # At saturation to_delta merges atoms closer than MERGE_TOL in delta, and
-    # 2 sqrt(delta (1 - delta)) is steep there, so its Bhattacharyya value
-    # moves by ~1e-9; the grid value matches the grid sum E[exp(-R/2)].
+    # At saturation to_delta merges runs of atoms within MERGE_TOL in delta,
+    # and 2 sqrt(delta (1 - delta)) is steep there, so its Bhattacharyya value
+    # moves by ~5e-11; the grid value matches the grid sum E[exp(-R/2)].
     saturating = _saturating_law()
-    for mu, z_tol in ((inf_atoms, 1e-12), (center, 1e-12), (saturating, 1e-8)):
+    for mu, z_tol in ((inf_atoms, 1e-12), (center, 1e-12), (saturating, 1e-10)):
         im, dd = info_measures(mu), to_delta(mu)
         assert im.prob_error == pytest.approx(prob_error(dd), abs=1e-12)
         assert im.capacity == pytest.approx(capacity(dd), abs=1e-12)
@@ -262,7 +264,10 @@ def test_power_convolve():
     np.testing.assert_allclose(one.masses, mu.masses)
     four = power_convolve(_point(1.5), 4)
     assert four.mean() == pytest.approx(6.0, abs=1e-12)
-    # doubling agrees with the slow fold
+    # no rounding noise off the support: the unit law stays exactly a unit
+    unit = power_convolve(SymmetricLLRDistribution.unit(GRID), 5)
+    assert np.count_nonzero(unit.masses) == 1 and unit.masses[GRID.center_index] > 0.0
+    # the spectral power agrees with the slow fold
     slow = convolve(convolve(mu, mu), mu)
     fast = power_convolve(mu, 3)
     np.testing.assert_allclose(fast.masses, slow.masses, atol=1e-14)
@@ -277,6 +282,7 @@ def test_poisson_convolve():
 
     stay = poisson_convolve(unit, 3.0)
     assert stay.masses[GRID.center_index] == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(stay.masses) == 1
 
     # point at a: count-k atom sits at k*a with Poisson weights
     a = 1.2
@@ -293,6 +299,93 @@ def test_poisson_convolve():
         poisson_convolve(unit, -1.0)
     with pytest.raises(ValueError):
         poisson_convolve(unit, 2.0, tail_tol=1e-3)
+
+
+def test_power_convolve_saturates_after_the_whole_sum():
+    # +-20 coins: three of them sum to 60, 20, -20, -60 with weights 1, 3, 3, 1
+    # over 8; clipping partial sums at r_max = 30 would move mass off +20
+    # (20 is off-grid, so compare window sums around each target)
+    out = power_convolve(flip_mix(_point(20.0), 0.5), 3)
+    centers = GRID.centers()
+    for target, w in ((-30.0, 1 / 8), (-20.0, 3 / 8), (20.0, 3 / 8), (30.0, 1 / 8)):
+        window = np.abs(centers - target) <= 3 * GRID.step
+        assert out.masses[window].sum() == pytest.approx(w, abs=1e-14)
+
+
+# Direct O(n^2) sums, the reference for the spectral kernel.
+
+def _direct_convolve(m1, m2):
+    """Linear convolution on the grid of m1, m2, with out-of-range mass folded."""
+    n = m1.size
+    full = np.convolve(m1, m2)
+    start = n - 1 - (n - 1) // 2
+    m = full[start:start + n].copy()
+    m[0] += full[:start].sum()
+    m[-1] += full[start + n:].sum()
+    return m
+
+
+def _direct_poisson(m, mean_count, tail_tol=1e-12):
+    """Poisson mixture of direct powers, truncated where P[count > B] < tail_tol
+    and renormalized."""
+    unit = np.zeros(m.size)
+    unit[(m.size - 1) // 2] = 1.0
+    pmf = cum = math.exp(-mean_count)
+    acc, cur, b = pmf * unit, unit, 0
+    while cum < 1.0 - tail_tol:
+        b += 1
+        cur = _direct_convolve(cur, m)
+        pmf *= mean_count / b
+        cum += pmf
+        acc = acc + pmf * cur
+    return acc / acc.sum()
+
+
+SMALL = GridConfig(r_max=10.0, n_bins=401)
+
+
+@st.composite
+def _interior_laws(draw, reach=5):
+    """Random nonnegative laws on at most 2 reach + 1 bins around the center of SMALL;
+    every count-39 sum (the Poisson bound at mean 8, tail 1e-15) stays inside."""
+    lo = draw(st.integers(-reach, reach))
+    hi = draw(st.integers(lo, reach))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=hi - lo + 1,
+                               max_size=hi - lo + 1)))
+    w[0] += 0.01
+    m = np.zeros(SMALL.n_bins)
+    m[SMALL.center_index + lo:SMALL.center_index + hi + 1] = w / w.sum()
+    return SymmetricLLRDistribution(SMALL, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_interior_laws(), _interior_laws())
+def test_convolve_matches_direct_sum(mu1, mu2):
+    np.testing.assert_allclose(convolve(mu1, mu2).masses,
+                               _direct_convolve(mu1.masses, mu2.masses), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_interior_laws(), st.integers(2, 6))
+def test_power_convolve_matches_direct_sum(mu, count):
+    want = mu.masses
+    for _ in range(count - 1):
+        want = _direct_convolve(want, mu.masses)
+    np.testing.assert_allclose(power_convolve(mu, count).masses, want, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_interior_laws(), st.floats(0.5, 8.0))
+def test_poisson_convolve_matches_direct_mixture(mu, mean_count):
+    # Both neglect a tail of mass below tail_tol, but not the same one: the
+    # mixture drops every count > B, the spectral sum only those landing
+    # outside the support.  So the two differ by at most 2 tail_tol in total,
+    # and per bin they are compared at a tail_tol below the 1e-14 tolerance.
+    diff = poisson_convolve(mu, mean_count).masses - _direct_poisson(mu.masses, mean_count)
+    assert np.abs(diff).sum() <= 2e-12 + 1e-14
+    np.testing.assert_allclose(poisson_convolve(mu, mean_count, tail_tol=1e-15).masses,
+                               _direct_poisson(mu.masses, mean_count, tail_tol=1e-15),
+                               rtol=0, atol=1e-14)
 
 
 def test_info_measures_trivial_points():

@@ -250,6 +250,16 @@ def test_wsm_contraction_rate_bound():
     assert all(gaps[j] <= gaps[j + 1] + 1e-12 for j in range(len(gaps) - 1))
 
 
+def test_wsm_equal_gaps_have_zero_stderr():
+    # trivial survey: every node of a level carries the same gap, so each
+    # level's spread is rounding residue; s2/n - mean^2 read 3.3e-10 here
+    report = wsm_probe(TreeModel.regular(2, 0.4), SurveySpec.trivial(), 12, 64, seed=1)
+    assert all(se <= 1e-15 for se in report.level_gap_stderrs)
+    again = wsm_probe(TreeModel.regular(2, 0.4), SurveySpec.trivial(), 12, 64, seed=1,
+                      workers=2)
+    assert again.as_dict() == report.as_dict()
+
+
 def test_wsm_theta_zero_gap_collapses():
     report = wsm_probe(TreeModel.regular(2, 0.0), SurveySpec.bsc(0.3), 4, 8, seed=1)
     assert report.level_gaps[0] == 0.0
