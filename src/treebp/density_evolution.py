@@ -393,14 +393,18 @@ def bp_fixed_point(model: TreeModel, survey: SurveySpec, init: InitCondition,
     mu = init.initial_distribution(grid)
     trace = [info_measures(mu)]
     converged = False
-    for _ in range(cfg.max_depth):
+    # Without the root survey the trace holds pre-survey laws, and its first
+    # step aggregates the initial law without the survey the later steps
+    # add: from no leaves it repeats the unit law, which is no fixed point.
+    first_judged = 1 if cfg.include_root_survey else 2
+    for step in range(1, cfg.max_depth + 1):
         pre, mu = _step_views(mu, model, survey_dist)
         trace.append(info_measures(mu if cfg.include_root_survey else pre))
         prev, cur = trace[-2], trace[-1]
         change = max(abs(cur.prob_error - prev.prob_error),
                      abs(cur.bhattacharyya - prev.bhattacharyya),
                      abs(cur.capacity - prev.capacity))
-        if change < cfg.convergence_tol:
+        if step >= first_judged and change < cfg.convergence_tol:
             converged = True
             break
     return FixedPointResult(trace=trace, converged=converged, init=init.describe(),

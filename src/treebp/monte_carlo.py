@@ -13,6 +13,15 @@ reduced in order, so outputs are bit-identical for any worker count.
 
 The batched sampler never materializes leaf spins: a leaf block's
 contribution to its parent reduces to the net spin sum, a binomial draw.
+It also stops expanding below survey-revealed nodes.  A node whose survey
+draw falls on the noiseless atom (delta = 0) knows its spin, so by the
+Markov property of the broadcast its subtree tells its ancestors nothing
+more: the sampler draws no children for it, and the upward pass gives it
+the LLR spin * LLR_MAX (density evolution's reveal is +-infinity).  A
+revealed root settles its whole tree.  The root is never pruned when its
+own survey is excluded.  Surveys without a noiseless atom prune nothing
+and draw exactly what the full tree draws.  The boundary-sensitivity
+probe keeps every node, since it averages over whole levels.
 """
 
 from __future__ import annotations
@@ -178,6 +187,11 @@ class _SurveySampler:
     The magnitude and the flip come from the same uniform: the component is
     read off the weight partition, the flip from the component's leading
     delta-fraction of its segment.  Magnitudes clip at LLR_MAX.
+
+    A draw on the noiseless atom (delta exactly 0) reveals the node's spin.
+    Atoms are sorted by descending delta, so that atom is the last segment
+    of the partition, u >= reveal_cut.  A finite magnitude that clips at
+    LLR_MAX (bsc:1e-15) is not a reveal.
     """
 
     def __init__(self, survey: SurveySpec):
@@ -192,28 +206,34 @@ class _SurveySampler:
         low = self.cum - w
         self.flip_cut = low + self.deltas * w
         self.n_atoms = self.deltas.size
+        self.reveal_cut = None
+        if self.deltas[-1] == 0.0:
+            self.reveal_cut = self.cum[-2] if self.n_atoms > 1 else 0.0
         # Pure erasure: one zero-magnitude atom plus one noiseless atom.
         self.erasure_like = (self.n_atoms == 2 and self.deltas[0] == 0.5
                              and self.deltas[1] == 0.0)
 
-    def draw(self, rng: np.random.Generator, spins: np.ndarray) -> np.ndarray:
+    def draw(self, rng: np.random.Generator,
+             spins: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Survey LLRs and the mask of revealed nodes (None without a noiseless atom)."""
         u = rng.random(spins.size)
+        revealed = None if self.reveal_cut is None else u >= self.reveal_cut
         if self.erasure_like:
-            reveal = (u >= self.cum[0]).astype(np.float64)
-            reveal *= self.mags[1]
-            reveal *= spins
-            return reveal
+            w = revealed.astype(np.float64)
+            w *= self.mags[1]
+            w *= spins
+            return w, revealed
         if self.n_atoms == 1:
             sign = 1.0 - 2.0 * (u < self.flip_cut[0])
-            return spins * (self.mags[0] * sign)
+            return spins * (self.mags[0] * sign), revealed
         if self.n_atoms == 2:
             upper = u >= self.cum[0]
             mag = np.where(upper, self.mags[1], self.mags[0])
             cut = np.where(upper, self.flip_cut[1], self.flip_cut[0])
-            return spins * (mag * (1.0 - 2.0 * (u < cut)))
+            return spins * (mag * (1.0 - 2.0 * (u < cut))), revealed
         idx = np.searchsorted(self.cum, u, side="right")
         sign = 1.0 - 2.0 * (u < self.flip_cut[idx])
-        return spins * (self.mags[idx] * sign)
+        return spins * (self.mags[idx] * sign), revealed
 
 
 @dataclass
@@ -267,12 +287,18 @@ def sample_tree(model: TreeModel, depth: int, survey: SurveySpec, seed: int = 0)
     survey_llr: list[np.ndarray | None] = []
     for j in range(depth + 1):
         if j < depth and sampler is not None:
-            survey_llr.append(sampler.draw(rng, spins[j]))
+            survey_llr.append(sampler.draw(rng, spins[j])[0])
         elif j < depth:
             survey_llr.append(np.zeros(spins[j].size))
         else:
             survey_llr.append(None)
     return SampledTree(model, survey, depth, seed, spins, parents, survey_llr)
+
+
+def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the child messages of each of n parents, as floats even when
+    there are no children (bincount returns int64 on empty input)."""
+    return np.bincount(par, weights=msg, minlength=n).astype(np.float64, copy=False)
 
 
 def bp_upward(tree: SampledTree, boundary: BoundaryCondition,
@@ -301,7 +327,7 @@ def bp_upward(tree: SampledTree, boundary: BoundaryCondition,
         return float(np.clip(r, -LLR_MAX, LLR_MAX)[0])
     for j in range(k - 1, -1, -1):
         msg = edge_llr_map(r, theta)
-        r = np.bincount(tree.parents[j + 1], weights=msg, minlength=tree.spins[j].size)
+        r = _child_sums(tree.parents[j + 1], msg, tree.spins[j].size)
         if j > 0 or include_root_survey:
             r = r + tree.survey_llr[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
@@ -316,102 +342,127 @@ def bp_upward(tree: SampledTree, boundary: BoundaryCondition,
 class _ChunkLevels:
     """One chunk of trees, concatenated per level, leaves kept implicit.
 
-    Levels run 0..depth-1.  parents[j] is None on regular levels, where a
-    node's children are the contiguous block of d entries one level down.
-    leaf_counts is None for regular trees (every block has d leaves); the
-    leaf aggregates describe the depth-k blocks per depth-(k-1) parent.
+    Levels run 0..depth-1.  Only open (unrevealed) nodes have children:
+    open_rows[j] lists the open rows of level j, or is None when the whole
+    level is open.  Children are indexed by their parent's rank among the
+    open rows: parents[j] is None on regular levels, where the i-th open
+    node's children are the contiguous block of d entries i*d..i*d+d-1 one
+    level down.  leaf_counts is None for regular trees (every block has d
+    leaves); the leaf aggregates describe the depth-k blocks per open
+    depth-(k-1) node.
     """
 
     sizes: list[int]
-    spins: list[np.ndarray]
+    open_rows: list[np.ndarray | None]
     parents: list[np.ndarray | None]
     surveys: list[np.ndarray | None]
     d_children: int | None
     leaf_counts: np.ndarray | None
     leaf_spin_sums: np.ndarray | None
 
+    def n_open(self, j: int) -> int:
+        rows = self.open_rows[j]
+        return self.sizes[j] if rows is None else rows.size
+
     def n_leaves(self) -> float:
         if self.leaf_counts is not None:
             return float(self.leaf_counts.sum())
-        return float(self.d_children * self.sizes[-1])
+        return float(self.d_children * self.n_open(-1))
 
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
                          n_trees: int, need_leaf_spin_sums: bool,
-                         need_leaf_counts: bool) -> _ChunkLevels:
+                         need_leaf_counts: bool, include_root_survey: bool,
+                         prune: bool) -> _ChunkLevels:
+    """Draw a chunk top-down: spins and surveys of a level, then its open
+    nodes' children.  With prune, revealed nodes stay closed (the root
+    only when its survey counts); without, every node is open.  A level
+    without reveals draws exactly what an unpruned level draws.
+    """
     sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
     flip = model.flip
     regular = model.kind == "regular"
     d_int = int(model.d) if regular else None
 
-    spins = [_rademacher(rng, n_trees)]
-    parents: list[np.ndarray | None] = [None]
+    sizes: list[int] = []
+    open_rows: list[np.ndarray | None] = []
+    parents: list[np.ndarray | None] = []
     surveys: list[np.ndarray | None] = []
-    if sampler is not None:
-        surveys.append(sampler.draw(rng, spins[0]))
-    else:
-        surveys.append(None)
-    for j in range(1, depth):
-        n_prev = spins[j - 1].size
-        if regular:
-            par = None
-            sp = np.repeat(spins[j - 1], d_int)
-        else:
-            counts = rng.poisson(model.d, n_prev)
-            par = np.repeat(np.arange(n_prev), counts)
-            sp = spins[j - 1][par]
-        sp = sp * (1.0 - 2.0 * (rng.random(sp.size) < flip))
-        spins.append(sp)
+    sp, par = _rademacher(rng, n_trees), None
+    for j in range(depth):
+        if j > 0:
+            if regular:
+                sp = np.repeat(sp, d_int)
+            else:
+                counts = rng.poisson(model.d, sp.size)
+                par = np.repeat(np.arange(sp.size), counts)
+                sp = sp[par]
+            sp = sp * (1.0 - 2.0 * (rng.random(sp.size) < flip))
+        w, revealed = sampler.draw(rng, sp) if sampler is not None else (None, None)
+        rows = None
+        if (prune and revealed is not None and (j > 0 or include_root_survey)
+                and revealed.any()):
+            rows = np.flatnonzero(~revealed)
+        sizes.append(sp.size)
+        open_rows.append(rows)
         parents.append(par)
-        surveys.append(sampler.draw(rng, sp) if sampler is not None else None)
+        surveys.append(w)
+        if rows is not None:
+            sp = sp[rows]          # from here on, the spins of open nodes only
 
     leaf_counts = leaf_spin_sums = None
     if depth >= 1:
-        n_parents = spins[depth - 1].size
+        n_parents = sp.size
         if not regular and (need_leaf_counts or need_leaf_spin_sums):
             leaf_counts = rng.poisson(model.d, n_parents)
         if need_leaf_spin_sums:
             if regular:
                 flipped = rng.binomial(d_int, flip, size=n_parents)
-                leaf_spin_sums = spins[depth - 1] * (d_int - 2.0 * flipped)
+                leaf_spin_sums = sp * (d_int - 2.0 * flipped)
             else:
                 flipped = rng.binomial(leaf_counts, flip)
-                leaf_spin_sums = spins[depth - 1] * (leaf_counts - 2.0 * flipped)
-    return _ChunkLevels([s.size for s in spins], spins, parents, surveys,
+                leaf_spin_sums = sp * (leaf_counts - 2.0 * flipped)
+    return _ChunkLevels(sizes, open_rows, parents, surveys,
                         d_int, leaf_counts, leaf_spin_sums)
 
 
 def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.ndarray:
-    """Sum child messages at level j+1 onto their level-j parents."""
+    """Sum child messages at level j+1 onto their open level-j parents."""
     par = levels.parents[j + 1]
     if par is None:
         return msg.reshape(-1, levels.d_children).sum(axis=1)
-    return np.bincount(par, weights=msg, minlength=levels.sizes[j])
+    return _child_sums(par, msg, levels.n_open(j))
 
 
 def _upward_levels(base: np.ndarray, levels: _ChunkLevels, theta: float,
                    include_root_survey: bool):
-    """Upward pass from the depth-(k-1) pre-survey values to the root.
+    """Upward pass from the depth-(k-1) leaf-block sums to the root.
 
     Yields the saturated LLRs of each level, depth k-1 first, root last.
-    Works in place, starting on ``base``.
+    Child sums land on the open rows; a closed node keeps its survey
+    value spin * LLR_MAX.  Works in place, starting on ``base``, on levels
+    without closed nodes.
     """
     k = len(levels.sizes)
-    surveys = levels.surveys
     r = base
     for j in range(k - 1, -1, -1):
         if j < k - 1:
             r = _aggregate_children(edge_llr_map(r, theta), levels, j)
-        if surveys[j] is not None and (j > 0 or include_root_survey):
-            r += surveys[j]
+        survey = levels.surveys[j] if j > 0 or include_root_survey else None
+        rows = levels.open_rows[j]
+        if rows is not None:
+            r, sums = survey.copy(), r
+            r[rows] += sums
+        elif survey is not None:
+            r += survey
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
         yield r
 
 
 def _boundary_base(boundary: BoundaryCondition, levels: _ChunkLevels,
                    theta: float) -> np.ndarray:
-    """Depth-(k-1) LLR contribution of the aggregated leaf blocks."""
-    n = levels.sizes[-1]
+    """Leaf-block LLR sums of the open depth-(k-1) nodes."""
+    n = levels.n_open(-1)
     if boundary.kind == "perfect":
         sat = edge_llr_map(math.inf, theta)
         return sat * levels.leaf_spin_sums
@@ -448,7 +499,8 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
 
     need_sums = any(b.kind == "perfect" for b in boundaries)
     need_counts = need_sums or any(b.kind in ("plus", "minus") for b in boundaries)
-    levels = _sample_chunk_levels(rng, model, survey, depth, count, need_sums, need_counts)
+    levels = _sample_chunk_levels(rng, model, survey, depth, count, need_sums, need_counts,
+                                  include_root_survey, prune=True)
     out = np.empty((len(boundaries), count))
     for i, boundary in enumerate(boundaries):
         base = _boundary_base(boundary, levels, model.theta)
@@ -723,7 +775,8 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 
 def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
-                                  need_leaf_spin_sums=False, need_leaf_counts=True)
+                                  need_leaf_spin_sums=False, need_leaf_counts=True,
+                                  include_root_survey=include_root_survey, prune=False)
     n_leaves = levels.n_leaves()
     plus = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
     up_plus, up_minus = (_upward_levels(base, levels, model.theta, include_root_survey)
@@ -749,7 +802,8 @@ def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
-                                  need_leaf_spin_sums=False, need_leaf_counts=True)
+                                  need_leaf_spin_sums=False, need_leaf_counts=True,
+                                  include_root_survey=include_root_survey, prune=False)
     base = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude

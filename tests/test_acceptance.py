@@ -179,19 +179,32 @@ def test_criterion_08_degradation_bins():
     assert report.ok
 
 
-@criterion("09", "sampled entropies against the deterministic pair", 180.0)
-def test_criterion_09_mc_de_cross_validation():
-    model = TreeModel.regular(4, 0.8)
-    survey = SurveySpec.bec(0.5)
-    pair = estimate_entropy_pair(model, survey, 8, 100_000, seed=42)
+def _check_mc_against_de(model, survey, depth, n_samples):
+    pair = estimate_entropy_pair(model, survey, depth, n_samples, seed=42)
     report = run_pair(model, survey)
-    rec = next(r for r in report.records if r.k == 8)
+    rec = next(r for r in report.records if r.k == depth)
     h_leaves = math.log(2.0) - rec.leaves.capacity
     h_noleaves = math.log(2.0) - rec.noleaves.capacity
     assert abs(pair.leaves.estimate - h_leaves) <= \
         3.0 * pair.leaves.stderr + 1e-3
     assert abs(pair.no_leaves.estimate - h_noleaves) <= \
         3.0 * pair.no_leaves.stderr + 1e-3
+
+
+@criterion("09", "sampled entropies against the deterministic pair", 180.0)
+def test_criterion_09_mc_de_cross_validation():
+    _check_mc_against_de(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8, 100_000)
+
+
+# Poisson offspring with erasures (the sampler prunes below reveals) and a
+# BSC survey (no node is revealed, every node is expanded).
+@pytest.mark.parametrize("model, survey, depth, n_samples", [
+    (TreeModel.poisson(3.0, 0.8), SurveySpec.bec(0.4), 8, 100_000),
+    (TreeModel.regular(3, 0.7), SurveySpec.bsc(0.2), 6, 20_000),
+], ids=["poisson-bec", "regular-bsc"])
+@criterion("09", "sampled entropies against the deterministic pair, more points", 10.0)
+def test_criterion_09_more_points(model, survey, depth, n_samples):
+    _check_mc_against_de(model, survey, depth, n_samples)
 
 
 @criterion("10", "erasure derivative identity with h^2 scaling", 300.0)

@@ -17,6 +17,7 @@ from treebp.density_evolution import (
     uniqueness_probe,
 )
 from treebp.llr_dist import GridConfig, info_measures
+from treebp.sbm import sbm_tree_model
 from treebp.thresholds import contraction_coeff_regular
 
 GRID = GridConfig()
@@ -205,6 +206,16 @@ def test_uniqueness_probe_agreement_and_validation():
     with pytest.raises(ValueError):
         uniqueness_probe(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5),
                          [InitCondition.perfect_leaves()])
+
+
+def test_uniqueness_probe_without_root_survey_skips_the_first_step():
+    # a=9 b=3: the no-leaves run's first pre-survey law is the unit law it
+    # started from; judging that step stopped it at depth 1, 0.37 away
+    probe = uniqueness_probe(sbm_tree_model(9, 3), SurveySpec.bec(0.5),
+                             cfg=DEConfig(include_root_survey=False))
+    assert probe.status == "unique"
+    assert probe.max_pe_diff < 1e-8
+    assert min(r.depth for r in probe.results) > 2
 
 
 def test_uniqueness_probe_high_snr_custom_inits():

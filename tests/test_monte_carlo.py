@@ -13,6 +13,8 @@ from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import (
     LLR_MAX,
     BoundaryCondition,
+    _chunk_trees,
+    _sample_chunk_levels,
     bp_upward,
     degradation_check,
     estimate_entropy,
@@ -134,6 +136,79 @@ def test_estimate_entropy_matches_depth_one_enumeration():
     assert est.estimate == pytest.approx(h_exact, abs=4.0 * est.stderr)
 
 
+def _root_entropy(r: float) -> float:
+    return float(binary_entropy(1.0 / (1.0 + math.exp(abs(r)))))
+
+
+@pytest.mark.parametrize("include_root_survey", [True, False], ids=["root", "noroot"])
+@pytest.mark.parametrize("model, survey, depth", [
+    (TreeModel.regular(3, 0.7), SurveySpec.bec(0.6), 5),
+    (TreeModel.poisson(2.0, 0.6), SurveySpec.bec(0.5), 6),
+], ids=["regular3", "poisson2"])
+def test_pruned_pair_matches_unpruned_single_tree_oracle(model, survey, depth,
+                                                         include_root_survey):
+    # the oracle expands every node below a reveal; the batched sampler does not
+    n_oracle = 1500
+    oracle = {"perfect": [], "none": []}
+    for seed in range(n_oracle):
+        tree = sample_tree(model, depth, survey, seed=seed)
+        for kind, values in oracle.items():
+            r = bp_upward(tree, BoundaryCondition(kind), include_root_survey)
+            values.append(_root_entropy(r))
+    pair = estimate_entropy_pair(model, survey, depth, 20000, seed=7,
+                                 include_root_survey=include_root_survey)
+    for est, values in ((pair.leaves, oracle["perfect"]), (pair.no_leaves, oracle["none"])):
+        mean = float(np.mean(values))
+        se = float(np.std(values, ddof=1)) / math.sqrt(n_oracle)
+        assert abs(est.estimate - mean) <= 3.0 * math.hypot(est.stderr, se)
+
+
+def test_estimate_entropy_bec_depth_one_without_root_survey():
+    # the root's own survey is excluded, so a revealed root must still get
+    # its leaves: H = E h(sat * |d - 2 flipped|) over the binomial flips
+    d, theta = 3, 0.7
+    sat = edge_llr_map(math.inf, theta)
+    delta = 0.5 * (1.0 - theta)
+    h_exact = sum(comb(d, f) * delta ** f * (1.0 - delta) ** (d - f)
+                  * _root_entropy(sat * (d - 2 * f)) for f in range(d + 1))
+    model, survey = TreeModel.regular(d, theta), SurveySpec.bec(0.5)
+    est = estimate_entropy(model, survey, 1, BoundaryCondition.perfect(), 100000,
+                           seed=12, include_root_survey=False)
+    assert est.estimate == pytest.approx(h_exact, abs=4.0 * est.stderr)
+    blind = estimate_entropy(model, survey, 1, BoundaryCondition.none(), 1000,
+                             seed=12, include_root_survey=False)
+    assert blind.estimate == math.log(2.0) and blind.stderr == 0.0
+
+
+def test_clipped_finite_survey_is_not_pruned():
+    # bsc:1e-15 has magnitude 34.5, which clips to LLR_MAX, yet it is a noisy
+    # atom: every node keeps its children
+    model, n_trees, depth = TreeModel.regular(3, 0.7), 50, 4
+    levels = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bsc(1e-15),
+                                  depth, n_trees, True, True, True, prune=True)
+    assert levels.sizes == [n_trees * 3 ** j for j in range(depth)]
+    assert all(rows is None for rows in levels.open_rows)
+    assert levels.n_leaves() == n_trees * 3 ** depth
+    assert np.all(np.abs(levels.surveys[1]) == LLR_MAX)
+
+    erasure = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bec(0.5),
+                                   depth, n_trees, True, True, True, prune=True)
+    assert erasure.sizes[0] == n_trees
+    assert all(erasure.sizes[j + 1] == 3 * erasure.n_open(j) for j in range(depth - 1))
+    assert erasure.sizes[-1] < n_trees * 3 ** (depth - 1)
+
+
+def test_pruned_estimates_invariant_under_worker_count():
+    model, survey, depth, n = TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8, 150
+    assert n > 3 * _chunk_trees(model, depth)
+    one = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=1)
+    two = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=2)
+    assert one.as_dict() == two.as_dict()
+    one = degradation_check(model, survey, depth, n, 5, seed=4, workers=1)
+    two = degradation_check(model, survey, depth, n, 5, seed=4, workers=2)
+    assert one.as_dict() == two.as_dict()
+
+
 def test_estimate_entropy_pair_ordering_and_reproducibility():
     pair = estimate_entropy_pair(TreeModel.regular(3, 0.7), SurveySpec.bec(0.6), 4,
                                  20000, seed=3)
@@ -155,6 +230,13 @@ def test_estimates_invariant_under_worker_count():
     assert base.leaves.estimate == multi.leaves.estimate
     assert base.no_leaves.estimate == multi.no_leaves.estimate
     assert base.diff.stderr == multi.diff.stderr
+
+
+def test_estimate_entropy_poisson_childless_chunk():
+    # no tree has a child: the root's child sum is an empty bincount
+    result = estimate_entropy(TreeModel.poisson(0.01, 0.6), SurveySpec.bsc(0.2), 2,
+                              BoundaryCondition.none(), 3, include_root_survey=False)
+    assert result.estimate == math.log(2.0) and result.stderr == 0.0
 
 
 def test_estimate_entropy_poisson_runs():
