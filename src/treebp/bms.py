@@ -53,6 +53,44 @@ def _entropy_of_masses(p: np.ndarray) -> float:
     return -float(nz @ np.log(nz))
 
 
+_LATTICE_FLOATS = 1 << 17   # lattice entries per row block (1 MB), at least one row
+
+
+def _subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
+    """Entry S: sum over rows of the entropy of the marginal keeping the bits of S.
+
+    masses is (rows, 2**n_bits) or (2**n_bits,); bit j of S is bit j of the
+    mass index.  The up pass, the 3^n subset-sum transform, turns each leading
+    bit axis into trailing slots [bit 0, bit 1, summed out]; the down pass
+    folds the row-summed -t log t back: slot 2 = bit not in S, 0 + 1 = in S.
+    """
+    rows = np.asarray(masses, dtype=float).reshape(-1, 1 << n_bits)
+    cells = 3 ** n_bits
+    block = max(1, _LATTICE_FLOATS // cells)
+    acc = np.zeros(cells)
+    for start in range(0, len(rows), block):
+        t = rows[start:start + block]
+        for _ in range(n_bits):
+            pair = t.reshape(len(t), 2, -1)
+            up = np.empty((len(t), pair.shape[2], 3))
+            up[..., 0] = pair[:, 0]
+            up[..., 1] = pair[:, 1]
+            np.add(pair[:, 0], pair[:, 1], out=up[..., 2])
+            t = up.reshape(len(t), -1)
+        ent = np.log(t, out=np.zeros_like(t), where=t > 0.0)
+        ent *= t
+        ent[0] += acc           # axis-0 sums add rows in order: any block size agrees
+        acc = ent.sum(axis=0)
+    h = -acc
+    for _ in range(n_bits):
+        trio = h.reshape(3, -1)
+        down = np.empty((trio.shape[1], 2))
+        down[:, 0] = trio[2]
+        np.add(trio[0], trio[1], out=down[:, 1])
+        h = down.reshape(-1)
+    return h
+
+
 class DeltaDistribution:
     """Finite mixture of BSC crossover probabilities.
 

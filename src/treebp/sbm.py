@@ -8,7 +8,8 @@ marginalization through the revelation-set expansion
     H(X | G, Y) = H(X | G) - E_S[ H(X_S | G) ],
 
 where S is the random revealed set.  The subset marginal entropies H_S are
-tabulated once per graph, which makes the erasure derivative and the
+tabulated once per graph, all 2^n of them in one 3^n subset-sum lattice
+over the posterior (O(3^n) work), which makes the erasure derivative and the
 conditional entropy at any epsilon exact polynomials evaluated per graph;
 the derivative identity (derivative equals the sum over vertices of the
 leave-one-out conditional entropies) then holds exactly and finite
@@ -30,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from ._parallel import parallel_chunk_map
-from .bms import SurveySpec, _entropy_of_masses
+from .bms import SurveySpec, _subset_entropies
 from .density_evolution import DEConfig, InitCondition, TreeModel, bp_fixed_point
 from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
@@ -59,7 +60,7 @@ __all__ = [
     "sandwich_report",
 ]
 
-# Label enumeration is 2^n; subset tables square that, hence the lower cap.
+# Label enumeration is 2^n; the subset lattice is 3^n, hence the lower cap.
 MAX_EXACT_N = 14
 MAX_SUBSET_N = 12
 
@@ -146,13 +147,6 @@ def sbm_tree_model(a: float, b: float) -> TreeModel:
 # Exact enumeration oracle
 
 @lru_cache(maxsize=8)
-def _label_matrix(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
-@lru_cache(maxsize=8)
 def _popcounts(n: int) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
     pc = np.zeros(1 << n, dtype=np.int64)
@@ -178,16 +172,17 @@ def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> 
     n = inst.n
     if n > MAX_EXACT_N:
         raise ValueError(f"exact enumeration is capped at n = {MAX_EXACT_N}")
-    L = _label_matrix(n).astype(np.int32)
-    A = inst.adjacency.astype(np.int32)
-    m = int(A.sum()) // 2
+    idx = np.arange(1 << n, dtype=np.int64)
+    edges_i, edges_j = np.nonzero(np.triu(inst.adjacency))
+    m = edges_i.size
     n_pairs = n * (n - 1) // 2
 
-    q_adj = ((L @ A) * L).sum(axis=1) // 2       # sum over edges of x_i x_j
-    row = L.sum(axis=1).astype(np.int64)
+    diff_edges = np.zeros(1 << n, dtype=np.int64)
+    for i, j in zip(edges_i, edges_j):
+        diff_edges += ((idx >> i) ^ (idx >> j)) & 1
+    same_edges = m - diff_edges
+    row = 2 * _popcounts(n) - n                  # sum over vertices of x_i
     q_all = (row * row - n) // 2                 # sum over all pairs of x_i x_j
-    same_edges = (m + q_adj) // 2
-    diff_edges = m - same_edges
     same_pairs = (n_pairs + q_all) // 2
     same_non = same_pairs - same_edges
     diff_non = (n_pairs - same_pairs) - diff_edges
@@ -207,7 +202,6 @@ def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> 
                 revealed_bits |= 1 << j
                 if survey.values[j] > 0:
                     need_bits |= 1 << j
-        idx = np.arange(1 << n, dtype=np.int64)
         ll = np.where((idx & revealed_bits) == need_bits, ll, -math.inf)
     return ll
 
@@ -307,15 +301,8 @@ def subset_entropy_table(inst: SBMInstance) -> np.ndarray:
     if n > MAX_SUBSET_N:
         raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
     ll = label_loglik(inst)
-    z = _logsumexp(ll)
-    p = np.exp(ll - z)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    out = np.empty(size)
+    out = _subset_entropies(np.exp(ll - _logsumexp(ll)), n)
     out[0] = 0.0
-    for s in range(1, size):
-        marg = np.bincount(idx & s, weights=p, minlength=size)
-        out[s] = _entropy_of_masses(marg)
     return out
 
 
@@ -339,13 +326,18 @@ def survey_averaged_entropy(inst: SBMInstance, epsilon: float,
     return float(full - acc)
 
 
+@lru_cache(maxsize=64)
+def _subsets_without(n: int, u: int) -> tuple:
+    """(subsets S not holding vertex u, |S|)."""
+    rest = np.flatnonzero((np.arange(1 << n) >> u & 1) == 0)
+    return rest, _popcounts(n)[rest]
+
+
 def _leave_one_out_entropy(table: np.ndarray, n: int, u: int, epsilon: float) -> float:
     """H(X_u | G, Y^eps over the other vertices), exact."""
-    bit = 1 << u
-    idx = np.arange(1 << n, dtype=np.int64)
-    rest = idx[(idx & bit) == 0]
-    gains = table[rest | bit] - table[rest]
-    by_count = np.bincount(_popcounts(n)[rest], weights=gains, minlength=n)
+    rest, rest_sizes = _subsets_without(n, u)
+    gains = table[rest | (1 << u)] - table[rest]
+    by_count = np.bincount(rest_sizes, weights=gains, minlength=n)
     acc = 0.0
     for m_rev in range(n):
         acc += (1.0 - epsilon) ** m_rev * epsilon ** (n - 1 - m_rev) * by_count[m_rev]

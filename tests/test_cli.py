@@ -133,6 +133,23 @@ def test_worker_count_does_not_change_output(capsys):
     assert base == multi
 
 
+@pytest.mark.parametrize("argv", [
+    # 300 graphs at n = 12 make two chunks of 256; n = 10 derivative chunks hold one graph
+    ("sbm", "exact", "--n", "12", "--a", "4", "--b", "1", "--eps", "0.5",
+     "--graphs", "300", "--seed", "4"),
+    ("sbm", "derivative", "--n", "10", "--a", "5", "--b", "1", "--eps", "0.5",
+     "--h", "0.1,0.05,0.025", "--graphs", "130", "--seed", "4"),
+], ids=["exact", "derivative"])
+def test_exact_oracles_worker_count_does_not_change_output(capsys, tmp_path, argv):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        code, _, _ = run_cli(capsys, *argv, "--workers", workers, "--out", str(out))
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_config_file_merging(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ntheta=0.3\nsamples=500\n")

@@ -2,10 +2,15 @@
 
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treebp import bms
+from treebp.bms import _entropy_of_masses, _subset_entropies
 from treebp.density_evolution import DEConfig
 from treebp.sbm import (
     MAX_EXACT_N,
@@ -13,6 +18,7 @@ from treebp.sbm import (
     derivative_identity_scan,
     exact_conditional_entropy,
     exact_entropy_for_instance,
+    label_loglik,
     oracle_vs_integral,
     reference_conditional_entropy,
     sample_sbm,
@@ -27,6 +33,18 @@ from treebp.sbm import (
 )
 from treebp.sbm import _leave_one_out_entropy
 from treebp.thresholds import survey_strength_bounds
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _bincount_subset_entropies(masses, n):
+    # one marginal per subset and row by a grouped sum: O(4^n), the reference
+    rows = np.atleast_2d(masses)
+    idx = np.arange(1 << n)
+    return np.array([sum(_entropy_of_masses(np.bincount(idx & s, weights=row,
+                                                        minlength=1 << n))
+                         for row in rows)
+                     for s in range(1 << n)])
 
 
 def _brute_posterior(inst):
@@ -130,6 +148,56 @@ def test_exact_cap_enforced():
         exact_conditional_entropy(MAX_EXACT_N + 1, 3.0, 1.0, 0.5, 2)
     with pytest.raises(ValueError):
         subset_entropy_table(sample_sbm(MAX_SUBSET_N + 1, 3.0, 1.0, seed=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), rows=st.integers(1, 5),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_subset_lattice_matches_bincount_oracle(n, rows, zero_frac, seed):
+    rng = np.random.default_rng(seed)
+    masses = rng.random((rows, 1 << n))
+    masses[rng.random(masses.shape) < zero_frac] = 0.0
+    masses.flat[rng.integers(masses.size)] = 1.0
+    masses /= masses.sum()
+    table = _subset_entropies(masses, n)
+    assert np.abs(table - _bincount_subset_entropies(masses, n)).max() <= 1e-13
+    if rows == 1:
+        assert np.array_equal(_subset_entropies(masses[0], n), table)
+    for block_floats in (1, 2 * 3 ** n):     # one row, then two rows per block
+        with mock.patch.object(bms, "_LATTICE_FLOATS", block_floats):
+            assert np.array_equal(_subset_entropies(masses, n), table)
+
+
+def test_subset_table_matches_bincount_oracle_at_the_cap():
+    inst = sample_sbm(MAX_SUBSET_N, 4.0, 1.0, seed=5)
+    ll = label_loglik(inst)
+    p = np.exp(ll - ll.max())
+    oracle = _bincount_subset_entropies(p / p.sum(), MAX_SUBSET_N)
+    table = subset_entropy_table(inst)
+    assert table[0] == 0.0
+    assert np.abs(table - oracle).max() <= 1e-13
+
+
+def test_label_loglik_counts_match_the_label_matrix_form():
+    # x^T A x over +-1 label rows, as a matrix product: the integer counts
+    # and hence every log-likelihood must agree bit for bit
+    for n, a, b, seed in ((1, 0.5, 0.5, 0), (6, 3.0, 1.0, 1), (9, 5.0, 2.0, 2),
+                          (12, 4.0, 1.0, 3)):
+        inst = sample_sbm(n, a, b, seed=seed)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        x = 2 * bits - 1
+        adj = inst.adjacency.astype(np.int64)
+        m = int(adj.sum()) // 2
+        same_edges = (m + ((x @ adj) * x).sum(axis=1) // 2) // 2
+        plus = bits.sum(axis=1)
+        same_pairs = (plus * (plus - 1) + (n - plus) * (n - plus - 1)) // 2
+        same_non = same_pairs - same_edges
+        diff_edges = m - same_edges
+        diff_non = n * (n - 1) // 2 - same_pairs - diff_edges
+        pa, pb = a / n, b / n
+        ll = (same_edges * math.log(pa) + same_non * math.log1p(-pa)
+              + diff_edges * math.log(pb) + diff_non * math.log1p(-pb))
+        assert np.array_equal(label_loglik(inst), ll)
 
 
 def test_survey_average_matches_brute_force():

@@ -7,6 +7,8 @@ import pytest
 
 from treebp.spin_sync import MAX_BALL, MIResult, SyncGraph, mi_root_boundary
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _brute_mi(graph, theta, epsilon):
     # direct KL form over (observations, root, boundary), pure dicts + fsum
@@ -92,6 +94,9 @@ def test_exact_matches_brute_force():
         (SyncGraph.path(5), 0.6, 0.5),
         (SyncGraph.cycle(5), 0.7, 0.6),
         (SyncGraph.tree(2, 2), 0.8, 0.7),
+        (SyncGraph.grid(2, 3), 0.7, 0.6),
+        (SyncGraph.cycle(6, radius=2), 0.8, 0.7),
+        (SyncGraph.cycle(5), 0.7, 1.0),           # only the empty reveal has weight
     ):
         got = mi_root_boundary(graph, theta, eps)
         assert got.method == "exact"
