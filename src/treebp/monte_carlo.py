@@ -12,8 +12,10 @@ derived from the master seed and the chunk index, and chunk results are
 reduced in order, so outputs are bit-identical for any worker count.
 
 The batched sampler never materializes leaf spins: a leaf block's
-contribution to its parent reduces to the net spin sum, a binomial draw.
-It also stops expanding below survey-revealed nodes.  A node whose survey
+contribution to its parent reduces to the net spin sum, a binomial draw on
+regular trees and a Skellam draw on Poisson trees.  Poisson quantities
+come from inverse-CDF tables, one uniform per draw.  The sampler also
+stops expanding below survey-revealed nodes.  A node whose survey
 draw falls on the noiseless atom (delta = 0) knows its spin, so by the
 Markov property of the broadcast its subtree tells its ancestors nothing
 more: the sampler draws no children for it, and the upward pass gives it
@@ -63,6 +65,9 @@ LLR_MAX = 30.0
 # Trees per chunk: bounded work set independent of worker count.
 _CHUNK_NODE_BUDGET = 4_000_000
 _CHUNK_TREE_CAP = 4096
+
+# Count tables drop tail entries below this probability.
+_TABLE_FLOOR = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -166,15 +171,25 @@ def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
     return EstimatorResult(float(np.mean(values)), sd / math.sqrt(n), n, seed)
 
 
-def _nodes_per_tree(model: TreeModel, depth: int) -> int:
-    d = model.d
-    if d == 1.0:
+def _nodes_per_tree(model: TreeModel, depth: int, reveal: float) -> int:
+    """Expected nodes drawn per tree, sum_{j <= depth} (d (1 - reveal))^j,
+    when each node is revealed, and so drawn without children, with
+    probability reveal."""
+    x = model.d * (1.0 - reveal)
+    if x == 1.0:
         return depth + 1
-    return int((d ** (depth + 1) - 1) / (d - 1)) + 1
+    return int((x ** (depth + 1) - 1) / (x - 1)) + 1
 
 
-def _chunk_trees(model: TreeModel, depth: int) -> int:
-    return max(1, min(_CHUNK_TREE_CAP, _CHUNK_NODE_BUDGET // _nodes_per_tree(model, depth)))
+def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0) -> int:
+    nodes = _nodes_per_tree(model, depth, reveal)
+    return max(1, min(_CHUNK_TREE_CAP, _CHUNK_NODE_BUDGET // nodes))
+
+
+def _reveal_weight(survey: SurveySpec) -> float:
+    """Weight of the survey's noiseless atom (delta = 0), the last atom."""
+    dist = delta_of(survey)
+    return float(dist.weights[-1]) if dist.deltas[-1] == 0.0 else 0.0
 
 
 def _rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -234,6 +249,49 @@ class _SurveySampler:
         idx = np.searchsorted(self.cum, u, side="right")
         sign = 1.0 - 2.0 * (u < self.flip_cut[idx])
         return spins * (self.mags[idx] * sign), revealed
+
+
+def _poisson_pmf(lam: float) -> np.ndarray:
+    """Poisson(lam) probabilities of 0..K, from log space so a large lam
+    does not underflow; K lies 12 standard deviations and 40 past lam."""
+    n = int(lam + 12.0 * math.sqrt(lam)) + 40
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    return np.exp(np.arange(n) * math.log(lam) - lam - log_fact)
+
+
+class _CountTable:
+    """Inverse-CDF table of an integer law: a draw is one uniform and one
+    binary search, the rule _SurveySampler uses for its atoms.
+
+    Only tail entries below _TABLE_FLOOR (2^-60) are dropped, which loses
+    less than 1e-15 of mass.  The kept entries are renormalized, since the
+    log-space pmf sums to 1 only within about 1e-13 at a rate of 800, and
+    the last CDF entry is pinned to 1.0.
+    """
+
+    def __init__(self, pmf: np.ndarray, first: int):
+        keep = np.flatnonzero(pmf >= _TABLE_FLOOR)
+        lo, hi = int(keep[0]), int(keep[-1]) + 1
+        self.values = np.arange(first + lo, first + hi, dtype=np.int64)
+        kept = pmf[lo:hi]
+        self.cdf = np.minimum(np.cumsum(kept / kept.sum()), 1.0)
+        self.cdf[-1] = 1.0
+
+    @classmethod
+    def poisson(cls, lam: float) -> "_CountTable":
+        return cls(_poisson_pmf(lam), 0)
+
+    @classmethod
+    def skellam(cls, lam: float, flip: float) -> "_CountTable":
+        """Net spin sum, unflipped minus flipped, of a Poisson(lam) block
+        whose members flip with probability flip.  By Poisson thinning the
+        two counts are independent Poisson(lam (1 - flip)) and
+        Poisson(lam flip), so the law is the convolution of their pmfs."""
+        minus = _poisson_pmf(lam * flip)
+        return cls(np.convolve(_poisson_pmf(lam * (1.0 - flip)), minus[::-1]), 1 - minus.size)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.values[np.searchsorted(self.cdf, rng.random(n), side="right")]
 
 
 @dataclass
@@ -348,8 +406,8 @@ class _ChunkLevels:
     open rows: parents[j] is None on regular levels, where the i-th open
     node's children are the contiguous block of d entries i*d..i*d+d-1 one
     level down.  leaf_counts is None for regular trees (every block has d
-    leaves); the leaf aggregates describe the depth-k blocks per open
-    depth-(k-1) node.
+    leaves) and when not asked for; the leaf aggregates describe the
+    depth-k blocks per open depth-(k-1) node.
     """
 
     sizes: list[int]
@@ -377,12 +435,15 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     """Draw a chunk top-down: spins and surveys of a level, then its open
     nodes' children.  With prune, revealed nodes stay closed (the root
     only when its survey counts); without, every node is open.  A level
-    without reveals draws exactly what an unpruned level draws.
+    without reveals draws exactly what an unpruned level draws.  Poisson
+    counts and leaf spin sums come from count tables; regular leaf sums
+    keep the scalar binomial, which is faster than a table lookup.
     """
     sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
     flip = model.flip
     regular = model.kind == "regular"
     d_int = int(model.d) if regular else None
+    counts_table = None if regular else _CountTable.poisson(model.d)
 
     sizes: list[int] = []
     open_rows: list[np.ndarray | None] = []
@@ -394,7 +455,7 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
             if regular:
                 sp = np.repeat(sp, d_int)
             else:
-                counts = rng.poisson(model.d, sp.size)
+                counts = counts_table.draw(rng, sp.size)
                 par = np.repeat(np.arange(sp.size), counts)
                 sp = sp[par]
             sp = sp * (1.0 - 2.0 * (rng.random(sp.size) < flip))
@@ -413,12 +474,14 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     leaf_counts = leaf_spin_sums = None
     if depth >= 1:
         n_parents = sp.size
-        if not regular and (need_leaf_counts or need_leaf_spin_sums):
-            leaf_counts = rng.poisson(model.d, n_parents)
+        if not regular and need_leaf_counts:
+            leaf_counts = counts_table.draw(rng, n_parents)
         if need_leaf_spin_sums:
             if regular:
                 flipped = rng.binomial(d_int, flip, size=n_parents)
                 leaf_spin_sums = sp * (d_int - 2.0 * flipped)
+            elif leaf_counts is None:
+                leaf_spin_sums = sp * _CountTable.skellam(model.d, flip).draw(rng, n_parents)
             else:
                 flipped = rng.binomial(leaf_counts, flip)
                 leaf_spin_sums = sp * (leaf_counts - 2.0 * flipped)
@@ -498,7 +561,7 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
         return out
 
     need_sums = any(b.kind == "perfect" for b in boundaries)
-    need_counts = need_sums or any(b.kind in ("plus", "minus") for b in boundaries)
+    need_counts = any(b.kind in ("plus", "minus") for b in boundaries)
     levels = _sample_chunk_levels(rng, model, survey, depth, count, need_sums, need_counts,
                                   include_root_survey, prune=True)
     out = np.empty((len(boundaries), count))
@@ -520,7 +583,8 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
             raise ValueError("custom boundaries are only supported by bp_upward")
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
                    boundaries=tuple(boundaries), include_root_survey=include_root_survey)
-    parts = parallel_chunk_map(task, n_samples, _chunk_trees(model, depth), seed, workers)
+    chunk = _chunk_trees(model, depth, _reveal_weight(survey))
+    parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     return np.concatenate(parts, axis=1)
 
 

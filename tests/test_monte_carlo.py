@@ -14,6 +14,8 @@ from treebp.monte_carlo import (
     LLR_MAX,
     BoundaryCondition,
     _chunk_trees,
+    _CountTable,
+    _reveal_weight,
     _sample_chunk_levels,
     bp_upward,
     degradation_check,
@@ -140,6 +142,72 @@ def _root_entropy(r: float) -> float:
     return float(binary_entropy(1.0 / (1.0 + math.exp(abs(r)))))
 
 
+def _poisson_probs(lam: float, n: int) -> np.ndarray:
+    return np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0))
+                     for k in range(n)])
+
+
+def _skellam_probs(lam: float, flip: float, n: int) -> dict:
+    """P(a - b = k) for independent a ~ Poisson(lam (1 - flip)) and
+    b ~ Poisson(lam flip), by direct double enumeration of a, b < n."""
+    joint = np.outer(_poisson_probs(lam * (1.0 - flip), n), _poisson_probs(lam * flip, n))
+    net = np.subtract.outer(np.arange(n), np.arange(n)).ravel()
+    probs = np.bincount(net + n - 1, weights=joint.ravel())
+    return {k - n + 1: float(p) for k, p in enumerate(probs)}
+
+
+@pytest.mark.parametrize("include_root_survey", [True, False], ids=["root", "noroot"])
+@pytest.mark.parametrize("survey", [SurveySpec.bsc(0.2), SurveySpec.bec(0.5)],
+                         ids=["bsc", "bec"])
+def test_estimate_entropy_poisson_matches_depth_one_enumeration(survey, include_root_survey):
+    # exact depth-1 oracle: a Poisson(lam) leaf block whose net spin sum,
+    # unflipped minus flipped, is Skellam by Poisson thinning
+    lam, theta = 4.0, 0.7
+    sat = edge_llr_map(math.inf, theta)
+    if not include_root_survey:
+        root = [(0.0, 1.0)]
+    elif survey.kind == "bsc":
+        cost = math.log((1.0 - survey.param) / survey.param)
+        root = [(cost, 1.0 - survey.param), (-cost, survey.param)]
+    else:
+        root = [(0.0, survey.param), (math.inf, 1.0 - survey.param)]
+    h_exact = 0.0
+    for net, p_net in _skellam_probs(lam, 0.5 * (1.0 - theta), 60).items():
+        for w, p_w in root:
+            r = min(max(sat * net + w, -LLR_MAX), LLR_MAX)
+            h_exact += p_net * p_w * _root_entropy(r)
+    est = estimate_entropy(TreeModel.poisson(lam, theta), survey, 1,
+                           BoundaryCondition.perfect(), 200000, seed=11,
+                           include_root_survey=include_root_survey)
+    assert est.estimate == pytest.approx(h_exact, abs=4.0 * est.stderr)
+
+
+@pytest.mark.parametrize("lam", [0.01, 4.0, 50.0, 800.0])
+@pytest.mark.parametrize("kind", ["poisson", "skellam"])
+def test_count_tables_match_their_laws(kind, lam):
+    theta = 0.6
+    flip = 0.5 * (1.0 - theta)
+    n = int(lam + 20.0 * math.sqrt(lam)) + 60
+    if kind == "poisson":
+        table = _CountTable.poisson(lam)
+        exact = dict(enumerate(_poisson_probs(lam, n)))
+        mean = lam
+    else:
+        table = _CountTable.skellam(lam, flip)
+        exact = _skellam_probs(lam, flip, n)
+        mean = lam * theta
+    values, cdf = table.values, table.cdf
+    assert cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
+    dropped = sum(p for k, p in exact.items() if not values[0] <= k <= values[-1])
+    assert dropped <= 1e-15
+    probs = np.diff(cdf, prepend=0.0)
+    got_mean = float(np.dot(values, probs))
+    got_var = float(np.dot((values - mean) ** 2, probs)) - (got_mean - mean) ** 2
+    assert got_mean == pytest.approx(mean, rel=1e-12)
+    assert got_var == pytest.approx(lam, rel=1e-12)
+
+
 @pytest.mark.parametrize("include_root_survey", [True, False], ids=["root", "noroot"])
 @pytest.mark.parametrize("model, survey, depth", [
     (TreeModel.regular(3, 0.7), SurveySpec.bec(0.6), 5),
@@ -198,15 +266,40 @@ def test_clipped_finite_survey_is_not_pruned():
     assert erasure.sizes[-1] < n_trees * 3 ** (depth - 1)
 
 
+def test_chunk_plan_budgets_the_nodes_drawn():
+    # without reveals the plan sizes chunks by the full tree
+    model = TreeModel.regular(4, 0.8)
+    assert _reveal_weight(SurveySpec.bsc(0.2)) == 0.0
+    assert _reveal_weight(SurveySpec.trivial()) == 0.0
+    assert _chunk_trees(model, 8) == 4_000_000 // (87381 + 1) == 45
+    # bec:0.5 draws sum_j (4 * 0.5)^j = 511 nodes per depth-8 tree
+    assert _reveal_weight(SurveySpec.bec(0.5)) == 0.5
+    assert _chunk_trees(model, 8, 0.5) == 4096
+    assert _chunk_trees(model, 11, 0.5) == 4_000_000 // (4095 + 1)
+
+
 def test_pruned_estimates_invariant_under_worker_count():
-    model, survey, depth, n = TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8, 150
-    assert n > 3 * _chunk_trees(model, depth)
+    model, survey, depth, n = TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8, 12_400
+    assert n > 3 * _chunk_trees(model, depth, _reveal_weight(survey))
     one = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=1)
     two = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=2)
     assert one.as_dict() == two.as_dict()
     one = degradation_check(model, survey, depth, n, 5, seed=4, workers=1)
     two = degradation_check(model, survey, depth, n, 5, seed=4, workers=2)
     assert one.as_dict() == two.as_dict()
+
+
+def test_poisson_estimates_invariant_under_worker_count():
+    # the erasure survey prunes, so chunk plans, pruning and count tables meet
+    model, survey, depth, n = TreeModel.poisson(3.0, 0.3), SurveySpec.bec(0.5), 4, 12_300
+    assert n > 2 * _chunk_trees(model, depth, _reveal_weight(survey))
+    assert n > 2 * _chunk_trees(model, depth)
+    runs = [(estimate_entropy_pair(model, survey, depth, n, seed=5, workers=w),
+             degradation_check(model, survey, depth, n, 5, seed=5, workers=w),
+             wsm_probe(model, survey, depth, n, seed=5, workers=w)) for w in (1, 2)]
+    assert runs[1][2].regime == "contraction"
+    for one, two in zip(*runs):
+        assert one.as_dict() == two.as_dict()
 
 
 def test_estimate_entropy_pair_ordering_and_reproducibility():
