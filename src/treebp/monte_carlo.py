@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -171,18 +171,23 @@ def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
     return EstimatorResult(float(np.mean(values)), sd / math.sqrt(n), n, seed)
 
 
-def _nodes_per_tree(model: TreeModel, depth: int, reveal: float) -> int:
+def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,
+                    include_root_survey: bool = True) -> int:
     """Expected nodes drawn per tree, sum_{j <= depth} (d (1 - reveal))^j,
     when each node is revealed, and so drawn without children, with
-    probability reveal."""
+    probability reveal.  A root whose survey is excluded is never
+    revealed: it draws all d children, each the root of a surveyed tree."""
+    if not include_root_survey and reveal > 0.0 and depth > 0:
+        return 1 + int(model.d * _nodes_per_tree(model, depth - 1, reveal))
     x = model.d * (1.0 - reveal)
     if x == 1.0:
         return depth + 1
     return int((x ** (depth + 1) - 1) / (x - 1)) + 1
 
 
-def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0) -> int:
-    nodes = _nodes_per_tree(model, depth, reveal)
+def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0,
+                 include_root_survey: bool = True) -> int:
+    nodes = _nodes_per_tree(model, depth, reveal, include_root_survey)
     return max(1, min(_CHUNK_TREE_CAP, _CHUNK_NODE_BUDGET // nodes))
 
 
@@ -266,7 +271,8 @@ class _CountTable:
     Only tail entries below _TABLE_FLOOR (2^-60) are dropped, which loses
     less than 1e-15 of mass.  The kept entries are renormalized, since the
     log-space pmf sums to 1 only within about 1e-13 at a rate of 800, and
-    the last CDF entry is pinned to 1.0.
+    the last CDF entry is pinned to 1.0.  Each law's table is built once
+    per process and reused by every chunk.
     """
 
     def __init__(self, pmf: np.ndarray, first: int):
@@ -278,10 +284,12 @@ class _CountTable:
         self.cdf[-1] = 1.0
 
     @classmethod
+    @lru_cache(maxsize=16)
     def poisson(cls, lam: float) -> "_CountTable":
         return cls(_poisson_pmf(lam), 0)
 
     @classmethod
+    @lru_cache(maxsize=16)
     def skellam(cls, lam: float, flip: float) -> "_CountTable":
         """Net spin sum, unflipped minus flipped, of a Poisson(lam) block
         whose members flip with probability flip.  By Poisson thinning the
@@ -442,6 +450,8 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
     flip = model.flip
     regular = model.kind == "regular"
+    # A Skellam leaf sum carries no counts, so a Poisson chunk draws one or the other.
+    assert regular or not (need_leaf_spin_sums and need_leaf_counts)
     d_int = int(model.d) if regular else None
     counts_table = None if regular else _CountTable.poisson(model.d)
 
@@ -476,15 +486,11 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
         n_parents = sp.size
         if not regular and need_leaf_counts:
             leaf_counts = counts_table.draw(rng, n_parents)
-        if need_leaf_spin_sums:
-            if regular:
-                flipped = rng.binomial(d_int, flip, size=n_parents)
-                leaf_spin_sums = sp * (d_int - 2.0 * flipped)
-            elif leaf_counts is None:
-                leaf_spin_sums = sp * _CountTable.skellam(model.d, flip).draw(rng, n_parents)
-            else:
-                flipped = rng.binomial(leaf_counts, flip)
-                leaf_spin_sums = sp * (leaf_counts - 2.0 * flipped)
+        if need_leaf_spin_sums and regular:
+            flipped = rng.binomial(d_int, flip, size=n_parents)
+            leaf_spin_sums = sp * (d_int - 2.0 * flipped)
+        elif need_leaf_spin_sums:
+            leaf_spin_sums = sp * _CountTable.skellam(model.d, flip).draw(rng, n_parents)
     return _ChunkLevels(sizes, open_rows, parents, surveys,
                         d_int, leaf_counts, leaf_spin_sums)
 
@@ -583,7 +589,7 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
             raise ValueError("custom boundaries are only supported by bp_upward")
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
                    boundaries=tuple(boundaries), include_root_survey=include_root_survey)
-    chunk = _chunk_trees(model, depth, _reveal_weight(survey))
+    chunk = _chunk_trees(model, depth, _reveal_weight(survey), include_root_survey)
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     return np.concatenate(parts, axis=1)
 

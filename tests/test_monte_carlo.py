@@ -15,6 +15,7 @@ from treebp.monte_carlo import (
     BoundaryCondition,
     _chunk_trees,
     _CountTable,
+    _nodes_per_tree,
     _reveal_weight,
     _sample_chunk_levels,
     bp_upward,
@@ -276,6 +277,16 @@ def test_chunk_plan_budgets_the_nodes_drawn():
     assert _reveal_weight(SurveySpec.bec(0.5)) == 0.5
     assert _chunk_trees(model, 8, 0.5) == 4096
     assert _chunk_trees(model, 11, 0.5) == 4_000_000 // (4095 + 1)
+    # an excluded root survey never reveals the root: 1 + 4 * 2048 nodes
+    assert _chunk_trees(model, 8, 0.0, include_root_survey=False) == 45
+    assert _chunk_trees(model, 11, 0.5, include_root_survey=False) == 4_000_000 // 8193
+    # the budget tracks the nodes a chunk actually draws, leaves included
+    for tree in (model, TreeModel.poisson(4.0, 0.8)):
+        for root in (True, False):
+            levels = _sample_chunk_levels(np.random.default_rng(0), tree, SurveySpec.bec(0.5),
+                                          6, 4000, False, True, root, prune=True)
+            drawn = (sum(levels.sizes) + levels.n_leaves()) / 4000
+            assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
 
 
 def test_pruned_estimates_invariant_under_worker_count():
