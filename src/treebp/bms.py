@@ -68,16 +68,19 @@ def _subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
     cells = 3 ** n_bits
     block = max(1, _LATTICE_FLOATS // cells)
     acc = np.zeros(cells)
+    lattice = np.empty((2, min(block, len(rows)) * cells))    # the passes alternate
     for start in range(0, len(rows), block):
         t = rows[start:start + block]
-        for _ in range(n_bits):
+        for i in range(n_bits):
             pair = t.reshape(len(t), 2, -1)
-            up = np.empty((len(t), pair.shape[2], 3))
+            up = lattice[i % 2, :3 * pair[:, 0].size].reshape(len(t), pair.shape[2], 3)
             up[..., 0] = pair[:, 0]
             up[..., 1] = pair[:, 1]
             np.add(pair[:, 0], pair[:, 1], out=up[..., 2])
             t = up.reshape(len(t), -1)
-        ent = np.log(t, out=np.zeros_like(t), where=t > 0.0)
+        ent = lattice[n_bits % 2, :t.size].reshape(t.shape)
+        ent.fill(0.0)
+        np.log(t, out=ent, where=t > 0.0)
         ent *= t
         ent[0] += acc           # axis-0 sums add rows in order: any block size agrees
         acc = ent.sum(axis=0)

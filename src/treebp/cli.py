@@ -46,17 +46,32 @@ EXIT_UNDECIDED = 2
 _NOT_CONFIG = frozenset({"func", "tool", "command", "out", "config", "workers", "trace_csv"})
 
 
+# Library fields set by one flag each, so their errors can name the flag alone.
+_FIELD_FLAGS = {"max_depth": "--depth", "convergence_tol": "--tol", "r_max": "--grid-rmax",
+                "n_bins": "--grid-bins", "theta": "--theta"}
+
+
 class CliError(Exception):
     """One-line user-facing diagnostic; must name the offending parameter."""
 
 
 @contextmanager
 def _blame(flags: str):
-    """Re-raise library ValueError/OSError as a CliError naming flags."""
+    """Re-raise library ValueError/OSError as a CliError naming flags.
+
+    A message that starts with a field of _FIELD_FLAGS whose flag is among
+    flags names that flag in place of the field ("--tol must lie in
+    (0, 1)"); any other message is prefixed with flags.
+    """
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise CliError(f"{flags}: {exc}") from None
+        text = str(exc)
+        field = text.split(" ", 1)[0]
+        flag = _FIELD_FLAGS.get(field)
+        if flag in flags.split("/"):
+            raise CliError(flag + text[len(field):]) from None
+        raise CliError(f"{flags}: {text}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -55,6 +55,7 @@ __all__ = [
 
 _MASS_SLACK = 1e-7
 _INF_FLOOR = 1e-15
+_EDGE_BLOCK = 1 << 13        # edge_llr_map elements per block (64 kB)
 DEFAULT_SYMMETRY_TOL = 0.05  # quantization alone can displace ~h/4 of pairing mass
 
 
@@ -328,21 +329,28 @@ def edge_llr_map(r, theta: float):
     Evaluated as sign(r) log((a + b e^-|r|) / (b + a e^-|r|)) with
     a = 1 + theta, b = 1 - theta: one exp and one log, exact at +-inf,
     free of overflow and exactly odd.  Contracts by a factor theta in the
-    Lipschitz sense and saturates at +-log(a/b).
+    Lipschitz sense and saturates at +-log(a/b).  Long inputs (MC levels)
+    go through in blocks of _EDGE_BLOCK so the chain of passes stays in
+    cache; each element sees the same operations either way.
     """
     x = np.asarray(r, dtype=float)
     flat = x.reshape(-1)
     a, b = 1.0 + theta, 1.0 - theta
-    u = np.abs(flat)            # in place from here on: MC calls this on big arrays
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    out = b * u
-    out += a
-    u *= a
-    u += b
-    out /= u
-    np.log(out, out=out)
-    np.copysign(out, flat, out=out)
+    out = np.empty(flat.size)
+    scratch = np.empty(min(flat.size, _EDGE_BLOCK))
+    for lo in range(0, flat.size, _EDGE_BLOCK):
+        src, dst = flat[lo:lo + _EDGE_BLOCK], out[lo:lo + _EDGE_BLOCK]
+        u = scratch[:src.size]
+        np.abs(src, out=u)
+        np.negative(u, out=u)
+        np.exp(u, out=u)
+        np.multiply(u, b, out=dst)
+        dst += a
+        u *= a
+        u += b
+        dst /= u
+        np.log(dst, out=dst)
+        np.copysign(dst, src, out=dst)
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 

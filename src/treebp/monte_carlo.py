@@ -14,7 +14,9 @@ reduced in order, so outputs are bit-identical for any worker count.
 The batched sampler never materializes leaf spins: a leaf block's
 contribution to its parent reduces to the net spin sum, a binomial draw on
 regular trees and a Skellam draw on Poisson trees.  Poisson quantities
-come from inverse-CDF tables, one uniform per draw.  The sampler also
+come from inverse-CDF tables, one uniform per draw read off a guide
+table.  Spins are +-1 int8 and flip by a product with +-1, so every
+product with a spin is exact.  The sampler also
 stops expanding below survey-revealed nodes.  A node whose survey
 draw falls on the noiseless atom (delta = 0) knows its spin, so by the
 Markov property of the broadcast its subtree tells its ancestors nothing
@@ -45,13 +47,10 @@ __all__ = [
     "BoundaryCondition",
     "EstimatorResult",
     "PairedEntropyEstimate",
-    "SampledTree",
     "DegradationBin",
     "DegradationReport",
     "MajorityReport",
     "WSMReport",
-    "sample_tree",
-    "bp_upward",
     "estimate_entropy",
     "estimate_entropy_pair",
     "degradation_check",
@@ -69,27 +68,26 @@ _CHUNK_TREE_CAP = 4096
 # Count tables drop tail entries below this probability.
 _TABLE_FLOOR = 2.0 ** -60
 
+# Inverse-CDF lookups go through a guide table of this many equal bins of [0, 1).
+_GUIDE_SIZE = 1 << 12
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Leaf-level initialization for the upward recursion.
 
     kinds: "perfect" (leaf spin revealed, LLR = spin * infinity), "none"
-    (LLR 0), "plus"/"minus" (constant +-value regardless of spins), and
-    "custom" (explicit per-leaf LLR assignment; single-tree runs only).
+    (LLR 0), and "plus"/"minus" (constant +-value regardless of spins).
     """
 
     kind: str
     value: float = 0.0
-    assignment: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("perfect", "none", "plus", "minus", "custom"):
+        if self.kind not in ("perfect", "none", "plus", "minus"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind in ("plus", "minus") and not self.value > 0.0:
             raise ValueError("constant boundary magnitude must be positive")
-        if self.kind == "custom" and self.assignment is None:
-            raise ValueError("custom boundary needs an assignment")
 
     @classmethod
     def perfect(cls) -> "BoundaryCondition":
@@ -106,10 +104,6 @@ class BoundaryCondition:
     @classmethod
     def minus(cls, value: float = LLR_MAX) -> "BoundaryCondition":
         return cls("minus", float(value))
-
-    @classmethod
-    def custom(cls, assignment) -> "BoundaryCondition":
-        return cls("custom", 0.0, tuple(float(x) for x in assignment))
 
     @classmethod
     def parse(cls, text: str) -> "BoundaryCondition":
@@ -198,7 +192,45 @@ def _reveal_weight(survey: SurveySpec) -> float:
 
 
 def _rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 2, n, dtype=np.int8).astype(np.float64) * 2.0 - 1.0
+    """n fair spins, +-1 as int8."""
+    return 2 * rng.integers(0, 2, n, dtype=np.int8) - 1
+
+
+def _flipped(spins: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The +-1 spins negated where mask holds: a product with +-1 int8,
+    exact, and far cheaper than a masked np.negative."""
+    return spins * (1 - 2 * mask.view(np.int8))
+
+
+class _InverseCDF:
+    """first + searchsorted(cdf, u, side="right") for uniforms u in [0, 1),
+    through a guide table (Chen & Asau 1974; Devroye, Non-Uniform Random
+    Variate Generation, III.2.4).
+
+    The guide splits [0, 1) into G = _GUIDE_SIZE equal bins and holds the
+    search result at both ends of each bin: at k/G and at the largest
+    double below (k+1)/G.  The search is monotone in u, so where the two
+    agree every u in the bin has that result; only uniforms in the few
+    bins that a CDF entry splits are searched.  G is a power of two, so
+    u * G is exact, each u lands in its own bin, and the result equals the
+    binary search bit for bit.  cdf must end at 1.0.
+    """
+
+    def __init__(self, cdf: np.ndarray, first: int = 0):
+        self.cdf, self.first = cdf, first
+        lo = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
+        at_lo = np.searchsorted(cdf, lo, side="right")
+        at_hi = np.searchsorted(cdf, np.nextafter(lo + 1.0 / _GUIDE_SIZE, 0.0), side="right")
+        self.guide = at_lo + first
+        self.split = at_lo != at_hi
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        k = np.empty(u.size, dtype=np.intp)
+        np.multiply(u, _GUIDE_SIZE, out=k, casting="unsafe")    # exact, then truncated
+        out = self.guide[k]
+        pos = np.flatnonzero(self.split[k])
+        out[pos] = np.searchsorted(self.cdf, u[pos], side="right") + self.first
+        return out
 
 
 class _SurveySampler:
@@ -226,6 +258,7 @@ class _SurveySampler:
         low = self.cum - w
         self.flip_cut = low + self.deltas * w
         self.n_atoms = self.deltas.size
+        self.atom_of = _InverseCDF(self.cum)
         self.reveal_cut = None
         if self.deltas[-1] == 0.0:
             self.reveal_cut = self.cum[-2] if self.n_atoms > 1 else 0.0
@@ -235,25 +268,26 @@ class _SurveySampler:
 
     def draw(self, rng: np.random.Generator,
              spins: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Survey LLRs and the mask of revealed nodes (None without a noiseless atom)."""
+        """Survey LLRs and the mask of revealed nodes (None without a noiseless atom).
+
+        The LLRs are written over the uniforms, which are spent by then.
+        """
         u = rng.random(spins.size)
         revealed = None if self.reveal_cut is None else u >= self.reveal_cut
         if self.erasure_like:
-            w = revealed.astype(np.float64)
-            w *= self.mags[1]
+            w = np.multiply(revealed, self.mags[1], out=u)
             w *= spins
             return w, revealed
         if self.n_atoms == 1:
-            sign = 1.0 - 2.0 * (u < self.flip_cut[0])
-            return spins * (self.mags[0] * sign), revealed
-        if self.n_atoms == 2:
+            mag, cut = self.mags[0], self.flip_cut[0]
+        elif self.n_atoms == 2:
             upper = u >= self.cum[0]
             mag = np.where(upper, self.mags[1], self.mags[0])
             cut = np.where(upper, self.flip_cut[1], self.flip_cut[0])
-            return spins * (mag * (1.0 - 2.0 * (u < cut))), revealed
-        idx = np.searchsorted(self.cum, u, side="right")
-        sign = 1.0 - 2.0 * (u < self.flip_cut[idx])
-        return spins * (self.mags[idx] * sign), revealed
+        else:
+            idx = self.atom_of(u)
+            mag, cut = self.mags[idx], self.flip_cut[idx]
+        return np.multiply(_flipped(spins, u < cut), mag, out=u), revealed
 
 
 def _poisson_pmf(lam: float) -> np.ndarray:
@@ -264,9 +298,9 @@ def _poisson_pmf(lam: float) -> np.ndarray:
     return np.exp(np.arange(n) * math.log(lam) - lam - log_fact)
 
 
-class _CountTable:
+class _CountTable(_InverseCDF):
     """Inverse-CDF table of an integer law: a draw is one uniform and one
-    binary search, the rule _SurveySampler uses for its atoms.
+    guide-table lookup, the rule _SurveySampler uses for its atoms.
 
     Only tail entries below _TABLE_FLOOR (2^-60) are dropped, which loses
     less than 1e-15 of mass.  The kept entries are renormalized, since the
@@ -278,10 +312,10 @@ class _CountTable:
     def __init__(self, pmf: np.ndarray, first: int):
         keep = np.flatnonzero(pmf >= _TABLE_FLOOR)
         lo, hi = int(keep[0]), int(keep[-1]) + 1
-        self.values = np.arange(first + lo, first + hi, dtype=np.int64)
         kept = pmf[lo:hi]
-        self.cdf = np.minimum(np.cumsum(kept / kept.sum()), 1.0)
-        self.cdf[-1] = 1.0
+        cdf = np.minimum(np.cumsum(kept / kept.sum()), 1.0)
+        cdf[-1] = 1.0
+        super().__init__(cdf, first + lo)
 
     @classmethod
     @lru_cache(maxsize=16)
@@ -299,105 +333,13 @@ class _CountTable:
         return cls(np.convolve(_poisson_pmf(lam * (1.0 - flip)), minus[::-1]), 1 - minus.size)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.values[np.searchsorted(self.cdf, rng.random(n), side="right")]
-
-
-@dataclass
-class SampledTree:
-    """One realized broadcast tree, stored level by level.
-
-    spins[j] holds the +-1 spins of depth-j nodes, parents[j] the index of
-    each depth-j node's parent within depth j-1 (parents[0] is None), and
-    survey_llr[j] the survey observations for j < depth (None at the leaf
-    level, which carries only the boundary).
-    """
-
-    model: TreeModel
-    survey: SurveySpec
-    depth: int
-    seed: int
-    spins: list[np.ndarray]
-    parents: list[np.ndarray | None]
-    survey_llr: list[np.ndarray | None]
-
-    @property
-    def level_sizes(self) -> list[int]:
-        return [int(s.size) for s in self.spins]
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(self.level_sizes)
-
-
-def sample_tree(model: TreeModel, depth: int, survey: SurveySpec, seed: int = 0) -> SampledTree:
-    """Realize one tree to the given depth with spins and surveys."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
-    flip = model.flip
-
-    spins = [_rademacher(rng, 1)]
-    parents: list[np.ndarray | None] = [None]
-    for j in range(1, depth + 1):
-        n_prev = spins[j - 1].size
-        if model.kind == "regular":
-            counts = np.full(n_prev, int(model.d), dtype=np.int64)
-        else:
-            counts = rng.poisson(model.d, n_prev)
-        par = np.repeat(np.arange(n_prev), counts)
-        flips = 1.0 - 2.0 * (rng.random(par.size) < flip)
-        spins.append(spins[j - 1][par] * flips)
-        parents.append(par)
-
-    survey_llr: list[np.ndarray | None] = []
-    for j in range(depth + 1):
-        if j < depth and sampler is not None:
-            survey_llr.append(sampler.draw(rng, spins[j])[0])
-        elif j < depth:
-            survey_llr.append(np.zeros(spins[j].size))
-        else:
-            survey_llr.append(None)
-    return SampledTree(model, survey, depth, seed, spins, parents, survey_llr)
+        return self(rng.random(n))
 
 
 def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
     """Sum of the child messages of each of n parents, as floats even when
     there are no children (bincount returns int64 on empty input)."""
     return np.bincount(par, weights=msg, minlength=n).astype(np.float64, copy=False)
-
-
-def bp_upward(tree: SampledTree, boundary: BoundaryCondition,
-              include_root_survey: bool = True) -> float:
-    """Exact leaf-to-root recursion on one sampled tree; returns root LLR.
-
-    Running values are saturated at +-LLR_MAX per level.
-    """
-    k = tree.depth
-    theta = tree.model.theta
-    n_leaves = tree.spins[k].size
-    if boundary.kind == "perfect":
-        r = tree.spins[k] * math.inf
-    elif boundary.kind == "none":
-        r = np.zeros(n_leaves)
-    elif boundary.kind == "plus":
-        r = np.full(n_leaves, boundary.value)
-    elif boundary.kind == "minus":
-        r = np.full(n_leaves, -boundary.value)
-    else:
-        if len(boundary.assignment) != n_leaves:
-            raise ValueError("custom boundary length does not match leaf count")
-        r = np.array(boundary.assignment, dtype=float)
-
-    if k == 0:
-        return float(np.clip(r, -LLR_MAX, LLR_MAX)[0])
-    for j in range(k - 1, -1, -1):
-        msg = edge_llr_map(r, theta)
-        r = _child_sums(tree.parents[j + 1], msg, tree.spins[j].size)
-        if j > 0 or include_root_survey:
-            r = r + tree.survey_llr[j]
-        np.clip(r, -LLR_MAX, LLR_MAX, out=r)
-    return float(r[0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +410,7 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
                 counts = counts_table.draw(rng, sp.size)
                 par = np.repeat(np.arange(sp.size), counts)
                 sp = sp[par]
-            sp = sp * (1.0 - 2.0 * (rng.random(sp.size) < flip))
+            sp = _flipped(sp, rng.random(sp.size) < flip)
         w, revealed = sampler.draw(rng, sp) if sampler is not None else (None, None)
         rows = None
         if (prune and revealed is not None and (j > 0 or include_root_survey)
@@ -490,7 +432,8 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
             flipped = rng.binomial(d_int, flip, size=n_parents)
             leaf_spin_sums = sp * (d_int - 2.0 * flipped)
         elif need_leaf_spin_sums:
-            leaf_spin_sums = sp * _CountTable.skellam(model.d, flip).draw(rng, n_parents)
+            leaf_spin_sums = _CountTable.skellam(model.d, flip).draw(rng, n_parents)
+            leaf_spin_sums *= sp
     return _ChunkLevels(sizes, open_rows, parents, surveys,
                         d_int, leaf_counts, leaf_spin_sums)
 
@@ -537,14 +480,12 @@ def _boundary_base(boundary: BoundaryCondition, levels: _ChunkLevels,
         return sat * levels.leaf_spin_sums
     if boundary.kind == "none":
         return np.zeros(n)
-    if boundary.kind in ("plus", "minus"):
-        per_leaf = edge_llr_map(boundary.value, theta)
-        if boundary.kind == "minus":
-            per_leaf = -per_leaf
-        if levels.leaf_counts is None:
-            return np.full(n, per_leaf * levels.d_children)
-        return per_leaf * levels.leaf_counts.astype(np.float64)
-    raise ValueError("custom boundaries are only supported by bp_upward")
+    per_leaf = edge_llr_map(boundary.value, theta)
+    if boundary.kind == "minus":
+        per_leaf = -per_leaf
+    if levels.leaf_counts is None:
+        return np.full(n, per_leaf * levels.d_children)
+    return per_leaf * levels.leaf_counts.astype(np.float64)
 
 
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
@@ -557,12 +498,8 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
                 r = spins * LLR_MAX
             elif boundary.kind == "none":
                 r = np.zeros(count)
-            elif boundary.kind == "plus":
+            else:                    # plus or minus: the entropy sees only |r|
                 r = np.full(count, min(boundary.value, LLR_MAX))
-            elif boundary.kind == "minus":
-                r = np.full(count, -min(boundary.value, LLR_MAX))
-            else:
-                raise ValueError("custom boundaries are only supported by bp_upward")
             out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
         return out
 
@@ -584,9 +521,6 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
         raise ValueError("need at least two samples")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    for boundary in boundaries:
-        if boundary.kind == "custom":
-            raise ValueError("custom boundaries are only supported by bp_upward")
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
                    boundaries=tuple(boundaries), include_root_survey=include_root_survey)
     chunk = _chunk_trees(model, depth, _reveal_weight(survey), include_root_survey)

@@ -106,6 +106,18 @@ def test_bad_parameter_names_flag(capsys):
     assert code == 1 and "--eps" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "2", "--tol must lie in (0, 1)"),
+    ("--grid-bins", "4", "--grid-bins must be odd and at least 3"),
+    ("--depth", "0", "--depth must be at least 1"),
+])
+def test_library_errors_name_one_flag(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "de", "run", "--model", "regular:3", "--theta", "0.5",
+                             "--survey", "trivial", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"       # the flag alone, no library field name
+
+
 def test_import_loads_no_scipy():
     src = str(Path(treebp.__file__).resolve().parents[1])
     code = ("import sys, treebp.cli; "

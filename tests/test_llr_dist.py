@@ -20,6 +20,7 @@ from treebp.bms import (
 )
 from treebp.density_evolution import TreeModel, de_step
 from treebp.llr_dist import (
+    _EDGE_BLOCK,
     GridConfig,
     SymmetricLLRDistribution,
     SymmetryError,
@@ -164,6 +165,20 @@ def test_edge_map_values():
     # odd function, exactly
     r = np.concatenate([np.linspace(-8, 8, 33), np.random.default_rng(5).uniform(-40, 40, 1000)])
     assert np.array_equal(edge_llr_map(-r, 0.6), -edge_llr_map(r, 0.6))
+
+
+def test_edge_map_blocks_are_elementwise_exact():
+    # long inputs go through in blocks; each value must equal its own
+    # one-element evaluation, across block boundaries and in a short tail
+    n = 3 * _EDGE_BLOCK + 5
+    r = np.random.default_rng(3).uniform(-40.0, 40.0, n)
+    r[::997] = np.resize([math.inf, -math.inf, 0.0, -0.0], r[::997].size)
+    got = edge_llr_map(r.reshape(1, -1, 1), 0.7)
+    assert got.shape == (1, n, 1)
+    want = np.array([edge_llr_map(x, 0.7) for x in r])
+    assert np.array_equal(got.ravel(), want)
+    assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
+    assert edge_llr_map(np.empty(0), 0.7).size == 0
 
 
 def test_edge_map_is_theta_lipschitz():

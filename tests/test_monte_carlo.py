@@ -7,10 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from treebp.bms import SurveySpec, binary_entropy
+from treebp.bms import DeltaDistribution, SurveySpec, binary_entropy
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import (
+    _GUIDE_SIZE,
     LLR_MAX,
     BoundaryCondition,
     _chunk_trees,
@@ -18,15 +19,19 @@ from treebp.monte_carlo import (
     _nodes_per_tree,
     _reveal_weight,
     _sample_chunk_levels,
-    bp_upward,
+    _SurveySampler,
     degradation_check,
     estimate_entropy,
     estimate_entropy_pair,
     majority_closed_forms,
     majority_stats,
-    sample_tree,
     wsm_probe,
 )
+
+from _tree_oracle import bp_upward, sample_tree
+
+# An invalid cast (NaN or inf to an index) must fail, not pass silently.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_boundary_condition_parse_and_validate():
@@ -103,8 +108,8 @@ def test_bp_upward_depth_zero_is_boundary_value():
 def test_bp_upward_custom_boundary_length_checked():
     tree = sample_tree(TreeModel.regular(2, 0.5), 2, SurveySpec.trivial(), seed=0)
     with pytest.raises(ValueError):
-        bp_upward(tree, BoundaryCondition.custom([1.0, 2.0, 3.0]))
-    val = bp_upward(tree, BoundaryCondition.custom([0.0, 0.0, 0.0, 0.0]))
+        bp_upward(tree, [1.0, 2.0, 3.0])
+    val = bp_upward(tree, [0.0, 0.0, 0.0, 0.0])
     assert val == 0.0
 
 
@@ -197,7 +202,8 @@ def test_count_tables_match_their_laws(kind, lam):
         table = _CountTable.skellam(lam, flip)
         exact = _skellam_probs(lam, flip, n)
         mean = lam * theta
-    values, cdf = table.values, table.cdf
+    cdf = table.cdf
+    values = table.first + np.arange(cdf.size)
     assert cdf[-1] == 1.0
     assert np.all(np.diff(cdf) >= 0.0)
     dropped = sum(p for k, p in exact.items() if not values[0] <= k <= values[-1])
@@ -207,6 +213,130 @@ def test_count_tables_match_their_laws(kind, lam):
     got_var = float(np.dot((values - mean) ** 2, probs)) - (got_mean - mean) ** 2
     assert got_mean == pytest.approx(mean, rel=1e-12)
     assert got_var == pytest.approx(lam, rel=1e-12)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns chosen uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
+    """Every guide bin edge k/G and every CDF entry, each with its two
+    neighbouring doubles, plus 0 and the largest double below 1."""
+    points = np.concatenate([np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, cdf])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+@pytest.mark.parametrize("table", [
+    *(_CountTable.poisson(lam) for lam in (0.01, 4.0, 50.0, 800.0)),
+    _CountTable.skellam(4.0, 0.1), _CountTable.skellam(50.0, 0.3),
+], ids=["poisson0.01", "poisson4", "poisson50", "poisson800", "skellam4", "skellam50"])
+def test_guide_lookup_equals_binary_search(table):
+    u = _edge_uniforms(table.cdf)
+    u = np.concatenate([u, np.random.default_rng(1).random(20_000)])
+    values = table.first + np.arange(table.cdf.size)
+    want = values[np.searchsorted(table.cdf, u, side="right")]
+    assert np.array_equal(table.draw(_FixedUniforms(u), u.size), want)
+    # the guide settles most bins without a search: 0.34% of Poisson(4) draws search
+    assert table.split.mean() <= 0.05
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)],
+    [(0.4, 0.25), (0.2, 0.25), (0.05, 0.3), (0.01, 0.2)],
+    [(0.5 * (k + 0.5) / 40, 1.0 / 40) for k in range(40)],
+], ids=["three", "four", "forty"])
+def test_survey_atom_lookup_equals_binary_search(atoms):
+    survey = SurveySpec.from_delta(DeltaDistribution(atoms))
+    sampler = _SurveySampler(survey)
+    assert sampler.n_atoms == len(atoms)
+    u = np.concatenate([_edge_uniforms(sampler.cum), _edge_uniforms(sampler.flip_cut)])
+    spins = np.where(np.arange(u.size) % 3 == 0, -1, 1).astype(np.int8)
+    w, revealed = sampler.draw(_FixedUniforms(u), spins)
+    idx = np.searchsorted(sampler.cum, u, side="right")
+    sign = 1.0 - 2.0 * (u < sampler.flip_cut[idx])
+    assert np.array_equal(w, spins * (sampler.mags[idx] * sign))
+    assert np.array_equal(np.signbit(w), np.signbit(spins * (sampler.mags[idx] * sign)))
+    if sampler.reveal_cut is None:
+        assert revealed is None
+    else:
+        assert np.array_equal(revealed, idx == len(atoms) - 1)
+
+
+_THREE_ATOMS = SurveySpec.from_delta(DeltaDistribution([(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)]))
+
+
+# Exact outputs of small runs, recorded before the guide-table sampler landed
+# and unchanged by it; any sampler edit that moves one bit fails here.
+@pytest.mark.parametrize("run, expected", [
+    (lambda: estimate_entropy_pair(TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), 5, 3000,
+                                   seed=21),
+     {"leaves": {"estimate": 0.0980509619327449, "stderr": 0.0032160082571132025,
+                 "n_samples": 3000, "seed": 21},
+      "no_leaves": {"estimate": 0.10067168796857018, "stderr": 0.003245698559511909,
+                    "n_samples": 3000, "seed": 21},
+      "diff": {"estimate": 0.0026207260358252684, "stderr": 0.0007049726454896927,
+               "n_samples": 3000, "seed": 21}}),
+    (lambda: estimate_entropy_pair(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 6, 5000,
+                                   seed=22),
+     {"leaves": {"estimate": 0.030503270200010837, "stderr": 0.0015678910891046812,
+                 "n_samples": 5000, "seed": 22},
+      "no_leaves": {"estimate": 0.03053496077361611, "stderr": 0.0015692227621248401,
+                    "n_samples": 5000, "seed": 22},
+      "diff": {"estimate": 3.1690573605272875e-05, "stderr": 6.136738978079017e-05,
+               "n_samples": 5000, "seed": 22}}),
+    (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.4), 5, 3000,
+                                   seed=23, include_root_survey=False),
+     {"leaves": {"estimate": 0.2800436462349445, "stderr": 0.004481804488883224,
+                 "n_samples": 3000, "seed": 23},
+      "no_leaves": {"estimate": 0.2804229607541685, "stderr": 0.004488981370035183,
+                    "n_samples": 3000, "seed": 23},
+      "diff": {"estimate": 0.0003793145192239798, "stderr": 0.00026417998766029287,
+               "n_samples": 3000, "seed": 23}}),
+    (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), _THREE_ATOMS, 4, 2000, seed=27),
+     {"leaves": {"estimate": 0.1862209433367867, "stderr": 0.005049502827675201,
+                 "n_samples": 2000, "seed": 27},
+      "no_leaves": {"estimate": 0.19288193715155408, "stderr": 0.005095086802067143,
+                    "n_samples": 2000, "seed": 27},
+      "diff": {"estimate": 0.006660993814767364, "stderr": 0.0011047779538622333,
+               "n_samples": 2000, "seed": 27}}),
+    (lambda: estimate_entropy(TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.3), 4,
+                              BoundaryCondition.plus(), 2000, seed=24),
+     {"estimate": 0.26648133191756124, "stderr": 0.005094552241986376,
+      "n_samples": 2000, "seed": 24}),
+    (lambda: degradation_check(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.5), 4, 3000, 5,
+                               seed=25),
+     {"bins": [{"delta_tilde_center": 0.0003254127975712923,
+                "mean_delta": 0.00031543189324588646, "stderr": 2.544579000806121e-05,
+                "n": 1798, "flagged": False},
+               {"delta_tilde_center": 0.04024989678103343, "mean_delta": 0.039223342611121606,
+                "stderr": 0.0015438399499805107, "n": 596, "flagged": False},
+               {"delta_tilde_center": 0.2933593082714967, "mean_delta": 0.2887455153692038,
+                "stderr": 0.005927850518049182, "n": 606, "flagged": False}],
+      "n_flagged": 0, "n_skipped": 0, "n_samples": 3000, "seed": 25, "ok": True}),
+    (lambda: wsm_probe(TreeModel.poisson(2.0, 0.4), SurveySpec.bsc(0.2), 5, 2000, seed=26),
+     {"regime": "contraction", "dtheta": 0.8, "depth": 5, "n_samples": 2000, "seed": 26,
+      "boundary_magnitude": 30.0,
+      "level_gaps": [0.18108619745393856, 0.37547809908832924, 0.7951944486823929,
+                     1.6052339527725223, 3.387754215712986, 60.0],
+      "level_gap_stderrs": [0.004261721980487577, 0.0058964182503398865,
+                            0.008197672342124226, 0.010507257825476974,
+                            0.013399838594952267, 0.0],
+      "measured_rate": 0.4953760461576032, "rate_bound": 0.8, "x_found": None,
+      "margin": None, "min_llr_by_level": None, "min_llr": None, "persists": None,
+      "status": "ok"}),
+], ids=["pair_poisson_bsc", "pair_regular_bec", "pair_poisson_bec_noroot",
+        "pair_poisson_three_atoms", "plus_poisson", "degradation", "wsm_contraction"])
+def test_outputs_pinned_to_recorded_floats(run, expected):
+    assert run().as_dict() == expected
 
 
 @pytest.mark.parametrize("include_root_survey", [True, False], ids=["root", "noroot"])
