@@ -24,7 +24,6 @@ from .density_evolution import (
     InitCondition,
     TreeModel,
     bp_fixed_point,
-    check_boundary_irrelevance,
     de_step,
     run_pair,
     uniqueness_probe,
@@ -42,7 +41,6 @@ __all__ = [
     "bhattacharyya",
     "bp_fixed_point",
     "capacity",
-    "check_boundary_irrelevance",
     "chi2_capacity",
     "de_step",
     "delta_of",

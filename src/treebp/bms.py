@@ -26,7 +26,6 @@ __all__ = [
     "binary_entropy",
     "is_trivial_survey",
     "load_delta_csv",
-    "save_delta_csv",
 ]
 
 MERGE_TOL = 1e-12      # atoms closer than this in delta are merged
@@ -303,11 +302,3 @@ def load_delta_csv(path) -> DeltaDistribution:
             raise ValueError(f"{path}: expected header 'delta,weight'")
         atoms = [(float(row[0]), float(row[1])) for row in reader if row]
     return DeltaDistribution(atoms)
-
-
-def save_delta_csv(dist: DeltaDistribution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "weight"])
-        for d, w in dist.atoms():
-            writer.writerow([repr(d), repr(w)])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -27,6 +28,14 @@ from .llr_dist import (
     GridConfig,
     InfoMeasures,
     SymmetricLLRDistribution,
+    _Stack,
+    _convolve,
+    _edge_map,
+    _flip_mix,
+    _info,
+    _poisson,
+    _power,
+    _resymmetrize,
     apply_edge_map,
     convolve,
     flip_mix,
@@ -44,11 +53,9 @@ __all__ = [
     "DepthRecord",
     "EvolutionReport",
     "FixedPointResult",
-    "BIVerdict",
     "UniquenessReport",
     "de_step",
     "run_pair",
-    "check_boundary_irrelevance",
     "bp_fixed_point",
     "uniqueness_probe",
 ]
@@ -56,6 +63,8 @@ __all__ = [
 # Gap ratios are only meaningful while the gap sits well above the floating
 # point noise floor of the Bhattacharyya sums.
 _RATIO_FLOOR = 1e-13
+# Rows per stack: a step's Python work is paid once a stack; 4 keep its arrays near 1 MB.
+_STACK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,18 @@ def _step_views(mu: SymmetricLLRDistribution, model: TreeModel,
     if survey_dist is None:
         return agg, agg
     return agg, resymmetrize(convolve(agg, survey_dist))
+
+
+def _stack_step(mu: _Stack, model: TreeModel, surveys: _Stack | None,
+                rows) -> tuple[_Stack, _Stack]:
+    """_step_views on every row of a stack, row i's survey being row rows[i]
+    of surveys (None: all trivial)."""
+    child = _flip_mix(_edge_map(mu, model.theta), model.flip)
+    agg = _resymmetrize(_power(child, int(model.d)) if model.kind == "regular"
+                        else _poisson(child, model.d))
+    if surveys is None:
+        return agg, agg
+    return agg, _resymmetrize(_convolve(agg, surveys, rows))
 
 
 def de_step(mu: SymmetricLLRDistribution, model: TreeModel, survey: SurveySpec,
@@ -325,51 +346,6 @@ def run_pair(model: TreeModel, survey: SurveySpec, cfg: DEConfig | None = None) 
 
 
 @dataclass
-class BIVerdict:
-    """Boundary-irrelevance check result.
-
-    status: "bi_holds" | "distinct_limits" | "undecided" | "not_applicable"
-    (the check needs a survey with error probability away from 1/2).
-    """
-
-    status: str
-    entropy_gap_trace: list[float]
-    sandwich_ok: bool
-    monotone_ok: bool
-    report: EvolutionReport | None
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "entropy_gap_trace": self.entropy_gap_trace,
-            "sandwich_ok": self.sandwich_ok,
-            "monotone_ok": self.monotone_ok,
-            "report": self.report.as_dict() if self.report is not None else None,
-        }
-
-
-def check_boundary_irrelevance(model: TreeModel, survey: SurveySpec,
-                               cfg: DEConfig | None = None,
-                               slack: float = 1e-8) -> BIVerdict:
-    """Run the paired evolution and grade the degradation sandwich.
-
-    The entropy gap trace is C(leaves) - C(noleaves) per depth; the sandwich
-    check asserts it stays nonnegative, the monotone check that information
-    shrinks along the observed sequence and grows along the unobserved one.
-    """
-    if is_trivial_survey(survey):
-        return BIVerdict("not_applicable", [], True, True, None)
-    report = run_pair(model, survey, cfg)
-    caps = [r.leaves.capacity for r in report.records]
-    capst = [r.noleaves.capacity for r in report.records]
-    trace = [c - ct for c, ct in zip(caps, capst)]
-    sandwich_ok = all(g >= -slack for g in trace)
-    mono_ok = all(caps[i + 1] <= caps[i] + slack for i in range(len(caps) - 1)) and \
-        all(capst[i + 1] >= capst[i] - slack for i in range(len(capst) - 1))
-    return BIVerdict(report.verdict, trace, sandwich_ok, mono_ok, report)
-
-
-@dataclass
 class FixedPointResult:
     trace: list[InfoMeasures]
     converged: bool
@@ -384,31 +360,55 @@ class FixedPointResult:
         return self.trace[-1]
 
 
-def bp_fixed_point(model: TreeModel, survey: SurveySpec, init: InitCondition,
-                   cfg: DEConfig | None = None) -> FixedPointResult:
-    """Iterate a single boundary condition until the functionals stall."""
-    cfg = cfg or DEConfig()
+def _fixed_points(model: TreeModel, rows, cfg: DEConfig) -> list[FixedPointResult]:
+    """Iterate rows of (survey, initial condition) until each row's
+    functionals stall, in stacks of at most _STACK_ROWS consecutive rows
+    whose surveys are all trivial or all not."""
+    out = []
+    for _, run in groupby(rows, key=lambda row: is_trivial_survey(row[0])):
+        run = list(run)
+        for i in range(0, len(run), _STACK_ROWS):
+            out += _fixed_point_stack(model, run[i:i + _STACK_ROWS], cfg)
+    return out
+
+
+def _fixed_point_stack(model: TreeModel, rows, cfg: DEConfig) -> list[FixedPointResult]:
+    """Iterate rows of (survey, initial condition) as one stack; a row leaves
+    the stack once it converges."""
     grid = cfg.grid
-    survey_dist = _survey_distribution(survey, grid)
-    mu = init.initial_distribution(grid)
-    trace = [info_measures(mu)]
-    converged = False
+    laws = [_survey_distribution(survey, grid) for survey, _ in rows]
+    surveys = None if laws[0] is None else _Stack.of(laws)
+    mu = _Stack.of([init.initial_distribution(grid) for _, init in rows])
+    traces = [[im] for im in _info(mu)]
+    converged = np.zeros(len(rows), dtype=bool)
+    live = np.arange(len(rows))
     # Without the root survey the trace holds pre-survey laws, and its first
     # step aggregates the initial law without the survey the later steps
     # add: from no leaves it repeats the unit law, which is no fixed point.
     first_judged = 1 if cfg.include_root_survey else 2
     for step in range(1, cfg.max_depth + 1):
-        pre, mu = _step_views(mu, model, survey_dist)
-        trace.append(info_measures(mu if cfg.include_root_survey else pre))
-        prev, cur = trace[-2], trace[-1]
-        change = max(abs(cur.prob_error - prev.prob_error),
-                     abs(cur.bhattacharyya - prev.bhattacharyya),
-                     abs(cur.capacity - prev.capacity))
-        if step >= first_judged and change < cfg.convergence_tol:
-            converged = True
+        pre, mu = _stack_step(mu, model, surveys, live)
+        for r, cur in zip(live, _info(mu if cfg.include_root_survey else pre)):
+            prev = traces[r][-1]
+            traces[r].append(cur)
+            change = max(abs(cur.prob_error - prev.prob_error),
+                         abs(cur.bhattacharyya - prev.bhattacharyya),
+                         abs(cur.capacity - prev.capacity))
+            converged[r] = step >= first_judged and change < cfg.convergence_tol
+        going = ~converged[live]
+        if not going.any():
             break
-    return FixedPointResult(trace=trace, converged=converged, init=init.describe(),
-                            depth=len(trace) - 1)
+        if not going.all():
+            mu, live = mu.take(going), live[going]
+    return [FixedPointResult(trace=trace, converged=bool(done), init=init.describe(),
+                             depth=len(trace) - 1)
+            for trace, done, (_, init) in zip(traces, converged, rows)]
+
+
+def bp_fixed_point(model: TreeModel, survey: SurveySpec, init: InitCondition,
+                   cfg: DEConfig | None = None) -> FixedPointResult:
+    """Iterate a single boundary condition until the functionals stall."""
+    return _fixed_points(model, [(survey, init)], cfg or DEConfig())[0]
 
 
 @dataclass
@@ -447,7 +447,7 @@ def uniqueness_probe(model: TreeModel, survey: SurveySpec,
         inits = [InitCondition.perfect_leaves(), InitCondition.no_leaves()]
     if len(inits) < 2:
         raise ValueError("uniqueness probe needs at least two initial conditions")
-    results = [bp_fixed_point(model, survey, init, cfg) for init in inits]
+    results = _fixed_points(model, [(survey, init) for init in inits], cfg)
     max_pe = max_z = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):

@@ -20,18 +20,22 @@ no mass between pairs and is idempotent; density evolution applies it after
 every step to stop quantization drift of the symmetry.  Channel functionals
 are read off the same pairs.  The crossover-mixture form (DeltaDistribution)
 is only an import and export format.
+
+Every transform runs on a stack of laws, one per row (``_Stack``), with
+each row checked, cropped and folded on its own; the single-law functions
+are one-row calls.  Row for row, a stack gives the bits of a one-row call
+whenever it shares that call's FFT length.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bms import _TERMS, DeltaDistribution, _expect
+from .bms import _TERMS, DeltaDistribution
 
 __all__ = [
     "GridConfig",
@@ -49,8 +53,6 @@ __all__ = [
     "entropy",
     "info_measures",
     "resymmetrize",
-    "dump_csv",
-    "load_csv",
 ]
 
 _MASS_SLACK = 1e-7
@@ -104,25 +106,112 @@ def _crossovers(r_max: float, n_bins: int) -> np.ndarray:
     return d
 
 
-def _deposit(grid: GridConfig, positions, weights) -> np.ndarray:
-    """Mean-preserving linear split of weighted atoms onto the grid.
+@lru_cache(maxsize=32)
+def _terms(grid: GridConfig) -> tuple[dict, np.ndarray]:
+    """What the functionals dot a law with: each _TERMS entry at the crossover
+    atoms (one per pair, then center and infinity), and exp(-r/2) at the centers."""
+    d = np.append(_crossovers(grid.r_max, grid.n_bins), (0.5, 0.0))
+    terms = {name: term(d) for name, term in _TERMS.items()}
+    half = np.exp(-0.5 * grid.centers())
+    for v in (*terms.values(), half):
+        v.setflags(write=False)
+    return terms, half
+
+
+def _row_bincount(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:
+    """Bincount of each row of (rows, k) weights into shared bins, in order as np.add.at."""
+    rows = len(weights)
+    flat = (bins + n_bins * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(),
+                       minlength=rows * n_bins).reshape(rows, n_bins)
+
+
+def _deposit_plan(grid: GridConfig, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bins [i0, i0 + 1] and fractions (1 - frac, frac) of the mean-preserving
+    linear split of atoms at positions onto the grid.
 
     Positions beyond +-r_max saturate onto the boundary bins.  Positions are
     mapped through x = r/step + center_index so that r = 0 hits the center
     bin exactly in floating point.
     """
     r = np.asarray(positions, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    masses = np.zeros(grid.n_bins)
-    if r.size == 0:
-        return masses
     x = np.clip(r, -grid.r_max, grid.r_max) / grid.step + grid.center_index
     i0 = np.floor(x).astype(np.int64)
     np.clip(i0, 0, grid.n_bins - 2, out=i0)
     frac = x - i0
-    np.add.at(masses, i0, w * (1.0 - frac))
-    np.add.at(masses, i0 + 1, w * frac)
-    return masses
+    return np.concatenate([i0, i0 + 1]), 1.0 - frac, frac
+
+
+def _deposit_rows(grid: GridConfig, plan, weights: np.ndarray) -> np.ndarray:
+    """Rows of atom weights (rows, atoms) split onto the grid by a plan."""
+    bins, left, right = plan
+    return _row_bincount(bins, np.concatenate([weights * left, weights * right], axis=1),
+                         grid.n_bins)
+
+
+def _deposit(grid: GridConfig, positions, weights) -> np.ndarray:
+    """Mean-preserving linear split of weighted atoms onto the grid."""
+    return _deposit_rows(grid, _deposit_plan(grid, positions), np.asarray(weights, float)[None])[0]
+
+
+class _Stack:
+    """Rows of LLR laws on one grid: masses (rows, n_bins), and inf (rows, 2)
+    holding each row's +inf and -inf atoms.
+
+    Built from rows already checked (``of``, ``take``) or through ``checked``,
+    which checks every row as SymmetricLLRDistribution does.  The masses are
+    frozen, so row spectra can be kept per FFT length (a survey stack enters
+    a sum at every step).
+    """
+
+    __slots__ = ("grid", "masses", "inf", "_spectra")
+
+    def __init__(self, grid: GridConfig, masses: np.ndarray, inf: np.ndarray) -> None:
+        masses.setflags(write=False)
+        self.grid, self.masses, self.inf, self._spectra = grid, masses, inf, {}
+
+    @classmethod
+    def checked(cls, grid: GridConfig, masses: np.ndarray, inf=None) -> "_Stack":
+        """No mass below -1e-12, rounding negatives clipped (in place), and each
+        row's total within _MASS_SLACK of 1."""
+        inf = np.zeros((len(masses), 2)) if inf is None else inf
+        if min(masses.min(initial=0.0), inf.min(initial=0.0)) < -1e-12:
+            raise ValueError("negative probability mass")
+        np.maximum(masses, 0.0, out=masses)
+        np.maximum(inf, 0.0, out=inf)
+        off = [t for t in (masses.sum(axis=1) + inf.sum(axis=1)).tolist()
+               if abs(t - 1.0) > _MASS_SLACK]
+        if off:
+            raise ValueError(f"total mass {off[0]!r} is not 1")
+        return cls(grid, masses, inf)
+
+    @classmethod
+    def of(cls, laws) -> "_Stack":
+        grid = laws[0].grid
+        if any(mu.grid != grid for mu in laws):
+            raise ValueError("grid mismatch")
+        return cls(grid, np.array([mu.masses for mu in laws]),
+                   np.array([(mu.pos_inf_mass, mu.neg_inf_mass) for mu in laws]))
+
+    @property
+    def is_finite(self) -> bool:
+        return bool(self.inf.max(initial=0.0) <= _INF_FLOOR)
+
+    def take(self, rows) -> "_Stack":
+        return _Stack(self.grid, self.masses[rows], self.inf[rows])
+
+    def row(self, i: int, mu=None) -> "SymmetricLLRDistribution":
+        """Row i as a law, filled into mu when given."""
+        mu = object.__new__(SymmetricLLRDistribution) if mu is None else mu
+        for name, value in zip(mu.__slots__, (self.grid, self.masses[i],
+                                              float(self.inf[i, 0]), float(self.inf[i, 1]))):
+            object.__setattr__(mu, name, value)
+        return mu
+
+    def spectrum(self, size: int) -> np.ndarray:
+        if size not in self._spectra:
+            self._spectra[size] = _spectrum(self, *_span(*_support(self)), size)
+        return self._spectra[size]
 
 
 class SymmetricLLRDistribution:
@@ -139,19 +228,8 @@ class SymmetricLLRDistribution:
         m = np.array(masses, dtype=float)
         if m.shape != (grid.n_bins,):
             raise ValueError("masses must match the grid bin count")
-        if float(m.min(initial=0.0)) < -1e-12 or pos_inf_mass < -1e-12 or neg_inf_mass < -1e-12:
-            raise ValueError("negative probability mass")
-        np.clip(m, 0.0, None, out=m)
-        pos_inf_mass = max(float(pos_inf_mass), 0.0)
-        neg_inf_mass = max(float(neg_inf_mass), 0.0)
-        total = float(m.sum()) + pos_inf_mass + neg_inf_mass
-        if abs(total - 1.0) > _MASS_SLACK:
-            raise ValueError(f"total mass {total!r} is not 1")
-        m.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "pos_inf_mass", pos_inf_mass)
-        object.__setattr__(self, "neg_inf_mass", neg_inf_mass)
+        inf = np.array([[pos_inf_mass, neg_inf_mass]], dtype=float)
+        _Stack.checked(grid, m[None], inf).row(0, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricLLRDistribution is immutable")
@@ -191,8 +269,7 @@ class SymmetricLLRDistribution:
         """E[exp(-R/2)]; the +inf atom contributes 0."""
         if self.neg_inf_mass > _INF_FLOOR:
             return math.inf
-        c = self.grid.centers()
-        return float(np.dot(self.masses, np.exp(-0.5 * c)))
+        return float(np.dot(self.masses, _terms(self.grid)[1]))
 
     def prob_negative(self) -> float:
         """Mass strictly below 0 plus half the mass at 0 (MAP error split)."""
@@ -262,35 +339,30 @@ def from_delta(dist: DeltaDistribution, grid: GridConfig) -> SymmetricLLRDistrib
     return SymmetricLLRDistribution(grid, masses, pos_inf_mass=pos_inf)
 
 
-def _pairs(mu: SymmetricLLRDistribution, symmetry_tol: float = math.inf):
-    """Read a law on its +-r bin pairs, checking the pairing first.
+def _pairs(s: _Stack, symmetry_tol: float = math.inf):
+    """Read each row on its +-r bin pairs, checking the pairing first.
 
     Returns (delta, pair, center, inf, defect): the crossover 1/(1+e^r) of
-    each positive center r, the pair masses mass(r) + mass(-r), the center
-    mass, the total infinite mass and the symmetry defect.  A defect beyond
-    ``symmetry_tol`` means the masses cannot have come from a valid
-    symmetric law and raises SymmetryError.
+    each positive center r, and per row the pair masses mass(r) + mass(-r),
+    the center mass, the total infinite mass and the symmetry defect.  A
+    row's defect beyond ``symmetry_tol`` means its masses cannot have come
+    from a valid symmetric law and raises SymmetryError.
     """
-    c = mu.grid.center_index
-    hi = mu.masses[c + 1:]
-    lo = mu.masses[:c][::-1]
-    delta = _crossovers(mu.grid.r_max, mu.grid.n_bins)
+    c = s.grid.center_index
+    hi = s.masses[:, c + 1:]
+    lo = s.masses[:, c - 1::-1]
+    delta = _crossovers(s.grid.r_max, s.grid.n_bins)
     pair = hi + lo
-    defect = float(np.abs(lo - delta * pair).sum()) + mu.neg_inf_mass
-    if defect > symmetry_tol:
-        raise SymmetryError(f"symmetry defect {defect:.3g} exceeds tolerance {symmetry_tol:.3g}")
-    return delta, pair, float(mu.masses[c]), mu.pos_inf_mass + mu.neg_inf_mass, defect
-
-
-def _atoms(mu: SymmetricLLRDistribution, symmetry_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Crossover atoms (deltas, weights): one per pair, then center and infinity."""
-    delta, pair, center, inf, _ = _pairs(mu, symmetry_tol)
-    return np.append(delta, (0.5, 0.0)), np.append(pair, (center, inf))
+    defect = np.abs(lo - delta * pair).sum(axis=1) + s.inf[:, 1]
+    worst = float(defect.max())
+    if worst > symmetry_tol:
+        raise SymmetryError(f"symmetry defect {worst:.3g} exceeds tolerance {symmetry_tol:.3g}")
+    return delta, pair, s.masses[:, c], s.inf[:, 0] + s.inf[:, 1], defect
 
 
 def symmetry_defect(mu: SymmetricLLRDistribution) -> float:
     """L1 distance from the exactly paired cone (mass(-r) = e^-r mass(r))."""
-    return _pairs(mu)[-1]
+    return float(_pairs(_Stack.of([mu]))[-1][0])
 
 
 def to_delta(mu: SymmetricLLRDistribution,
@@ -300,7 +372,21 @@ def to_delta(mu: SymmetricLLRDistribution,
     Paired bins at +-r merge into one atom at delta = 1/(1+e^r); a defect
     beyond ``symmetry_tol`` raises SymmetryError.
     """
-    return DeltaDistribution(zip(*_atoms(mu, symmetry_tol)))
+    delta, pair, center, inf, _ = _pairs(_Stack.of([mu]), symmetry_tol)
+    return DeltaDistribution(zip(np.append(delta, (0.5, 0.0)),
+                                 np.append(pair[0], (center[0], inf[0]))))
+
+
+def _resymmetrize(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> _Stack:
+    delta, pair, center, inf, _ = _pairs(s, symmetry_tol)
+    c = s.grid.center_index
+    m = np.empty(s.masses.shape)
+    m[:, c + 1:] = (1.0 - delta) * pair
+    m[:, c - 1::-1] = delta * pair
+    m[:, c] = center
+    total = m.sum(axis=1) + inf
+    return _Stack.checked(s.grid, m / total[:, None],
+                          np.column_stack([inf / total, np.zeros(len(m))]))
 
 
 def resymmetrize(mu: SymmetricLLRDistribution,
@@ -311,14 +397,7 @@ def resymmetrize(mu: SymmetricLLRDistribution,
     center stays, both infinite atoms fold onto +inf, and the total is
     renormalized to 1 to absorb rounding drift of the convolutions.
     """
-    delta, pair, center, inf, _ = _pairs(mu, symmetry_tol)
-    c = mu.grid.center_index
-    m = np.empty(mu.grid.n_bins)
-    m[c + 1:] = (1.0 - delta) * pair
-    m[c - 1::-1] = delta * pair
-    m[c] = center
-    total = float(m.sum()) + inf
-    return SymmetricLLRDistribution(mu.grid, m / total, pos_inf_mass=inf / total)
+    return _resymmetrize(_Stack.of([mu]), symmetry_tol).row(0)
 
 
 # -- transforms ------------------------------------------------------------
@@ -354,65 +433,106 @@ def edge_llr_map(r, theta: float):
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
-def apply_edge_map(mu: SymmetricLLRDistribution, theta: float) -> SymmetricLLRDistribution:
-    """Pushforward of an LLR law through the edge transform."""
+@lru_cache(maxsize=32)
+def _edge_plan(grid: GridConfig, theta: float) -> tuple:
+    """Deposit plans of the edge transform for the grid centers and for the
+    +-inf atoms (which land at +-log((1+theta)/(1-theta)))."""
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    grid = mu.grid
-    positions = edge_llr_map(grid.centers(), theta)
-    masses = _deposit(grid, positions, mu.masses)
     sat = edge_llr_map(math.inf, theta)
-    if mu.pos_inf_mass > 0.0 or mu.neg_inf_mass > 0.0:
-        masses += _deposit(grid, [sat, -sat], [mu.pos_inf_mass, mu.neg_inf_mass])
-    return SymmetricLLRDistribution(grid, masses)
+    plans = (_deposit_plan(grid, edge_llr_map(grid.centers(), theta)),
+             _deposit_plan(grid, [sat, -sat]))
+    for a in (*plans[0], *plans[1]):
+        a.setflags(write=False)
+    return plans
+
+
+def _edge_map(s: _Stack, theta: float) -> _Stack:
+    body, inf = _edge_plan(s.grid, theta)
+    m = _deposit_rows(s.grid, body, s.masses)
+    if s.inf.any():
+        m += _deposit_rows(s.grid, inf, s.inf)
+    return _Stack.checked(s.grid, m)
+
+
+def apply_edge_map(mu: SymmetricLLRDistribution, theta: float) -> SymmetricLLRDistribution:
+    """Pushforward of an LLR law through the edge transform."""
+    return _edge_map(_Stack.of([mu]), theta).row(0)
+
+
+def _flip_mix(s: _Stack, delta: float) -> _Stack:
+    m = (1.0 - delta) * s.masses + delta * s.masses[:, ::-1]
+    return _Stack.checked(s.grid, m, (1.0 - delta) * s.inf + delta * s.inf[:, ::-1])
 
 
 def flip_mix(mu: SymmetricLLRDistribution, delta: float) -> SymmetricLLRDistribution:
     """Mixture of mu and its reflection: sign flipped with probability delta."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
-    m = (1.0 - delta) * mu.masses + delta * mu.masses[::-1]
-    pos = (1.0 - delta) * mu.pos_inf_mass + delta * mu.neg_inf_mass
-    neg = (1.0 - delta) * mu.neg_inf_mass + delta * mu.pos_inf_mass
-    return SymmetricLLRDistribution(mu.grid, m, pos_inf_mass=pos, neg_inf_mass=neg)
+    return _flip_mix(_Stack.of([mu]), delta).row(0)
 
 
-def _support(mu: SymmetricLLRDistribution) -> tuple[int, int]:
-    """Offsets (lo, hi) from the center bin of the first and last nonzero bins."""
-    nz = np.flatnonzero(mu.masses)
-    c = mu.grid.center_index
-    return int(nz[0]) - c, int(nz[-1]) - c
+def _support(s: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, offsets (lo, hi) from the center bin of the first and last
+    nonzero bins."""
+    nz = s.masses != 0.0
+    c = s.grid.center_index
+    return nz.argmax(axis=1) - c, nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1) - c
 
 
-def _spectral_sum(laws, lo: int, hi: int, combine) -> SymmetricLLRDistribution:
-    """Law of a sum of independent LLRs, computed in the Fourier domain.
+def _span(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
+    """Smallest lo and largest hi over the rows (lists beat numpy reductions
+    on a few rows)."""
+    return min(lo.tolist()), max(hi.tolist())
 
-    Each law is placed circularly (center bin at index 0) on a zero-padded
-    power-of-two length that holds every offset of the inputs and of the sum
-    without wrapping; ``combine`` maps the input spectra to the spectrum of
-    the sum, whose exact support is [lo, hi].  After the inverse transform,
-    offsets outside [lo, hi] are dropped (they hold only rounding noise),
-    rounding negatives are clipped, mass beyond +-r_max is folded onto the
-    boundary bins once, after the whole sum, and the total is renormalized
-    to 1 (for a Poisson sum this restores the neglected tail, as a truncated
-    mixture would).
+
+def _spectrum(s: _Stack, a: int, b: int, size: int) -> np.ndarray:
+    """Row spectra of s, nonzero on offsets [a, b], placed circularly (center
+    bin at index 0) on length size."""
+    c = s.grid.center_index
+    x = np.zeros((len(s.masses), size))
+    x[:, np.arange(a, b + 1) % size] = s.masses[:, c + a:c + b + 1]
+    return np.fft.rfft(x, axis=1)
+
+
+def _spectral_sum(s: _Stack, bounds, combine, reach: int = 0) -> _Stack:
+    """Row laws of sums of independent LLRs, computed in the Fourier domain.
+
+    ``bounds`` maps the rows' supports to the exact supports [lo, hi] of the
+    sums, ``combine(F, size)`` returns the spectra of the sums from the rows'
+    spectra F at FFT length size (it may overwrite F), and ``reach`` is the
+    farthest offset of any other summand.  The rows share one zero-padded
+    power-of-two length that holds every offset without wrapping.  After the
+    inverse transform, offsets outside a row's [lo, hi] are dropped (they
+    hold only rounding noise), rounding negatives are clipped, mass beyond
+    +-r_max is folded onto the boundary bins once, after the whole sum, and
+    each total is renormalized to 1 (for a Poisson sum this restores the
+    neglected tail, as a truncated mixture would).
     """
-    grid = laws[0].grid
-    c = grid.center_index
-    supports = [_support(mu) for mu in laws]
-    reach = max(-lo, hi, *(max(-a, b) for a, b in supports))
+    grid = s.grid
+    a, b = _support(s)
+    lo, hi = bounds(a, b)
+    (a0, b0), (lo0, hi0) = _span(a, b), _span(lo, hi)
+    reach = max(reach, -lo0, hi0, -a0, b0)
     size = 1 << (2 * reach + 1).bit_length()          # power of two >= 2 reach + 2
-    spectra = []
-    for mu, (a, b) in zip(laws, supports):
-        x = np.zeros(size)
-        x[np.arange(a, b + 1) % size] = mu.masses[c + a:c + b + 1]
-        spectra.append(np.fft.rfft(x))
-    offsets = np.arange(lo, hi + 1)
-    vals = np.fft.irfft(combine(*spectra), size)[offsets % size]
-    np.clip(vals, 0.0, None, out=vals)
-    bins = np.clip(offsets + c, 0, grid.n_bins - 1)
-    m = np.bincount(bins, weights=vals, minlength=grid.n_bins)
-    return SymmetricLLRDistribution(grid, m / m.sum())
+    offsets = np.arange(lo0, hi0 + 1)
+    vals = np.fft.irfft(combine(_spectrum(s, a0, b0, size), size), size,
+                        axis=1)[:, offsets % size]
+    vals[(offsets < lo[:, None]) | (offsets > hi[:, None])] = 0.0
+    np.maximum(vals, 0.0, out=vals)
+    m = _row_bincount(np.clip(offsets + grid.center_index, 0, grid.n_bins - 1), vals, grid.n_bins)
+    return _Stack.checked(grid, m / m.sum(axis=1, keepdims=True))
+
+
+def _convolve(s: _Stack, other: _Stack, rows) -> _Stack:
+    """Row i of s plus an independent draw from row rows[i] of other."""
+    if not (s.is_finite and other.is_finite):
+        raise ValueError("convolve requires finite LLR laws")
+    a, b = (x[rows] for x in _support(other))
+    a0, b0 = _span(a, b)
+    return _spectral_sum(s, lambda lo, hi: (lo + a, hi + b),
+                         lambda f, size: np.multiply(f, other.spectrum(size)[rows], out=f),
+                         reach=max(-a0, b0))
 
 
 def convolve(mu1: SymmetricLLRDistribution,
@@ -425,10 +545,14 @@ def convolve(mu1: SymmetricLLRDistribution,
     """
     if mu1.grid != mu2.grid:
         raise ValueError("grid mismatch")
-    if not (mu1.is_finite and mu2.is_finite):
-        raise ValueError("convolve requires finite LLR laws")
-    (lo1, hi1), (lo2, hi2) = _support(mu1), _support(mu2)
-    return _spectral_sum((mu1, mu2), lo1 + lo2, hi1 + hi2, np.multiply)
+    return _convolve(_Stack.of([mu1]), _Stack.of([mu2]), [0]).row(0)
+
+
+def _power(s: _Stack, count: int) -> _Stack:
+    if count == 1:
+        return s
+    return _spectral_sum(s, lambda lo, hi: (count * lo, count * hi),
+                         lambda f, _: np.power(f, count, out=f))
 
 
 def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDistribution:
@@ -441,8 +565,23 @@ def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDist
         return SymmetricLLRDistribution.unit(mu.grid)
     if count == 1:
         return mu
-    lo, hi = _support(mu)
-    return _spectral_sum((mu,), count * lo, count * hi, lambda f: f ** count)
+    return _power(_Stack.of([mu]), count).row(0)
+
+
+def _poisson(s: _Stack, mean_count: float, tail_tol: float = 1e-12) -> _Stack:
+    if not s.is_finite:
+        raise ValueError("poisson_convolve requires a finite LLR law")
+    pmf = cum = math.exp(-mean_count)
+    b = 0
+    while cum < 1.0 - tail_tol:
+        b += 1
+        if b > 100000:
+            raise RuntimeError("poisson truncation failed to terminate")
+        pmf *= mean_count / b
+        cum += pmf
+    return _spectral_sum(s, lambda lo, hi: (np.minimum(b * lo, 0), np.maximum(b * hi, 0)),
+                         lambda f, _: np.exp(np.multiply(mean_count, np.subtract(f, 1.0, out=f),
+                                                         out=f), out=f))
 
 
 def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
@@ -458,79 +597,34 @@ def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
         raise ValueError("mean_count must be nonnegative")
     if not 0.0 < tail_tol <= 1e-6:
         raise ValueError("tail_tol must lie in (0, 1e-6]")
-    if not mu.is_finite:
-        raise ValueError("poisson_convolve requires a finite LLR law")
     if mean_count == 0.0:
         return SymmetricLLRDistribution.unit(mu.grid)
-    pmf = cum = math.exp(-mean_count)
-    b = 0
-    while cum < 1.0 - tail_tol:
-        b += 1
-        if b > 100000:
-            raise RuntimeError("poisson truncation failed to terminate")
-        pmf *= mean_count / b
-        cum += pmf
-    lo, hi = _support(mu)
-    return _spectral_sum((mu,), min(b * lo, 0), max(b * hi, 0),
-                         lambda f: np.exp(mean_count * (f - 1.0)))
+    return _poisson(_Stack.of([mu]), mean_count, tail_tol).row(0)
 
 
 # -- functionals -----------------------------------------------------------
+
+def _info(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> list[InfoMeasures]:
+    _, pair, center, inf, _ = _pairs(s, symmetry_tol)
+    terms, half = _terms(s.grid)
+    weights = np.column_stack([pair, center, inf])
+    out = []
+    for i, w in enumerate(weights):
+        pm = math.inf if s.inf[i, 1] > _INF_FLOOR else float(np.dot(s.masses[i], half))
+        out.append(InfoMeasures(**{name: float(np.dot(w, t)) for name, t in terms.items()},
+                                potential_mean=pm))
+    return out
+
 
 def info_measures(mu: SymmetricLLRDistribution,
                   symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> InfoMeasures:
     """All channel functionals, read off the grid's bin pairs; potential_mean
     is the grid expectation E[exp(-R/2)] and equals the Bhattacharyya value
     exactly on re-symmetrized laws."""
-    d, w = _atoms(mu, symmetry_tol)
-    return InfoMeasures(**{name: _expect(name, d, w) for name in _TERMS},
-                        potential_mean=mu.potential_mean())
+    return _info(_Stack.of([mu]), symmetry_tol)[0]
 
 
 def entropy(mu: SymmetricLLRDistribution,
             symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> float:
     """Conditional entropy of the broadcast bit given the observation, nats."""
-    return math.log(2.0) - _expect("capacity", *_atoms(mu, symmetry_tol))
-
-
-# -- serialization ---------------------------------------------------------
-
-def dump_csv(mu: SymmetricLLRDistribution, path) -> None:
-    """Write ``r,mass`` rows plus reserved ``+inf``/``-inf`` rows.
-
-    Values are written with repr so a load round-trips bit-exactly.
-    """
-    centers = mu.grid.centers()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "mass"])
-        for r, m in zip(centers, mu.masses):
-            writer.writerow([repr(float(r)), repr(float(m))])
-        writer.writerow(["+inf", repr(mu.pos_inf_mass)])
-        writer.writerow(["-inf", repr(mu.neg_inf_mass)])
-
-
-def load_csv(path) -> SymmetricLLRDistribution:
-    rows = []
-    pos_inf = neg_inf = 0.0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["r", "mass"]:
-            raise ValueError(f"{path}: expected header 'r,mass'")
-        for row in reader:
-            if not row:
-                continue
-            key, val = row[0].strip(), float(row[1])
-            if key == "+inf":
-                pos_inf = val
-            elif key == "-inf":
-                neg_inf = val
-            else:
-                rows.append((float(key), val))
-    if not rows:
-        raise ValueError(f"{path}: no grid rows")
-    r_max = rows[-1][0]
-    grid = GridConfig(r_max=r_max, n_bins=len(rows))
-    masses = np.array([m for _, m in rows])
-    return SymmetricLLRDistribution(grid, masses, pos_inf_mass=pos_inf, neg_inf_mass=neg_inf)
+    return math.log(2.0) - info_measures(mu, symmetry_tol).capacity

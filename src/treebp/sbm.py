@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
 
 import numpy as np
 
 from ._parallel import parallel_chunk_map
 from .bms import SurveySpec, _subset_entropies
-from .density_evolution import DEConfig, InitCondition, TreeModel, bp_fixed_point
+from .density_evolution import DEConfig, InitCondition, TreeModel, _fixed_points
 from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
 
@@ -47,10 +46,8 @@ __all__ = [
     "sbm_tree_model",
     "exact_entropy_for_instance",
     "exact_conditional_entropy",
-    "reference_conditional_entropy",
     "subset_entropy_table",
     "survey_averaged_entropy",
-    "single_vertex_entropy_all_revealed",
     "DerivativeReport",
     "derivative_identity_scan",
     "TreeIntegralReport",
@@ -228,42 +225,6 @@ def exact_entropy_for_instance(inst: SBMInstance,
     return _entropy_from_loglik(label_loglik(inst, survey))
 
 
-def reference_conditional_entropy(inst: SBMInstance,
-                                  survey: SurveyRealization | None = None) -> float:
-    """Independent check oracle: pure-Python linear-domain enumeration.
-
-    Walks label vectors with itertools, multiplies raw edge/non-edge
-    probabilities, and accumulates with math.fsum.  Shares no code path
-    with label_loglik.
-    """
-    n = inst.n
-    pa, pb = inst.a / n, inst.b / n
-    adj = inst.adjacency
-    weights = []
-    for x in product((-1, 1), repeat=n):
-        if survey is not None:
-            ok = True
-            for j in range(n):
-                if survey.revealed[j] and x[j] != survey.values[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        w = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if x[i] == x[j]:
-                    w *= pa if adj[i, j] else 1.0 - pa
-                else:
-                    w *= pb if adj[i, j] else 1.0 - pb
-        weights.append(w)
-    z = math.fsum(weights)
-    if z <= 0.0:
-        raise ValueError("no labeling is consistent with the conditioning")
-    terms = [-(w / z) * math.log(w / z) for w in weights if w > 0.0]
-    return math.fsum(terms)
-
-
 def _exact_entropy_chunk(rng, count, *, n, a, b, epsilon):
     out = np.empty(count)
     for t in range(count):
@@ -342,30 +303,6 @@ def _leave_one_out_entropy(table: np.ndarray, n: int, u: int, epsilon: float) ->
     for m_rev in range(n):
         acc += (1.0 - epsilon) ** m_rev * epsilon ** (n - 1 - m_rev) * by_count[m_rev]
     return float(acc)
-
-
-def single_vertex_entropy_all_revealed(inst: SBMInstance) -> float:
-    """H(X_1 | G, all other labels) from per-pair posterior odds.
-
-    Independent reduction used to cross-check the subset-table route at
-    the zero-erasure limit.
-    """
-    ll = label_loglik(inst)
-    z = _logsumexp(ll[ll > -math.inf])
-    p = np.exp(ll - z)
-    size = ll.size
-    lo = np.arange(size, dtype=np.int64)
-    lo = lo[(lo & 1) == 0]
-    hi = lo | 1
-    acc = 0.0
-    for i, j in zip(lo, hi):
-        w = p[i] + p[j]
-        if w <= 0.0:
-            continue
-        q = p[j] / w
-        if 0.0 < q < 1.0:
-            acc += w * (-(q * math.log(q) + (1 - q) * math.log(1 - q)))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +494,10 @@ def sbm_entropy_via_trees(a: float, b: float, eps_grid=33,
     elif config.include_root_survey:
         raise ValueError("the integrand excludes the root survey")
 
-    values = np.empty(eps.size)
-    flagged = []
-    for i, e in enumerate(eps):
-        fp = bp_fixed_point(model, SurveySpec.bec(float(e)),
-                            InitCondition.perfect_leaves(), config)
-        values[i] = math.log(2.0) - fp.limit().capacity
-        flagged.append(not fp.converged)
+    fps = _fixed_points(model, [(SurveySpec.bec(float(e)), InitCondition.perfect_leaves())
+                                for e in eps], config)
+    values = np.array([math.log(2.0) - fp.limit().capacity for fp in fps])
+    flagged = [not fp.converged for fp in fps]
 
     integral = _trapezoid(values, eps)
     # Coarse pass: every other point of the requested grid, endpoints and

@@ -30,7 +30,6 @@ from treebp.monte_carlo import (
 from treebp.sbm import (
     exact_entropy_for_instance,
     oracle_vs_integral,
-    reference_conditional_entropy,
     sample_sbm,
     sample_survey,
     sbm_entropy_via_trees,
@@ -44,6 +43,8 @@ from treebp.thresholds import (
     regular_d2_window_endpoint,
     survey_strength_bounds,
 )
+
+from _sbm_oracle import reference_conditional_entropy
 
 
 def criterion(num, label, budget_s):

@@ -1,5 +1,6 @@
 """Channel algebra: canonical crossover mixtures and their functionals."""
 
+import csv
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from treebp.bms import (
     is_trivial_survey,
     load_delta_csv,
     prob_error,
-    save_delta_csv,
 )
 
 LOG2 = math.log(2.0)
@@ -165,6 +165,14 @@ def test_survey_spec_parse_round_trip():
         SurveySpec.parse("gauss:0.1")
     with pytest.raises(ValueError):
         SurveySpec.parse("custom:not-a-file-ref")
+
+
+def save_delta_csv(dist, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["delta", "weight"])
+        for d, w in dist.atoms():
+            writer.writerow([repr(d), repr(w)])
 
 
 def test_delta_csv_round_trip(tmp_path):

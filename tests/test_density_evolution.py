@@ -1,22 +1,29 @@
 """Paired density evolution: stepping, convergence verdicts, invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from treebp.bms import DeltaDistribution, SurveySpec
+from treebp.bms import DeltaDistribution, SurveySpec, is_trivial_survey
 from treebp.density_evolution import (
     DEConfig,
     InitCondition,
     TreeModel,
+    _stack_step,
     bp_fixed_point,
-    check_boundary_irrelevance,
     de_step,
     run_pair,
     uniqueness_probe,
 )
-from treebp.llr_dist import GridConfig, info_measures
+from treebp.llr_dist import (
+    GridConfig,
+    SymmetricLLRDistribution,
+    SymmetryError,
+    _Stack,
+    info_measures,
+)
 from treebp.sbm import sbm_tree_model
 from treebp.thresholds import contraction_coeff_regular
 
@@ -170,6 +177,28 @@ def test_trace_csv_format(tmp_path):
     assert float(first[1]) == report.records[0].leaves.prob_error
 
 
+def check_boundary_irrelevance(model, survey, cfg=None, slack=1e-8):
+    """Run the paired evolution and grade the degradation sandwich.
+
+    The entropy gap trace is C(leaves) - C(noleaves) per depth; the sandwich
+    check asserts it stays nonnegative, the monotone check that information
+    shrinks along the observed sequence and grows along the unobserved one.
+    Not applicable without a survey whose error probability is away from 1/2.
+    """
+    if is_trivial_survey(survey):
+        return SimpleNamespace(status="not_applicable", entropy_gap_trace=[],
+                               sandwich_ok=True, monotone_ok=True, report=None)
+    report = run_pair(model, survey, cfg)
+    caps = [r.leaves.capacity for r in report.records]
+    capst = [r.noleaves.capacity for r in report.records]
+    trace = [c - ct for c, ct in zip(caps, capst)]
+    mono_ok = all(caps[i + 1] <= caps[i] + slack for i in range(len(caps) - 1)) and \
+        all(capst[i + 1] >= capst[i] - slack for i in range(len(capst) - 1))
+    return SimpleNamespace(status=report.verdict, entropy_gap_trace=trace,
+                           sandwich_ok=all(g >= -slack for g in trace),
+                           monotone_ok=mono_ok, report=report)
+
+
 def test_check_boundary_irrelevance():
     verdict = check_boundary_irrelevance(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5))
     assert verdict.status == "bi_holds"
@@ -181,6 +210,26 @@ def test_check_boundary_irrelevance():
     na = check_boundary_irrelevance(TreeModel.regular(3, 0.5), SurveySpec.trivial())
     assert na.status == "not_applicable"
     assert na.report is None
+
+
+def _step_rows(laws):
+    return _stack_step(_Stack.of(laws), TreeModel.regular(3, 0.8), None, range(len(laws)))
+
+
+def test_stacked_step_checks_each_row_symmetry():
+    unit, perfect = (SymmetricLLRDistribution.unit(GRID),
+                     SymmetricLLRDistribution.point(GRID, math.inf))
+    _step_rows([unit, perfect, unit])
+    with pytest.raises(SymmetryError):     # all mass at -5: far from any symmetric law
+        _step_rows([unit, SymmetricLLRDistribution.point(GRID, -5.0), perfect])
+
+
+def test_stacked_step_checks_each_row_mass():
+    masses = np.zeros((3, GRID.n_bins))
+    masses[:, GRID.center_index] = [1.0, 1.0 + 2e-7, 1.0]
+    off = _Stack(GRID, masses, np.zeros((3, 2)))     # built unchecked
+    with pytest.raises(ValueError, match="total mass"):
+        _stack_step(off, TreeModel.regular(3, 0.8), None, range(3))
 
 
 def test_bp_fixed_point_trivial_is_exact():

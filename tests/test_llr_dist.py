@@ -1,5 +1,6 @@
 """Quantized LLR laws: conversions, transforms, convolution, functionals."""
 
+import csv
 import math
 import warnings
 from functools import lru_cache
@@ -24,15 +25,19 @@ from treebp.llr_dist import (
     GridConfig,
     SymmetricLLRDistribution,
     SymmetryError,
+    _Stack,
+    _convolve,
+    _deposit,
+    _edge_map,
+    _poisson,
+    _power,
     apply_edge_map,
     convolve,
-    dump_csv,
     edge_llr_map,
     entropy,
     flip_mix,
     from_delta,
     info_measures,
-    load_csv,
     poisson_convolve,
     power_convolve,
     resymmetrize,
@@ -179,6 +184,68 @@ def test_edge_map_blocks_are_elementwise_exact():
     assert np.array_equal(got.ravel(), want)
     assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
     assert edge_llr_map(np.empty(0), 0.7).size == 0
+
+
+def _add_at_deposit(grid, positions, weights):
+    # the two-pass np.add.at split the cached plan's single bincount replaces
+    x = np.clip(positions, -grid.r_max, grid.r_max) / grid.step + grid.center_index
+    i0 = np.clip(np.floor(x).astype(np.int64), 0, grid.n_bins - 2)
+    frac = x - i0
+    masses = np.zeros(grid.n_bins)
+    np.add.at(masses, i0, weights * (1.0 - frac))
+    np.add.at(masses, i0 + 1, weights * frac)
+    return masses
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6, 0.999])
+def test_edge_map_plan_matches_deposit_bit_for_bit(theta):
+    rng = np.random.default_rng(17)
+    laws = []
+    for pos, neg in [(0.0, 0.0), (0.25, 0.0), (0.0, 0.1), (0.15, 0.05)]:
+        m = rng.random(GRID.n_bins) * (rng.random(GRID.n_bins) < 0.3)
+        laws.append(SymmetricLLRDistribution(GRID, m * (1.0 - pos - neg) / m.sum(), pos, neg))
+    stacked = _edge_map(_Stack.of(laws), theta)
+    sat = edge_llr_map(math.inf, theta)
+    for mu, got in zip(laws, stacked.masses):
+        want = _deposit(GRID, edge_llr_map(GRID.centers(), theta), mu.masses)
+        ref = _add_at_deposit(GRID, edge_llr_map(GRID.centers(), theta), mu.masses)
+        if mu.pos_inf_mass or mu.neg_inf_mass:
+            atoms = ([sat, -sat], [mu.pos_inf_mass, mu.neg_inf_mass])
+            want += _deposit(GRID, *atoms)
+            ref += _add_at_deposit(GRID, np.array(atoms[0]), np.array(atoms[1]))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(apply_edge_map(mu, theta).masses, got)
+    assert not stacked.inf.any()
+
+
+def test_stack_checks_every_row():
+    good = SymmetricLLRDistribution.unit(GRID).masses
+    for bad_row in (good * (1.0 + 2e-7), np.where(good > 0, 1.0 + 1e-9, -1e-9)):
+        with pytest.raises(ValueError):
+            _Stack.checked(GRID, np.stack([good, bad_row, good]))
+    ok = _Stack.checked(GRID, np.stack([good, good * (1.0 + 5e-8)]))
+    assert ok.masses.shape == (2, GRID.n_bins)
+
+
+def test_stacked_sums_crop_each_row_to_its_own_support():
+    # rows of one stack share the longest row's FFT length; each row's sum
+    # must still vanish outside its own exact support, a unit row stay a unit
+    unit = SymmetricLLRDistribution.unit(GRID)
+    laws = [unit, apply_edge_map(_point(2.0), 0.3),
+            from_delta(delta_of(SurveySpec.bsc(0.01)), GRID)]
+    stack, surveys = _Stack.of(laws), _Stack.of(laws[::-1])
+    power, poisson = _power(stack, 3), _poisson(stack, 2.0)
+    assert np.array_equal(power.masses[0], unit.masses)
+    assert np.array_equal(poisson.masses[0], unit.masses)
+    for out, alone in [(power, lambda mu, _: power_convolve(mu, 3)),
+                       (poisson, lambda mu, _: poisson_convolve(mu, 2.0)),
+                       (_convolve(stack, surveys, [0, 1, 2]), convolve)]:
+        for row, mu, nu in zip(out.masses, laws, laws[::-1]):
+            want = alone(mu, nu).masses
+            nz, nz_want = np.flatnonzero(row), np.flatnonzero(want)
+            assert nz_want[0] <= nz[0] and nz[-1] <= nz_want[-1]
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-15)
 
 
 def test_edge_map_is_theta_lipschitz():
@@ -440,6 +507,28 @@ def test_pairwise_bhattacharyya_term_is_convex():
     assert np.all(first < 0.0)
     second = np.diff(g, 2) / h / h
     assert np.all(second >= 4.0 - 1e-4)
+
+
+def dump_csv(mu, path):
+    """Write ``r,mass`` rows plus reserved ``+inf``/``-inf`` rows, with repr
+    so a load round-trips bit-exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "mass"])
+        for r, m in zip(mu.grid.centers(), mu.masses):
+            writer.writerow([repr(float(r)), repr(float(m))])
+        writer.writerow(["+inf", repr(mu.pos_inf_mass)])
+        writer.writerow(["-inf", repr(mu.neg_inf_mass)])
+
+
+def load_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader)[:2] == ["r", "mass"]
+        rows = {row[0]: float(row[1]) for row in reader if row}
+    pos_inf, neg_inf = rows.pop("+inf"), rows.pop("-inf")
+    grid = GridConfig(r_max=float(list(rows)[-1]), n_bins=len(rows))
+    return SymmetricLLRDistribution(grid, list(rows.values()), pos_inf, neg_inf)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -591,6 +591,14 @@ def test_wsm_separation_found_and_persists():
     assert report.persists
 
 
+def test_wsm_separation_invariant_under_worker_count():
+    model, survey, depth = TreeModel.regular(3, 0.5), SurveySpec.bsc(0.49), 5
+    n = 2 * _chunk_trees(model, depth) + 100          # three chunks
+    one, two = (wsm_probe(model, survey, depth, n, seed=7, workers=w) for w in (1, 2))
+    assert one.regime == "separation" and one.status == "ok"
+    assert one.as_dict() == two.as_dict()
+
+
 def test_wsm_validation():
     with pytest.raises(ValueError):
         wsm_probe(TreeModel.poisson(3.0, 0.5), SurveySpec.bsc(0.49), 4, 16)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebp import bms
-from treebp.bms import _entropy_of_masses, _subset_entropies
-from treebp.density_evolution import DEConfig
+from treebp import bms, sbm
+from treebp.bms import SurveySpec, _entropy_of_masses, _subset_entropies
+from treebp.density_evolution import DEConfig, InitCondition, bp_fixed_point
 from treebp.sbm import (
     MAX_EXACT_N,
     MAX_SUBSET_N,
@@ -20,19 +20,19 @@ from treebp.sbm import (
     exact_entropy_for_instance,
     label_loglik,
     oracle_vs_integral,
-    reference_conditional_entropy,
     sample_sbm,
     sample_survey,
     sandwich_report,
     sbm_entropy_via_trees,
     sbm_snr,
     sbm_tree_model,
-    single_vertex_entropy_all_revealed,
     subset_entropy_table,
     survey_averaged_entropy,
 )
 from treebp.sbm import _leave_one_out_entropy
 from treebp.thresholds import survey_strength_bounds
+
+from _sbm_oracle import reference_conditional_entropy, single_vertex_entropy_all_revealed
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -304,6 +304,34 @@ def test_tree_integral_flags_stalled_endpoint():
     assert report.status == "undecided"
     assert report.flagged[-1] and not any(report.flagged[:-1])
     assert report.entropy_values[-1] == pytest.approx(math.log(2.0), abs=1e-5)
+
+
+@pytest.mark.parametrize("a, b, points, status", [
+    (4.0, 1.0, 33, "ok"),          # grid holds epsilon = 0 and the trivial epsilon = 1
+    (9.0, 3.0, 9, "ok"),           # banded: the split point is inserted
+    (3.0, 1.0, 5, "undecided"),    # the fully erased endpoint stalls
+])
+def test_stacked_sweep_matches_one_row_calls(monkeypatch, a, b, points, status):
+    stacked, real = [], sbm._fixed_points
+
+    def spy(*args):
+        stacked.extend(real(*args))
+        return stacked
+
+    monkeypatch.setattr(sbm, "_fixed_points", spy)
+    report = sbm_entropy_via_trees(a, b, eps_grid=points)
+    eps = np.linspace(0.0, 1.0, points)
+    if report.band is not None:
+        eps = np.union1d(eps, [survey_strength_bounds().z_bound])
+    cfg = DEConfig(max_depth=400, include_root_survey=False)
+    lone = [bp_fixed_point(sbm_tree_model(a, b), SurveySpec.bec(float(e)),
+                           InitCondition.perfect_leaves(), cfg) for e in eps]
+    assert report.eps_values == [float(e) for e in eps]
+    assert report.flagged == [not fp.converged for fp in lone]
+    assert report.status == status
+    assert [fp.depth for fp in stacked] == [fp.depth for fp in lone]
+    for value, fp in zip(report.entropy_values, lone):
+        assert value == pytest.approx(math.log(2.0) - fp.limit().capacity, abs=1e-12)
 
 
 def test_sandwich_report_brackets():
