@@ -24,7 +24,6 @@ from .density_evolution import (
     InitCondition,
     TreeModel,
     bp_fixed_point,
-    de_step,
     run_pair,
     uniqueness_probe,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "bp_fixed_point",
     "capacity",
     "chi2_capacity",
-    "de_step",
     "delta_of",
     "prob_error",
     "run_pair",

@@ -54,7 +54,6 @@ __all__ = [
     "EvolutionReport",
     "FixedPointResult",
     "UniquenessReport",
-    "de_step",
     "run_pair",
     "bp_fixed_point",
     "uniqueness_probe",
@@ -192,16 +191,6 @@ def _stack_step(mu: _Stack, model: TreeModel, surveys: _Stack | None,
     if surveys is None:
         return agg, agg
     return agg, _resymmetrize(_convolve(agg, surveys, rows))
-
-
-def de_step(mu: SymmetricLLRDistribution, model: TreeModel, survey: SurveySpec,
-            cfg: DEConfig | None = None) -> SymmetricLLRDistribution:
-    """Child-message law one level up, survey included at the new node."""
-    cfg = cfg or DEConfig(grid=mu.grid)
-    if cfg.grid != mu.grid:
-        raise ValueError("grid mismatch between distribution and config")
-    survey_dist = _survey_distribution(survey, mu.grid)
-    return _step_views(mu, model, survey_dist)[1]
 
 
 @dataclass(frozen=True)

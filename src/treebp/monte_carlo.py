@@ -11,21 +11,22 @@ Estimators are chunked: each chunk of samples draws from an RNG stream
 derived from the master seed and the chunk index, and chunk results are
 reduced in order, so outputs are bit-identical for any worker count.
 
-The batched sampler never materializes leaf spins: a leaf block's
-contribution to its parent reduces to the net spin sum, a binomial draw on
-regular trees and a Skellam draw on Poisson trees.  Poisson quantities
-come from inverse-CDF tables, one uniform per draw read off a guide
-table.  Spins are +-1 int8 and flip by a product with +-1, so every
-product with a spin is exact.  The sampler also
-stops expanding below survey-revealed nodes.  A node whose survey
-draw falls on the noiseless atom (delta = 0) knows its spin, so by the
-Markov property of the broadcast its subtree tells its ancestors nothing
-more: the sampler draws no children for it, and the upward pass gives it
-the LLR spin * LLR_MAX (density evolution's reveal is +-infinity).  A
-revealed root settles its whole tree.  The root is never pruned when its
-own survey is excluded.  Surveys without a noiseless atom prune nothing
-and draw exactly what the full tree draws.  The boundary-sensitivity
-probe keeps every node, since it averages over whole levels.
+The batched sampler never materializes leaves.  It draws each deepest
+(depth k-1) node as one code from the product law of its edge flip,
+survey atom and sign, and leaf-block statistic, and reads the node's LLR
+and message off exact per-law tables.  Offspring counts and survey atoms
+take one uniform each, read off a guide table.  Spins are +-1 int8 and
+flip by a product with +-1, so every product with a spin is exact.  The
+sampler also stops expanding below survey-revealed nodes.  A node whose
+survey draw falls on the noiseless atom (delta = 0) knows its spin, so by
+the Markov property of the broadcast its subtree tells its ancestors
+nothing more: the sampler draws no children for it, and the upward pass
+gives it the LLR spin * LLR_MAX (density evolution's reveal is
++-infinity).  A revealed root settles its whole tree.  The root is never
+pruned when its own survey is excluded.  Surveys without a noiseless atom
+prune nothing and draw exactly what the full tree draws.  The
+boundary-sensitivity probe keeps every node, since it averages over
+whole levels.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class _SurveySampler:
     def __init__(self, survey: SurveySpec):
         dist = delta_of(survey)
         self.deltas = np.asarray(dist.deltas, dtype=float)
-        w = np.asarray(dist.weights, dtype=float)
+        self.weights = w = np.asarray(dist.weights, dtype=float)
         with np.errstate(divide="ignore"):
             mags = np.log1p(-self.deltas) - np.log(self.deltas)
         self.mags = np.minimum(mags, LLR_MAX)
@@ -313,7 +314,8 @@ class _CountTable(_InverseCDF):
         keep = np.flatnonzero(pmf >= _TABLE_FLOOR)
         lo, hi = int(keep[0]), int(keep[-1]) + 1
         kept = pmf[lo:hi]
-        cdf = np.minimum(np.cumsum(kept / kept.sum()), 1.0)
+        self.pmf = kept / kept.sum()
+        cdf = np.minimum(np.cumsum(self.pmf), 1.0)
         cdf[-1] = 1.0
         super().__init__(cdf, first + lo)
 
@@ -336,6 +338,93 @@ class _CountTable(_InverseCDF):
         return self(rng.random(n))
 
 
+def _leaf_law(model: TreeModel, stat: str | None):
+    """Values and probabilities of a leaf block's statistic: its "net" spin
+    sum (binomial, or Skellam on Poisson trees), its leaf "count" (Poisson;
+    fixed on regular trees), or None (one value, 0)."""
+    flip = model.flip
+    if stat == "net" and model.kind == "regular":
+        d = int(model.d)
+        return d - 2 * np.arange(d + 1), np.array(
+            [math.comb(d, i) * flip ** i * (1.0 - flip) ** (d - i) for i in range(d + 1)])
+    if stat is None or model.kind == "regular":
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    table = _CountTable.skellam(model.d, flip) if stat == "net" else _CountTable.poisson(model.d)
+    return table.first + np.arange(table.pmf.size), table.pmf
+
+
+class _DeepestCodes(_InverseCDF):
+    """Product law of a deepest-level (depth k-1) node's discrete draws.
+
+    The node's saturated LLR, and so the message it sends up, depends only
+    on its parent's spin and four draws: the edge flip, the survey atom, the
+    survey sign and the leaf block's statistic (_leaf_law).  A code is one
+    draw from the product law: one uniform through the guide table.  Under
+    pruning a revealed atom is a closed node, one code per flip with stat 0
+    and no leaves.  Per code: spin (the node's spin over its parent's),
+    atom and sign (atom -1 without a survey), stat and closed.
+
+    tables(boundary) holds the level's LLRs and edge messages, row 0 for
+    parent spin -1 and row 1 for +1.  Each entry is the per-node formula
+    with the same float ops, edge_llr_map(clip(base + w)), so the sampled
+    law is the per-node one.  Laws and tables are built once per process.
+    """
+
+    def __init__(self, model: TreeModel, survey: SurveySpec | None, root: bool,
+                 stat: str | None, prune: bool):
+        self.theta, self._tables = model.theta, {}
+        self.sampler = None if survey is None else _SurveySampler(survey)
+        atom, sign, p_survey = np.array([-1]), np.array([1]), np.ones(1)
+        revealed = np.zeros(1, dtype=bool)
+        if self.sampler is not None:
+            deltas, n = self.sampler.deltas, self.sampler.n_atoms
+            atom, sign = np.repeat(np.arange(n), 2), np.tile([1, -1], n)
+            p_survey = self.sampler.weights[atom] * np.where(sign > 0, 1.0 - deltas[atom],
+                                                             deltas[atom])
+            keep = p_survey > 0.0
+            atom, sign, p_survey = atom[keep], sign[keep], p_survey[keep]
+            revealed = prune & (deltas[atom] == 0.0)
+        values, p_stat = _leaf_law(model, stat)
+        f, s, v = (g.ravel() for g in np.meshgrid(np.arange(2), np.arange(atom.size),
+                                                  np.arange(values.size), indexing="ij"))
+        keep = ~revealed[s] | (v == 0)
+        f, s, v = f[keep], s[keep], v[keep]
+        self.closed = revealed[s]
+        self.spin, self.atom, self.sign = np.array([1, -1])[f], atom[s], sign[s]
+        self.stat = np.where(self.closed, 0, values[v])
+        flip = 0.5 if root else model.flip            # a root's "parent" is a virtual +
+        probs = (np.array([1.0 - flip, flip])[f] * p_survey[s]
+                 * np.where(self.closed, 1.0, p_stat[v]))
+        cdf = np.minimum(np.cumsum(probs), 1.0)
+        cdf[-1] = 1.0
+        super().__init__(cdf)
+        leaves = float(model.d) if model.kind == "regular" else self.stat
+        self.leaves = (np.where(self.closed, 0.0, leaves)
+                       if model.kind == "regular" or stat == "count" else None)
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def of(cls, model, survey, root, stat, prune) -> "_DeepestCodes":
+        return cls(model, survey, root, stat, prune)
+
+    def tables(self, boundary: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
+        if boundary not in self._tables:
+            sigma = np.array([[-1], [1]]) * self.spin          # node spins, per parent spin
+            if boundary.kind == "perfect":
+                base = edge_llr_map(math.inf, self.theta) * (sigma * self.stat)
+            elif boundary.kind == "none":
+                base = np.zeros(sigma.shape)
+            else:
+                per_leaf = edge_llr_map(boundary.value, self.theta) * (
+                    1.0 if boundary.kind == "plus" else -1.0)
+                base = per_leaf * np.broadcast_to(self.leaves, sigma.shape)
+            if self.sampler is not None:        # a closed code's base is 0: no leaf part
+                base += (sigma * self.sign) * self.sampler.mags[self.atom]
+            np.clip(base, -LLR_MAX, LLR_MAX, out=base)
+            self._tables[boundary] = base, edge_llr_map(base, self.theta)
+        return self._tables[boundary]
+
+
 def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
     """Sum of the child messages of each of n parents, as floats even when
     there are no children (bincount returns int64 on empty input)."""
@@ -350,14 +439,14 @@ def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
 class _ChunkLevels:
     """One chunk of trees, concatenated per level, leaves kept implicit.
 
-    Levels run 0..depth-1.  Only open (unrevealed) nodes have children:
-    open_rows[j] lists the open rows of level j, or is None when the whole
-    level is open.  Children are indexed by their parent's rank among the
-    open rows: parents[j] is None on regular levels, where the i-th open
-    node's children are the contiguous block of d entries i*d..i*d+d-1 one
-    level down.  leaf_counts is None for regular trees (every block has d
-    leaves) and when not asked for; the leaf aggregates describe the
-    depth-k blocks per open depth-(k-1) node.
+    Levels run 0..depth-1.  Levels 0..depth-2 hold surveys, and only their
+    open (unrevealed) nodes have children: open_rows[j] lists the open rows
+    of level j, or is None when the whole level is open.  Children are
+    indexed by their parent's rank among the open rows: parents[j] is None
+    on regular levels, where the i-th open node's children are the
+    contiguous block of d entries i*d..i*d+d-1 one level down.  The deepest
+    level holds one code of law per node, and parent_spins holds its
+    parents' spins (at depth 1 a virtual + parent per root).
     """
 
     sizes: list[int]
@@ -365,17 +454,23 @@ class _ChunkLevels:
     parents: list[np.ndarray | None]
     surveys: list[np.ndarray | None]
     d_children: int | None
-    leaf_counts: np.ndarray | None
-    leaf_spin_sums: np.ndarray | None
+    law: _DeepestCodes
+    codes: np.ndarray
+    parent_spins: np.ndarray
 
     def n_open(self, j: int) -> int:
         rows = self.open_rows[j]
         return self.sizes[j] if rows is None else rows.size
 
     def n_leaves(self) -> float:
-        if self.leaf_counts is not None:
-            return float(self.leaf_counts.sum())
-        return float(self.d_children * self.n_open(-1))
+        return float(self.law.leaves[self.codes].sum())
+
+    def deepest(self, table: np.ndarray) -> np.ndarray:
+        """Per-node values of a (parent spin, code) table at the deepest level."""
+        ps, par = self.parent_spins, self.parents[-1]
+        if len(self.sizes) > 1:
+            ps = np.repeat(ps, self.d_children) if par is None else ps[par]
+        return table[(ps > 0).astype(np.intp), self.codes]
 
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
@@ -383,11 +478,12 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
                          need_leaf_counts: bool, include_root_survey: bool,
                          prune: bool) -> _ChunkLevels:
     """Draw a chunk top-down: spins and surveys of a level, then its open
-    nodes' children.  With prune, revealed nodes stay closed (the root
-    only when its survey counts); without, every node is open.  A level
-    without reveals draws exactly what an unpruned level draws.  Poisson
-    counts and leaf spin sums come from count tables; regular leaf sums
-    keep the scalar binomial, which is faster than a table lookup.
+    nodes' children, down to one code per deepest-level node.  With prune,
+    revealed nodes stay closed (the root only when its survey counts);
+    without, every node is open.  A level without reveals draws exactly
+    what an unpruned level draws.  The codes carry leaf net spin sums or
+    leaf counts only when asked for.  At depth 1 the deepest level is the
+    root: a flip 1/2 from a virtual + parent, surveyed if its survey counts.
     """
     sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
     flip = model.flip
@@ -401,15 +497,10 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     open_rows: list[np.ndarray | None] = []
     parents: list[np.ndarray | None] = []
     surveys: list[np.ndarray | None] = []
-    sp, par = _rademacher(rng, n_trees), None
-    for j in range(depth):
+    sp, par = _rademacher(rng, n_trees) if depth > 1 else np.ones(n_trees, np.int8), None
+    for j in range(depth - 1):
         if j > 0:
-            if regular:
-                sp = np.repeat(sp, d_int)
-            else:
-                counts = counts_table.draw(rng, sp.size)
-                par = np.repeat(np.arange(sp.size), counts)
-                sp = sp[par]
+            sp = np.repeat(sp, d_int) if regular else sp[par]
             sp = _flipped(sp, rng.random(sp.size) < flip)
         w, revealed = sampler.draw(rng, sp) if sampler is not None else (None, None)
         rows = None
@@ -422,20 +513,17 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
         surveys.append(w)
         if rows is not None:
             sp = sp[rows]          # from here on, the spins of open nodes only
+        if not regular:
+            par = np.repeat(np.arange(sp.size), counts_table.draw(rng, sp.size))
 
-    leaf_counts = leaf_spin_sums = None
-    if depth >= 1:
-        n_parents = sp.size
-        if not regular and need_leaf_counts:
-            leaf_counts = counts_table.draw(rng, n_parents)
-        if need_leaf_spin_sums and regular:
-            flipped = rng.binomial(d_int, flip, size=n_parents)
-            leaf_spin_sums = sp * (d_int - 2.0 * flipped)
-        elif need_leaf_spin_sums:
-            leaf_spin_sums = _CountTable.skellam(model.d, flip).draw(rng, n_parents)
-            leaf_spin_sums *= sp
-    return _ChunkLevels(sizes, open_rows, parents, surveys,
-                        d_int, leaf_counts, leaf_spin_sums)
+    sizes.append(n_trees if depth == 1 else sp.size * d_int if regular else par.size)
+    parents.append(par)
+    root = depth == 1
+    law = _DeepestCodes.of(
+        model, None if sampler is None or (root and not include_root_survey) else survey,
+        root, "net" if need_leaf_spin_sums else "count" if need_leaf_counts else None, prune)
+    return _ChunkLevels(sizes, open_rows, parents, surveys, d_int, law,
+                        law(rng.random(sizes[-1])), sp)
 
 
 def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.ndarray:
@@ -446,19 +534,32 @@ def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.nda
     return _child_sums(par, msg, levels.n_open(j))
 
 
-def _upward_levels(base: np.ndarray, levels: _ChunkLevels, theta: float,
-                   include_root_survey: bool):
-    """Upward pass from the depth-(k-1) leaf-block sums to the root.
+def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float,
+                   include_root_survey: bool, deepest: bool = False):
+    """Upward pass from the coded deepest level to the root.
 
-    Yields the saturated LLRs of each level, depth k-1 first, root last.
-    Child sums land on the open rows; a closed node keeps its survey
-    value spin * LLR_MAX.  Works in place, starting on ``base``, on levels
-    without closed nodes.
+    Yields the saturated LLRs of each level, root last, from depth k-2 on,
+    or from the deepest level k-1 with ``deepest`` (always at depth 1, where
+    the root is that level).  The deepest messages are code table entries
+    summed per parent.  Perfect and none tables are odd in the parent spin,
+    so their + row is summed and multiplied by the parent's spin, which
+    spares a spin gather per node.  Child sums land on the open rows; a
+    closed node keeps its survey value spin * LLR_MAX.  Works in place on
+    levels without closed nodes.
     """
+    llr, msg = levels.law.tables(boundary)
     k = len(levels.sizes)
-    r = base
-    for j in range(k - 1, -1, -1):
-        if j < k - 1:
+    if deepest or k == 1:
+        yield levels.deepest(llr)
+    if k == 1:
+        return
+    if boundary.kind in ("perfect", "none"):
+        r = _aggregate_children(msg[1][levels.codes], levels, k - 2)
+        r *= levels.parent_spins
+    else:
+        r = _aggregate_children(levels.deepest(msg), levels, k - 2)
+    for j in range(k - 2, -1, -1):
+        if j < k - 2:
             r = _aggregate_children(edge_llr_map(r, theta), levels, j)
         survey = levels.surveys[j] if j > 0 or include_root_survey else None
         rows = levels.open_rows[j]
@@ -469,23 +570,6 @@ def _upward_levels(base: np.ndarray, levels: _ChunkLevels, theta: float,
             r += survey
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
         yield r
-
-
-def _boundary_base(boundary: BoundaryCondition, levels: _ChunkLevels,
-                   theta: float) -> np.ndarray:
-    """Leaf-block LLR sums of the open depth-(k-1) nodes."""
-    n = levels.n_open(-1)
-    if boundary.kind == "perfect":
-        sat = edge_llr_map(math.inf, theta)
-        return sat * levels.leaf_spin_sums
-    if boundary.kind == "none":
-        return np.zeros(n)
-    per_leaf = edge_llr_map(boundary.value, theta)
-    if boundary.kind == "minus":
-        per_leaf = -per_leaf
-    if levels.leaf_counts is None:
-        return np.full(n, per_leaf * levels.d_children)
-    return per_leaf * levels.leaf_counts.astype(np.float64)
 
 
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
@@ -509,8 +593,7 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
                                   include_root_survey, prune=True)
     out = np.empty((len(boundaries), count))
     for i, boundary in enumerate(boundaries):
-        base = _boundary_base(boundary, levels, model.theta)
-        r = deque(_upward_levels(base, levels, model.theta, include_root_survey), maxlen=1)[0]
+        r = deque(_upward_levels(boundary, levels, model.theta, include_root_survey), maxlen=1)[0]
         out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
     return out
 
@@ -782,9 +865,9 @@ def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
                                   need_leaf_spin_sums=False, need_leaf_counts=True,
                                   include_root_survey=include_root_survey, prune=False)
     n_leaves = levels.n_leaves()
-    plus = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
-    up_plus, up_minus = (_upward_levels(base, levels, model.theta, include_root_survey)
-                         for base in (plus, -plus))
+    up_plus, up_minus = (_upward_levels(b, levels, model.theta, include_root_survey, True)
+                         for b in (BoundaryCondition.plus(magnitude),
+                                   BoundaryCondition.minus(magnitude)))
     stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
     stats[depth] = (n_leaves, 2.0 * magnitude, 0.0)
     for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
@@ -808,11 +891,10 @@ def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
     levels = _sample_chunk_levels(rng, model, survey, depth, count,
                                   need_leaf_spin_sums=False, need_leaf_counts=True,
                                   include_root_survey=include_root_survey, prune=False)
-    base = _boundary_base(BoundaryCondition.plus(magnitude), levels, model.theta)
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude
-    mins[depth - 1::-1] = [r.min() for r in
-                           _upward_levels(base, levels, model.theta, include_root_survey)]
+    mins[depth - 1::-1] = [r.min() for r in _upward_levels(
+        BoundaryCondition.plus(magnitude), levels, model.theta, include_root_survey, True)]
     return mins
 
 

@@ -2,17 +2,36 @@
 
 Each shares no code path with the enumeration it checks: a pure-Python
 linear-domain enumeration of every labeling, and the zero-erasure
-single-vertex entropy read off per-pair posterior odds.
+single-vertex entropy read off per-pair posterior odds.  Also two trend
+reports, exact finite-n entropies next to the tree integral and next to
+the two tree-window entropies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from treebp.sbm import SBMInstance, SurveyRealization, _logsumexp, label_loglik
+from treebp._parallel import parallel_chunk_map
+from treebp.bms import SurveySpec
+from treebp.density_evolution import DEConfig, run_pair
+from treebp.sbm import (
+    MAX_SUBSET_N,
+    SBMInstance,
+    SurveyRealization,
+    TreeIntegralReport,
+    _leave_one_out_entropy,
+    _logsumexp,
+    _sample_sbm_rng,
+    exact_conditional_entropy,
+    label_loglik,
+    sbm_entropy_via_trees,
+    sbm_tree_model,
+    subset_entropy_table,
+)
 
 
 def reference_conditional_entropy(inst: SBMInstance,
@@ -73,3 +92,88 @@ def single_vertex_entropy_all_revealed(inst: SBMInstance) -> float:
         if 0.0 < q < 1.0:
             acc += w * (-(q * math.log(q) + (1 - q) * math.log(1 - q)))
     return acc
+
+
+@dataclass
+class OracleTrendReport:
+    """Exact finite-n per-vertex entropies next to the tree integral."""
+
+    a: float
+    b: float
+    n_values: list[int]
+    exact_means: list[float]
+    exact_stderrs: list[float]
+    integral: float
+    gaps: list[float]
+    gap_monotone: bool
+    integral_report: TreeIntegralReport
+
+    def as_dict(self) -> dict:
+        return {
+            "a": self.a, "b": self.b, "n_values": self.n_values,
+            "exact_means": self.exact_means, "exact_stderrs": self.exact_stderrs,
+            "integral": self.integral, "gaps": self.gaps,
+            "gap_monotone": self.gap_monotone,
+            "integral_report": self.integral_report.as_dict(),
+        }
+
+
+def oracle_vs_integral(n_list, a: float, b: float, eps_grid=33,
+                       n_graph_samples: int = 400, seed: int = 0,
+                       workers: int | None = None) -> OracleTrendReport:
+    """Trend table: exact H(X|G)/n per n against the tree integral.
+
+    No tolerance is asserted; desk-scale n cannot reach the limit.  The
+    gap sequence makes the finite-size drift visible.
+    """
+    n_list = [int(n) for n in n_list]
+    report = sbm_entropy_via_trees(a, b, eps_grid)
+    means, stderrs, gaps = [], [], []
+    for n in n_list:
+        res = exact_conditional_entropy(n, a, b, None, n_graph_samples,
+                                        seed=seed + n, workers=workers)
+        means.append(res.estimate)
+        stderrs.append(res.stderr)
+        gaps.append(res.estimate - report.integral)
+    mono = all(abs(gaps[i + 1]) <= abs(gaps[i]) + 1e-12 for i in range(len(gaps) - 1))
+    return OracleTrendReport(a=a, b=b, n_values=n_list, exact_means=means,
+                             exact_stderrs=stderrs, integral=report.integral,
+                             gaps=gaps, gap_monotone=mono, integral_report=report)
+
+
+def sandwich_report(n: int, a: float, b: float, epsilon: float, depth: int,
+                    n_graph_samples: int = 100, seed: int = 0) -> dict:
+    """Exact leave-one-out entropy against the two tree-window entropies.
+
+    The tree quantities (leaves observed / unobserved, root survey
+    excluded) should bracket the graph quantity up to finite-n error; this
+    is a trend report, not an assertion.
+    """
+    if n > MAX_SUBSET_N:
+        raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
+
+    def chunk(rng, count):
+        vals = np.empty(count)
+        for t in range(count):
+            inst = _sample_sbm_rng(n, a, b, rng)
+            table = subset_entropy_table(inst)
+            vals[t] = _leave_one_out_entropy(table, n, 0, epsilon)
+        return vals
+
+    vals = np.concatenate(parallel_chunk_map(chunk, n_graph_samples, 64, seed, workers=1))
+    exact_mean = float(vals.mean())
+    exact_stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+    model = sbm_tree_model(a, b)
+    cfg = DEConfig(max_depth=depth, include_root_survey=False)
+    rep = run_pair(model, SurveySpec.bec(epsilon), cfg)
+    rec = rep.records[min(depth, len(rep.records) - 1)]
+    lower = math.log(2.0) - rec.leaves.capacity
+    upper = math.log(2.0) - rec.noleaves.capacity
+    return {
+        "n": n, "a": a, "b": b, "epsilon": epsilon, "depth": depth,
+        "exact_leave_one_out": exact_mean, "exact_stderr": exact_stderr,
+        "tree_lower": lower, "tree_upper": upper,
+        "within": bool(lower - 3 * exact_stderr <= exact_mean
+                       <= upper + 3 * exact_stderr),
+    }

@@ -29,7 +29,6 @@ from treebp.monte_carlo import (
 )
 from treebp.sbm import (
     exact_entropy_for_instance,
-    oracle_vs_integral,
     sample_sbm,
     sample_survey,
     sbm_entropy_via_trees,
@@ -44,7 +43,7 @@ from treebp.thresholds import (
     survey_strength_bounds,
 )
 
-from _sbm_oracle import reference_conditional_entropy
+from _sbm_oracle import oracle_vs_integral, reference_conditional_entropy
 
 
 def criterion(num, label, budget_s):

@@ -13,7 +13,6 @@ from treebp.density_evolution import (
     TreeModel,
     _stack_step,
     bp_fixed_point,
-    de_step,
     run_pair,
     uniqueness_probe,
 )
@@ -26,6 +25,8 @@ from treebp.llr_dist import (
 )
 from treebp.sbm import sbm_tree_model
 from treebp.thresholds import contraction_coeff_regular
+
+from _de_step import de_step
 
 GRID = GridConfig()
 

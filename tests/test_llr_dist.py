@@ -19,7 +19,7 @@ from treebp.bms import (
     delta_of,
     prob_error,
 )
-from treebp.density_evolution import TreeModel, de_step
+from treebp.density_evolution import TreeModel
 from treebp.llr_dist import (
     _EDGE_BLOCK,
     GridConfig,
@@ -44,6 +44,8 @@ from treebp.llr_dist import (
     symmetry_defect,
     to_delta,
 )
+
+from _de_step import de_step
 
 GRID = GridConfig()
 LOG2 = math.log(2.0)

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from treebp.bms import DeltaDistribution, SurveySpec, binary_entropy
+from treebp.bms import DeltaDistribution, SurveySpec, binary_entropy, delta_of
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import (
@@ -16,6 +16,7 @@ from treebp.monte_carlo import (
     BoundaryCondition,
     _chunk_trees,
     _CountTable,
+    _DeepestCodes,
     _nodes_per_tree,
     _reveal_weight,
     _sample_chunk_levels,
@@ -274,63 +275,252 @@ def test_survey_atom_lookup_equals_binary_search(atoms):
 _THREE_ATOMS = SurveySpec.from_delta(DeltaDistribution([(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)]))
 
 
-# Exact outputs of small runs, recorded before the guide-table sampler landed
-# and unchanged by it; any sampler edit that moves one bit fails here.
+# Deepest-level code laws: (model, survey or None, root, leaf statistic, prune).
+_CODE_LAWS = {
+    "regular_bsc_net": (TreeModel.regular(2, 0.7), SurveySpec.bsc(0.2), False, "net", True),
+    "regular_bec_net": (TreeModel.regular(3, 0.7), SurveySpec.bec(0.5), False, "net", True),
+    "regular_bec_wsm": (TreeModel.regular(3, 0.7), SurveySpec.bec(0.5), False, "count", False),
+    "poisson_bsc_net": (TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), False, "net", True),
+    "poisson_bec_count": (TreeModel.poisson(3.0, 0.6), SurveySpec.bec(0.4), False, "count", True),
+    "poisson_bec_wsm": (TreeModel.poisson(3.0, 0.6), SurveySpec.bec(0.4), False, "count", False),
+    "poisson_atoms_none": (TreeModel.poisson(3.0, 0.7), _THREE_ATOMS, False, None, True),
+    "regular_trivial_net": (TreeModel.regular(3, 0.6), None, False, "net", True),
+    "root_bec_net": (TreeModel.poisson(4.0, 0.7), SurveySpec.bec(0.5), True, "net", True),
+    "root_unsurveyed_count": (TreeModel.poisson(4.0, 0.7), None, True, "count", True),
+}
+_TABLE_BOUNDARIES = [BoundaryCondition.perfect(), BoundaryCondition.none(),
+                     BoundaryCondition.plus(), BoundaryCondition.plus(4.5),
+                     BoundaryCondition.minus(), BoundaryCondition.minus(2.0)]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@pytest.mark.parametrize("key", list(_CODE_LAWS))
+def test_code_tables_match_the_per_node_formula(key):
+    # each entry, recomputed node by node in scalar floats from the code's
+    # draws, equals the table bit for bit (signed zeros included)
+    model, survey, root, stat, prune = _CODE_LAWS[key]
+    law = _DeepestCodes.of(model, survey, root, stat, prune)
+    mags = None if survey is None else _SurveySampler(survey).mags
+    sat = edge_llr_map(math.inf, model.theta)
+    for boundary in _TABLE_BOUNDARIES:
+        if boundary.kind in ("plus", "minus") and law.leaves is None:
+            continue
+        if boundary.kind == "perfect" and stat != "net":
+            continue
+        llr, msg = law.tables(boundary)
+        assert llr.shape == msg.shape == (2, law.cdf.size)
+        for row, parent in enumerate((-1, 1)):
+            for c in range(law.cdf.size):
+                spin = parent * int(law.spin[c])
+                w = 0.0 if mags is None else float(spin * int(law.sign[c])) * mags[law.atom[c]]
+                if boundary.kind == "perfect":
+                    base = sat * float(spin * int(law.stat[c]))
+                elif boundary.kind == "none":
+                    base = 0.0
+                else:
+                    leaves = float(model.d) if model.kind == "regular" else float(law.stat[c])
+                    sign = 1.0 if boundary.kind == "plus" else -1.0
+                    base = sign * edge_llr_map(boundary.value, model.theta) * leaves
+                if law.closed[c]:
+                    r = w
+                else:
+                    r = base if mags is None else base + w
+                r = min(max(r, -LLR_MAX), LLR_MAX)
+                assert _bits(llr[row, c]) == _bits(r)
+                assert _bits(msg[row, c]) == _bits(edge_llr_map(r, model.theta))
+    if prune and survey is not None and delta_of(survey).deltas[-1] == 0.0:
+        assert law.closed.any() and np.all(law.stat[law.closed] == 0)
+        assert np.all(np.abs(law.tables(BoundaryCondition.none())[0][:, law.closed]) == LLR_MAX)
+    else:
+        assert not law.closed.any()
+
+
+@pytest.mark.parametrize("key", list(_CODE_LAWS))
+def test_perfect_and_none_code_tables_are_odd_in_the_parent_spin(key):
+    law = _DeepestCodes.of(*_CODE_LAWS[key])
+    boundaries = [BoundaryCondition.none()]
+    if _CODE_LAWS[key][3] == "net":
+        boundaries.append(BoundaryCondition.perfect())
+    for boundary in boundaries:
+        for table in law.tables(boundary):
+            assert np.array_equal(table[0], -table[1])
+
+
+def _binomial_net_probs(d: int, flip: float) -> dict:
+    return {d - 2 * k: comb(d, k) * flip ** k * (1.0 - flip) ** (d - k) for k in range(d + 1)}
+
+
+@pytest.mark.parametrize("key", list(_CODE_LAWS))
+def test_code_law_marginals_match_their_pmfs(key):
+    model, survey, root, stat, prune = _CODE_LAWS[key]
+    law = _DeepestCodes.of(model, survey, root, stat, prune)
+    cdf = law.cdf
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    probs = np.diff(cdf, prepend=0.0)
+    flip = 0.5 if root else model.flip
+    assert abs(probs[law.spin == -1].sum() - flip) <= 1e-15
+    assert abs(probs[law.spin == 1].sum() - (1.0 - flip)) <= 1e-15
+    # survey atom and sign
+    p_open = 1.0
+    if survey is not None:
+        dist = delta_of(survey)
+        for a, (delta, weight) in enumerate(zip(dist.deltas, dist.weights)):
+            flipped = probs[(law.atom == a) & (law.sign == -1)].sum()
+            kept = probs[(law.atom == a) & (law.sign == 1)].sum()
+            assert abs(flipped - weight * delta) <= 1e-15
+            assert abs(kept - weight * (1.0 - delta)) <= 1e-15
+            if delta == 0.0 and prune:
+                p_open -= weight
+    else:
+        assert np.all(law.atom == -1)
+    # leaf statistic, on the open codes
+    if stat == "net" and model.kind == "regular":
+        exact = _binomial_net_probs(int(model.d), model.flip)
+    elif stat == "net":
+        exact = _skellam_probs(model.d, model.flip, 60)
+    elif stat == "count" and model.kind == "poisson":
+        exact = dict(enumerate(_poisson_probs(model.d, 60)))
+    else:
+        exact = {0: 1.0}
+    open_probs = probs[~law.closed]
+    got = np.bincount(law.stat[~law.closed] - law.stat.min(), weights=open_probs)
+    for v, p in exact.items():
+        i = v - law.stat.min()
+        q = got[i] if 0 <= i < got.size else 0.0
+        assert abs(q - p_open * p) <= 1e-15, (v, q, p_open * p)
+
+
+def _enumerated_depth_two_entropy(d, theta, survey, boundary):
+    """Exact root entropy of a depth-2 regular tree, revealed nodes pruned
+    to spin * LLR_MAX, by enumerating the root spin (a constant boundary
+    breaks the symmetry) and every child's flip, survey outcome and leaf
+    flips."""
+    flip = 0.5 * (1.0 - theta)
+    sat = edge_llr_map(math.inf, theta)
+    if survey.kind == "bsc":
+        cost = math.log((1.0 - survey.param) / survey.param)
+        outcomes = [(cost, 1.0 - survey.param, False), (-cost, survey.param, False)]
+    else:
+        outcomes = [(0.0, survey.param, False), (LLR_MAX, 1.0 - survey.param, True)]
+    nets = _binomial_net_probs(d, flip) if boundary.kind == "perfect" else {0: 1.0}
+    h = 0.0
+    for root in (1, -1):
+        child = {}                 # law of one child's message
+        for spin, p_spin in ((root, 1.0 - flip), (-root, flip)):
+            for w, p_w, revealed in outcomes:
+                for net, p_net in ({0: 1.0} if revealed else nets).items():
+                    if revealed:
+                        r = spin * LLR_MAX
+                    else:
+                        if boundary.kind == "perfect":
+                            base = sat * spin * net
+                        elif boundary.kind == "none":
+                            base = 0.0
+                        else:
+                            base = edge_llr_map(boundary.value, theta) * d
+                        r = min(max(base + spin * w, -LLR_MAX), LLR_MAX)
+                    m = edge_llr_map(r, theta)
+                    child[m] = child.get(m, 0.0) + p_spin * p_w * p_net
+        for msgs in product(child.items(), repeat=d):
+            p_children = math.prod(p for _, p in msgs)
+            total = sum(m for m, _ in msgs)
+            for w, p_w, revealed in outcomes:
+                r = root * LLR_MAX if revealed else min(max(total + root * w, -LLR_MAX), LLR_MAX)
+                h += 0.5 * p_children * p_w * _root_entropy(r)
+    return h
+
+
+@pytest.mark.parametrize("boundary", [BoundaryCondition.perfect(), BoundaryCondition.none(),
+                                      BoundaryCondition.plus()], ids=["perfect", "none", "plus"])
+@pytest.mark.parametrize("d, theta, survey", [(2, 0.7, SurveySpec.bsc(0.2)),
+                                              (3, 0.7, SurveySpec.bec(0.5))],
+                         ids=["regular2_bsc", "regular3_bec"])
+def test_estimate_entropy_matches_depth_two_enumeration(d, theta, survey, boundary):
+    h_exact = _enumerated_depth_two_entropy(d, theta, survey, boundary)
+    est = estimate_entropy(TreeModel.regular(d, theta), survey, 2, boundary, 200000, seed=13)
+    assert est.stderr > 0.0
+    assert est.estimate == pytest.approx(h_exact, abs=4.0 * est.stderr)
+
+
+@pytest.mark.parametrize("model, survey, depth", [
+    (TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), 7),
+    (TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8),
+], ids=["poisson_bsc", "regular_bec"])
+def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
+    # the benchmark's same-trees check: --boundary perfect and the pair draw
+    # the same codes, so the perfect estimate is the pair's leaves estimate
+    n = 2 * _chunk_trees(model, depth, _reveal_weight(survey)) + 40      # three chunks
+    pairs = []
+    for workers in (1, 2):
+        single = estimate_entropy(model, survey, depth, BoundaryCondition.perfect(), n,
+                                  seed=9, workers=workers)
+        pair = estimate_entropy_pair(model, survey, depth, n, seed=9, workers=workers)
+        assert single.as_dict() == pair.leaves.as_dict()
+        pairs.append(pair.as_dict())
+    assert pairs[0] == pairs[1]
+
+
+# Exact outputs of small runs, re-recorded when the deepest level became one
+# coded draw per node (each new estimate within 3 combined stderr of the old);
+# any later sampler edit that moves one bit fails here.
 @pytest.mark.parametrize("run, expected", [
     (lambda: estimate_entropy_pair(TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), 5, 3000,
                                    seed=21),
-     {"leaves": {"estimate": 0.0980509619327449, "stderr": 0.0032160082571132025,
+     {"leaves": {"estimate": 0.09808951181978481, "stderr": 0.0032134815845614602,
                  "n_samples": 3000, "seed": 21},
-      "no_leaves": {"estimate": 0.10067168796857018, "stderr": 0.003245698559511909,
+      "no_leaves": {"estimate": 0.10151021240537803, "stderr": 0.003266739623454256,
                     "n_samples": 3000, "seed": 21},
-      "diff": {"estimate": 0.0026207260358252684, "stderr": 0.0007049726454896927,
+      "diff": {"estimate": 0.0034207005855932133, "stderr": 0.0007538128130039485,
                "n_samples": 3000, "seed": 21}}),
     (lambda: estimate_entropy_pair(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 6, 5000,
                                    seed=22),
-     {"leaves": {"estimate": 0.030503270200010837, "stderr": 0.0015678910891046812,
+     {"leaves": {"estimate": 0.030536328226846036, "stderr": 0.0015684236120755526,
                  "n_samples": 5000, "seed": 22},
-      "no_leaves": {"estimate": 0.03053496077361611, "stderr": 0.0015692227621248401,
+      "no_leaves": {"estimate": 0.03055185546696798, "stderr": 0.001569431782028858,
                     "n_samples": 5000, "seed": 22},
-      "diff": {"estimate": 3.1690573605272875e-05, "stderr": 6.136738978079017e-05,
+      "diff": {"estimate": 1.552724012194565e-05, "stderr": 5.11146567741521e-05,
                "n_samples": 5000, "seed": 22}}),
     (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.4), 5, 3000,
                                    seed=23, include_root_survey=False),
-     {"leaves": {"estimate": 0.2800436462349445, "stderr": 0.004481804488883224,
+     {"leaves": {"estimate": 0.27974702966490905, "stderr": 0.004483141763994805,
                  "n_samples": 3000, "seed": 23},
-      "no_leaves": {"estimate": 0.2804229607541685, "stderr": 0.004488981370035183,
+      "no_leaves": {"estimate": 0.2801711887689143, "stderr": 0.00448219715968495,
                     "n_samples": 3000, "seed": 23},
-      "diff": {"estimate": 0.0003793145192239798, "stderr": 0.00026417998766029287,
+      "diff": {"estimate": 0.00042415910400529056, "stderr": 0.00024385366022544646,
                "n_samples": 3000, "seed": 23}}),
     (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), _THREE_ATOMS, 4, 2000, seed=27),
-     {"leaves": {"estimate": 0.1862209433367867, "stderr": 0.005049502827675201,
+     {"leaves": {"estimate": 0.18609865435488468, "stderr": 0.0050697861647147294,
                  "n_samples": 2000, "seed": 27},
-      "no_leaves": {"estimate": 0.19288193715155408, "stderr": 0.005095086802067143,
+      "no_leaves": {"estimate": 0.19186546541882654, "stderr": 0.00512919803876394,
                     "n_samples": 2000, "seed": 27},
-      "diff": {"estimate": 0.006660993814767364, "stderr": 0.0011047779538622333,
+      "diff": {"estimate": 0.005766811063941881, "stderr": 0.0010183398803799769,
                "n_samples": 2000, "seed": 27}}),
     (lambda: estimate_entropy(TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.3), 4,
                               BoundaryCondition.plus(), 2000, seed=24),
-     {"estimate": 0.26648133191756124, "stderr": 0.005094552241986376,
+     {"estimate": 0.2657868285732227, "stderr": 0.005101061048232754,
       "n_samples": 2000, "seed": 24}),
     (lambda: degradation_check(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.5), 4, 3000, 5,
                                seed=25),
-     {"bins": [{"delta_tilde_center": 0.0003254127975712923,
-                "mean_delta": 0.00031543189324588646, "stderr": 2.544579000806121e-05,
-                "n": 1798, "flagged": False},
-               {"delta_tilde_center": 0.04024989678103343, "mean_delta": 0.039223342611121606,
-                "stderr": 0.0015438399499805107, "n": 596, "flagged": False},
-               {"delta_tilde_center": 0.2933593082714967, "mean_delta": 0.2887455153692038,
-                "stderr": 0.005927850518049182, "n": 606, "flagged": False}],
+     {"bins": [{"delta_tilde_center": 0.00033626314233583155,
+                "mean_delta": 0.0003276467851622398, "stderr": 2.7037612890282083e-05,
+                "n": 1800, "flagged": False},
+               {"delta_tilde_center": 0.039986818612778634, "mean_delta": 0.04015558878437702,
+                "stderr": 0.001554301281913149, "n": 592, "flagged": False},
+               {"delta_tilde_center": 0.29167241867868177, "mean_delta": 0.28874003833466516,
+                "stderr": 0.005977654585172816, "n": 608, "flagged": False}],
       "n_flagged": 0, "n_skipped": 0, "n_samples": 3000, "seed": 25, "ok": True}),
     (lambda: wsm_probe(TreeModel.poisson(2.0, 0.4), SurveySpec.bsc(0.2), 5, 2000, seed=26),
      {"regime": "contraction", "dtheta": 0.8, "depth": 5, "n_samples": 2000, "seed": 26,
       "boundary_magnitude": 30.0,
-      "level_gaps": [0.18108619745393856, 0.37547809908832924, 0.7951944486823929,
-                     1.6052339527725223, 3.387754215712986, 60.0],
-      "level_gap_stderrs": [0.004261721980487577, 0.0058964182503398865,
-                            0.008197672342124226, 0.010507257825476974,
-                            0.013399838594952267, 0.0],
-      "measured_rate": 0.4953760461576032, "rate_bound": 0.8, "x_found": None,
+      "level_gaps": [0.18014295852087345, 0.37430401030699584, 0.7963082181099536,
+                     1.6090544679605603, 3.394408039023706, 60.0],
+      "level_gap_stderrs": [0.004212289667615781, 0.00584107453699641,
+                            0.008159010122998913, 0.010458694753706985,
+                            0.013374727097427597, 0.0],
+      "measured_rate": 0.49489202134919397, "rate_bound": 0.8, "x_found": None,
       "margin": None, "min_llr_by_level": None, "min_llr": None, "persists": None,
       "status": "ok"}),
 ], ids=["pair_poisson_bsc", "pair_regular_bec", "pair_poisson_bec_noroot",
@@ -410,11 +600,15 @@ def test_chunk_plan_budgets_the_nodes_drawn():
     # an excluded root survey never reveals the root: 1 + 4 * 2048 nodes
     assert _chunk_trees(model, 8, 0.0, include_root_survey=False) == 45
     assert _chunk_trees(model, 11, 0.5, include_root_survey=False) == 4_000_000 // 8193
-    # the budget tracks the nodes a chunk actually draws, leaves included
+    # the budget tracks the nodes a chunk actually draws: its levels down to
+    # the deepest codes, plus the leaves those codes stand for
     for tree in (model, TreeModel.poisson(4.0, 0.8)):
         for root in (True, False):
             levels = _sample_chunk_levels(np.random.default_rng(0), tree, SurveySpec.bec(0.5),
                                           6, 4000, False, True, root, prune=True)
+            assert levels.codes.size == levels.sizes[-1]
+            drawn = sum(levels.sizes) / 4000
+            assert drawn == pytest.approx(_nodes_per_tree(tree, 5, 0.5, root), rel=0.05)
             drawn = (sum(levels.sizes) + levels.n_leaves()) / 4000
             assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
 

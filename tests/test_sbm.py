@@ -19,10 +19,8 @@ from treebp.sbm import (
     exact_conditional_entropy,
     exact_entropy_for_instance,
     label_loglik,
-    oracle_vs_integral,
     sample_sbm,
     sample_survey,
-    sandwich_report,
     sbm_entropy_via_trees,
     sbm_snr,
     sbm_tree_model,
@@ -32,7 +30,12 @@ from treebp.sbm import (
 from treebp.sbm import _leave_one_out_entropy
 from treebp.thresholds import survey_strength_bounds
 
-from _sbm_oracle import reference_conditional_entropy, single_vertex_entropy_all_revealed
+from _sbm_oracle import (
+    oracle_vs_integral,
+    reference_conditional_entropy,
+    sandwich_report,
+    single_vertex_entropy_all_revealed,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
