@@ -212,8 +212,9 @@ class EvolutionReport:
     """Paired evolution trace plus convergence verdicts.
 
     verdict is one of: "bi_holds" (gap closed and both sequences settled),
-    "distinct_limits" (both sequences settled but the gap stayed open),
-    "undecided" (depth budget exhausted first).
+    "distinct_limits" (both sequences settled and the gap stopped
+    contracting: its last four finite ratios are all >= 1 - tol),
+    "undecided" (depth budget exhausted first, or the gap still closing).
     """
 
     model: TreeModel
@@ -314,9 +315,11 @@ def run_pair(model: TreeModel, survey: SurveySpec, cfg: DEConfig | None = None) 
             converged = True
             break
 
+    # A settled pair whose gap still contracts geometrically is not yet distinct.
+    tail = [r.gap_ratio for r in records if math.isfinite(r.gap_ratio)][-4:]
     if converged:
         verdict = "bi_holds"
-    elif seq_done:
+    elif seq_done and all(ratio >= 1.0 - cfg.convergence_tol for ratio in tail):
         verdict = "distinct_limits"
     else:
         verdict = "undecided"

@@ -271,11 +271,6 @@ class SymmetricLLRDistribution:
             return math.inf
         return float(np.dot(self.masses, _terms(self.grid)[1]))
 
-    def prob_negative(self) -> float:
-        """Mass strictly below 0 plus half the mass at 0 (MAP error split)."""
-        c = self.grid.center_index
-        return float(self.masses[:c].sum()) + 0.5 * float(self.masses[c]) + self.neg_inf_mass
-
     def with_infinities_clamped(self) -> "SymmetricLLRDistribution":
         """Fold the +-inf atoms onto the outermost grid bins."""
         if self.is_finite and self.pos_inf_mass == 0.0 and self.neg_inf_mass == 0.0:

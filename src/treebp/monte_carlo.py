@@ -11,12 +11,14 @@ Estimators are chunked: each chunk of samples draws from an RNG stream
 derived from the master seed and the chunk index, and chunk results are
 reduced in order, so outputs are bit-identical for any worker count.
 
-The batched sampler never materializes leaves.  It draws each deepest
-(depth k-1) node as one code from the product law of its edge flip,
-survey atom and sign, and leaf-block statistic, and reads the node's LLR
-and message off exact per-law tables.  Offspring counts and survey atoms
-take one uniform each, read off a guide table.  Spins are +-1 int8 and
-flip by a product with +-1, so every product with a spin is exact.  The
+The batched sampler never materializes leaves.  It draws every node as
+one code from the product law of its edge flip, survey atom and sign, and
+one statistic of its children: the child count on Poisson levels above the
+deepest, the boundary's leaf statistic at the deepest level k-1.  A code
+takes one uniform, read off a guide table.  A node's spin is its parent's
+times its code's +-1 int8 spin, so every product with a spin is exact, and
+its survey LLR is that spin times the code's signed magnitude.  The
+deepest level's LLRs and messages are read off exact per-law tables.  The
 sampler also stops expanding below survey-revealed nodes.  A node whose
 survey draw falls on the noiseless atom (delta = 0) knows its spin, so by
 the Markov property of the broadcast its subtree tells its ancestors
@@ -192,103 +194,34 @@ def _reveal_weight(survey: SurveySpec) -> float:
     return float(dist.weights[-1]) if dist.deltas[-1] == 0.0 else 0.0
 
 
-def _rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n fair spins, +-1 as int8."""
-    return 2 * rng.integers(0, 2, n, dtype=np.int8) - 1
-
-
-def _flipped(spins: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The +-1 spins negated where mask holds: a product with +-1 int8,
-    exact, and far cheaper than a masked np.negative."""
-    return spins * (1 - 2 * mask.view(np.int8))
-
-
 class _InverseCDF:
-    """first + searchsorted(cdf, u, side="right") for uniforms u in [0, 1),
-    through a guide table (Chen & Asau 1974; Devroye, Non-Uniform Random
-    Variate Generation, III.2.4).
+    """searchsorted(cdf, u, side="right") for uniforms u in [0, 1), through
+    a guide table (Chen & Asau 1974; Devroye, Non-Uniform Random Variate
+    Generation, III.2.4).
 
-    The guide splits [0, 1) into G = _GUIDE_SIZE equal bins and holds the
-    search result at both ends of each bin: at k/G and at the largest
-    double below (k+1)/G.  The search is monotone in u, so where the two
-    agree every u in the bin has that result; only uniforms in the few
-    bins that a CDF entry splits are searched.  G is a power of two, so
-    u * G is exact, each u lands in its own bin, and the result equals the
-    binary search bit for bit.  cdf must end at 1.0.
+    The guide splits [0, 1) into G = _GUIDE_SIZE equal bins.  The search is
+    monotone in u, so where its results at both ends of a bin (at k/G and
+    at the largest double below (k+1)/G) agree, every u in the bin has that
+    result and the guide holds it; only uniforms in the few bins that a CDF
+    entry splits, marked -1, are searched.  G is a power of two, so u * G is
+    exact, each u lands in its own bin, and the result equals the binary
+    search bit for bit.  cdf must end at 1.0.
     """
 
-    def __init__(self, cdf: np.ndarray, first: int = 0):
-        self.cdf, self.first = cdf, first
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
         lo = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
         at_lo = np.searchsorted(cdf, lo, side="right")
         at_hi = np.searchsorted(cdf, np.nextafter(lo + 1.0 / _GUIDE_SIZE, 0.0), side="right")
-        self.guide = at_lo + first
-        self.split = at_lo != at_hi
+        self.guide = np.where(at_lo == at_hi, at_lo, -1)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         k = np.empty(u.size, dtype=np.intp)
         np.multiply(u, _GUIDE_SIZE, out=k, casting="unsafe")    # exact, then truncated
-        out = self.guide[k]
-        pos = np.flatnonzero(self.split[k])
-        out[pos] = np.searchsorted(self.cdf, u[pos], side="right") + self.first
+        out = self.guide.take(k)
+        pos = np.flatnonzero(out < 0)
+        out[pos] = np.searchsorted(self.cdf, u[pos], side="right")
         return out
-
-
-class _SurveySampler:
-    """Draws survey LLRs W = spin * mag * (+-1), one uniform per node.
-
-    The magnitude and the flip come from the same uniform: the component is
-    read off the weight partition, the flip from the component's leading
-    delta-fraction of its segment.  Magnitudes clip at LLR_MAX.
-
-    A draw on the noiseless atom (delta exactly 0) reveals the node's spin.
-    Atoms are sorted by descending delta, so that atom is the last segment
-    of the partition, u >= reveal_cut.  A finite magnitude that clips at
-    LLR_MAX (bsc:1e-15) is not a reveal.
-    """
-
-    def __init__(self, survey: SurveySpec):
-        dist = delta_of(survey)
-        self.deltas = np.asarray(dist.deltas, dtype=float)
-        self.weights = w = np.asarray(dist.weights, dtype=float)
-        with np.errstate(divide="ignore"):
-            mags = np.log1p(-self.deltas) - np.log(self.deltas)
-        self.mags = np.minimum(mags, LLR_MAX)
-        self.cum = np.cumsum(w)
-        self.cum[-1] = 1.0
-        low = self.cum - w
-        self.flip_cut = low + self.deltas * w
-        self.n_atoms = self.deltas.size
-        self.atom_of = _InverseCDF(self.cum)
-        self.reveal_cut = None
-        if self.deltas[-1] == 0.0:
-            self.reveal_cut = self.cum[-2] if self.n_atoms > 1 else 0.0
-        # Pure erasure: one zero-magnitude atom plus one noiseless atom.
-        self.erasure_like = (self.n_atoms == 2 and self.deltas[0] == 0.5
-                             and self.deltas[1] == 0.0)
-
-    def draw(self, rng: np.random.Generator,
-             spins: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Survey LLRs and the mask of revealed nodes (None without a noiseless atom).
-
-        The LLRs are written over the uniforms, which are spent by then.
-        """
-        u = rng.random(spins.size)
-        revealed = None if self.reveal_cut is None else u >= self.reveal_cut
-        if self.erasure_like:
-            w = np.multiply(revealed, self.mags[1], out=u)
-            w *= spins
-            return w, revealed
-        if self.n_atoms == 1:
-            mag, cut = self.mags[0], self.flip_cut[0]
-        elif self.n_atoms == 2:
-            upper = u >= self.cum[0]
-            mag = np.where(upper, self.mags[1], self.mags[0])
-            cut = np.where(upper, self.flip_cut[1], self.flip_cut[0])
-        else:
-            idx = self.atom_of(u)
-            mag, cut = self.mags[idx], self.flip_cut[idx]
-        return np.multiply(_flipped(spins, u < cut), mag, out=u), revealed
 
 
 def _poisson_pmf(lam: float) -> np.ndarray:
@@ -299,49 +232,23 @@ def _poisson_pmf(lam: float) -> np.ndarray:
     return np.exp(np.arange(n) * math.log(lam) - lam - log_fact)
 
 
-class _CountTable(_InverseCDF):
-    """Inverse-CDF table of an integer law: a draw is one uniform and one
-    guide-table lookup, the rule _SurveySampler uses for its atoms.
+def _trimmed_law(pmf: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and probabilities of the integer law with pmf over first, first+1, ...
 
     Only tail entries below _TABLE_FLOOR (2^-60) are dropped, which loses
     less than 1e-15 of mass.  The kept entries are renormalized, since the
-    log-space pmf sums to 1 only within about 1e-13 at a rate of 800, and
-    the last CDF entry is pinned to 1.0.  Each law's table is built once
-    per process and reused by every chunk.
+    log-space pmf sums to 1 only within about 1e-13 at a rate of 800.
     """
-
-    def __init__(self, pmf: np.ndarray, first: int):
-        keep = np.flatnonzero(pmf >= _TABLE_FLOOR)
-        lo, hi = int(keep[0]), int(keep[-1]) + 1
-        kept = pmf[lo:hi]
-        self.pmf = kept / kept.sum()
-        cdf = np.minimum(np.cumsum(self.pmf), 1.0)
-        cdf[-1] = 1.0
-        super().__init__(cdf, first + lo)
-
-    @classmethod
-    @lru_cache(maxsize=16)
-    def poisson(cls, lam: float) -> "_CountTable":
-        return cls(_poisson_pmf(lam), 0)
-
-    @classmethod
-    @lru_cache(maxsize=16)
-    def skellam(cls, lam: float, flip: float) -> "_CountTable":
-        """Net spin sum, unflipped minus flipped, of a Poisson(lam) block
-        whose members flip with probability flip.  By Poisson thinning the
-        two counts are independent Poisson(lam (1 - flip)) and
-        Poisson(lam flip), so the law is the convolution of their pmfs."""
-        minus = _poisson_pmf(lam * flip)
-        return cls(np.convolve(_poisson_pmf(lam * (1.0 - flip)), minus[::-1]), 1 - minus.size)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self(rng.random(n))
+    keep = np.flatnonzero(pmf >= _TABLE_FLOOR)
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    kept = pmf[lo:hi]
+    return first + lo + np.arange(hi - lo), kept / kept.sum()
 
 
 def _leaf_law(model: TreeModel, stat: str | None):
-    """Values and probabilities of a leaf block's statistic: its "net" spin
-    sum (binomial, or Skellam on Poisson trees), its leaf "count" (Poisson;
-    fixed on regular trees), or None (one value, 0)."""
+    """Values and probabilities of a block of children's statistic: its
+    "net" spin sum (binomial, or Skellam on Poisson trees), its "count"
+    (Poisson; fixed on regular trees), or None (one value, 0)."""
     flip = model.flip
     if stat == "net" and model.kind == "regular":
         d = int(model.d)
@@ -349,38 +256,50 @@ def _leaf_law(model: TreeModel, stat: str | None):
             [math.comb(d, i) * flip ** i * (1.0 - flip) ** (d - i) for i in range(d + 1)])
     if stat is None or model.kind == "regular":
         return np.zeros(1, dtype=np.int64), np.ones(1)
-    table = _CountTable.skellam(model.d, flip) if stat == "net" else _CountTable.poisson(model.d)
-    return table.first + np.arange(table.pmf.size), table.pmf
+    if stat == "count":
+        return _trimmed_law(_poisson_pmf(model.d), 0)
+    # Net spin sum, unflipped minus flipped.  By Poisson thinning the two counts
+    # are independent Poisson(d (1 - flip)) and Poisson(d flip): a Skellam law.
+    minus = _poisson_pmf(model.d * flip)
+    return _trimmed_law(np.convolve(_poisson_pmf(model.d * (1.0 - flip)), minus[::-1]),
+                        1 - minus.size)
 
 
-class _DeepestCodes(_InverseCDF):
-    """Product law of a deepest-level (depth k-1) node's discrete draws.
+class _NodeCodes(_InverseCDF):
+    """Product law of a node's discrete draws, drawn as one code per node.
 
-    The node's saturated LLR, and so the message it sends up, depends only
-    on its parent's spin and four draws: the edge flip, the survey atom, the
-    survey sign and the leaf block's statistic (_leaf_law).  A code is one
-    draw from the product law: one uniform through the guide table.  Under
-    pruning a revealed atom is a closed node, one code per flip with stat 0
-    and no leaves.  Per code: spin (the node's spin over its parent's),
-    atom and sign (atom -1 without a survey), stat and closed.
+    The draws are the edge flip (fair at a root, whose "parent" is a virtual
+    +), the survey atom and sign (none without a survey) and one statistic
+    of the node's children (_leaf_law): the child count on Poisson levels
+    above the deepest, or the boundary's leaf statistic at the deepest
+    level k-1.  A code is one uniform through the guide table.  Under
+    pruning a revealed atom is a closed code, one per flip, with stat 0 and
+    no children.  Per code: spin (the node's spin over its parent's, int8),
+    atom and sign (atom -1 without a survey), w (the survey LLR over the
+    node's spin, sign * magnitude clipped at LLR_MAX; None without a
+    survey), stat, closed, and children (d or 0 on regular trees, the count
+    stat on Poisson trees, None when the stat is not the count).
 
-    tables(boundary) holds the level's LLRs and edge messages, row 0 for
-    parent spin -1 and row 1 for +1.  Each entry is the per-node formula
-    with the same float ops, edge_llr_map(clip(base + w)), so the sampled
-    law is the per-node one.  Laws and tables are built once per process.
+    tables(boundary) holds a deepest level's LLRs and edge messages, row 0
+    for parent spin -1 and row 1 for +1.  Each entry is the per-node
+    formula with the same float ops, edge_llr_map(clip(base + w)), so the
+    sampled law is the per-node one.  Laws and tables are built once per
+    process.
     """
 
     def __init__(self, model: TreeModel, survey: SurveySpec | None, root: bool,
                  stat: str | None, prune: bool):
         self.theta, self._tables = model.theta, {}
-        self.sampler = None if survey is None else _SurveySampler(survey)
-        atom, sign, p_survey = np.array([-1]), np.array([1]), np.ones(1)
+        atom, sign, p_survey, mags = np.array([-1]), np.array([1]), np.ones(1), None
         revealed = np.zeros(1, dtype=bool)
-        if self.sampler is not None:
-            deltas, n = self.sampler.deltas, self.sampler.n_atoms
-            atom, sign = np.repeat(np.arange(n), 2), np.tile([1, -1], n)
-            p_survey = self.sampler.weights[atom] * np.where(sign > 0, 1.0 - deltas[atom],
-                                                             deltas[atom])
+        if survey is not None:
+            dist = delta_of(survey)
+            deltas = np.asarray(dist.deltas, dtype=float)
+            with np.errstate(divide="ignore"):
+                mags = np.minimum(np.log1p(-deltas) - np.log(deltas), LLR_MAX)
+            atom, sign = np.repeat(np.arange(deltas.size), 2), np.tile([1, -1], deltas.size)
+            p_survey = np.asarray(dist.weights, dtype=float)[atom] * np.where(
+                sign > 0, 1.0 - deltas[atom], deltas[atom])
             keep = p_survey > 0.0
             atom, sign, p_survey = atom[keep], sign[keep], p_survey[keep]
             revealed = prune & (deltas[atom] == 0.0)
@@ -390,21 +309,23 @@ class _DeepestCodes(_InverseCDF):
         keep = ~revealed[s] | (v == 0)
         f, s, v = f[keep], s[keep], v[keep]
         self.closed = revealed[s]
-        self.spin, self.atom, self.sign = np.array([1, -1])[f], atom[s], sign[s]
+        self.spin = np.array([1, -1], dtype=np.int8)[f]
+        self.atom, self.sign = atom[s], sign[s]
+        self.w = None if mags is None else self.sign * mags[self.atom]
         self.stat = np.where(self.closed, 0, values[v])
-        flip = 0.5 if root else model.flip            # a root's "parent" is a virtual +
+        flip = 0.5 if root else model.flip
         probs = (np.array([1.0 - flip, flip])[f] * p_survey[s]
                  * np.where(self.closed, 1.0, p_stat[v]))
         cdf = np.minimum(np.cumsum(probs), 1.0)
         cdf[-1] = 1.0
         super().__init__(cdf)
-        leaves = float(model.d) if model.kind == "regular" else self.stat
-        self.leaves = (np.where(self.closed, 0.0, leaves)
-                       if model.kind == "regular" or stat == "count" else None)
+        regular = model.kind == "regular"
+        self.children = (np.where(self.closed, 0, int(model.d) if regular else self.stat)
+                         if regular or stat == "count" else None)
 
     @classmethod
-    @lru_cache(maxsize=16)
-    def of(cls, model, survey, root, stat, prune) -> "_DeepestCodes":
+    @lru_cache(maxsize=32)
+    def of(cls, model, survey, root, stat, prune) -> "_NodeCodes":
         return cls(model, survey, root, stat, prune)
 
     def tables(self, boundary: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
@@ -417,9 +338,9 @@ class _DeepestCodes(_InverseCDF):
             else:
                 per_leaf = edge_llr_map(boundary.value, self.theta) * (
                     1.0 if boundary.kind == "plus" else -1.0)
-                base = per_leaf * np.broadcast_to(self.leaves, sigma.shape)
-            if self.sampler is not None:        # a closed code's base is 0: no leaf part
-                base += (sigma * self.sign) * self.sampler.mags[self.atom]
+                base = per_leaf * np.broadcast_to(self.children, sigma.shape)
+            if self.w is not None:          # a closed code's base is 0: no leaf part
+                base += sigma * self.w
             np.clip(base, -LLR_MAX, LLR_MAX, out=base)
             self._tables[boundary] = base, edge_llr_map(base, self.theta)
         return self._tables[boundary]
@@ -439,31 +360,26 @@ def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
 class _ChunkLevels:
     """One chunk of trees, concatenated per level, leaves kept implicit.
 
-    Levels run 0..depth-1.  Levels 0..depth-2 hold surveys, and only their
-    open (unrevealed) nodes have children: open_rows[j] lists the open rows
-    of level j, or is None when the whole level is open.  Children are
-    indexed by their parent's rank among the open rows: parents[j] is None
-    on regular levels, where the i-th open node's children are the
-    contiguous block of d entries i*d..i*d+d-1 one level down.  The deepest
-    level holds one code of law per node, and parent_spins holds its
-    parents' spins (at depth 1 a virtual + parent per root).
+    Levels run 0..depth-1, and every node is one code of its level's law.
+    surveys[j] holds the survey LLRs of level j < depth-1 (None without a
+    survey).  parents[j] maps level j to its parents' rows one level up.  It
+    is None on regular levels whose parents are all open: the i-th parent's
+    children are then the contiguous block of d entries i*d..i*d+d-1.  A
+    closed parent has no children.  The deepest level keeps its law and
+    codes, and parent_spins holds its parents' spins (at depth 1 a virtual
+    + parent per root).
     """
 
     sizes: list[int]
-    open_rows: list[np.ndarray | None]
     parents: list[np.ndarray | None]
     surveys: list[np.ndarray | None]
     d_children: int | None
-    law: _DeepestCodes
+    law: _NodeCodes
     codes: np.ndarray
     parent_spins: np.ndarray
 
-    def n_open(self, j: int) -> int:
-        rows = self.open_rows[j]
-        return self.sizes[j] if rows is None else rows.size
-
     def n_leaves(self) -> float:
-        return float(self.law.leaves[self.codes].sum())
+        return float(self.law.children[self.codes].sum())
 
     def deepest(self, table: np.ndarray) -> np.ndarray:
         """Per-node values of a (parent spin, code) table at the deepest level."""
@@ -474,68 +390,60 @@ class _ChunkLevels:
 
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
-                         n_trees: int, need_leaf_spin_sums: bool,
-                         need_leaf_counts: bool, include_root_survey: bool,
+                         n_trees: int, stat: str | None, include_root_survey: bool,
                          prune: bool) -> _ChunkLevels:
-    """Draw a chunk top-down: spins and surveys of a level, then its open
-    nodes' children, down to one code per deepest-level node.  With prune,
-    revealed nodes stay closed (the root only when its survey counts);
-    without, every node is open.  A level without reveals draws exactly
-    what an unpruned level draws.  The codes carry leaf net spin sums or
-    leaf counts only when asked for.  At depth 1 the deepest level is the
-    root: a flip 1/2 from a virtual + parent, surveyed if its survey counts.
-    """
-    sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
-    flip = model.flip
-    regular = model.kind == "regular"
-    # A Skellam leaf sum carries no counts, so a Poisson chunk draws one or the other.
-    assert regular or not (need_leaf_spin_sums and need_leaf_counts)
-    d_int = int(model.d) if regular else None
-    counts_table = None if regular else _CountTable.poisson(model.d)
+    """Draw a chunk top-down, one code per node, each from one uniform.
 
+    A node's spin is its parent's times its code's spin, and its survey LLR
+    is that spin times the code's w.  Open nodes have children, d each on
+    regular trees and the code's count on Poisson trees; closed nodes have
+    none.  With prune, revealed nodes are closed, the root only when its
+    survey counts; without, every node is open.  The deepest codes carry
+    the leaf statistic stat: None, "net" (the leaves' net spin sum) or
+    "count".  At depth 1 the deepest level is the root.
+    """
+    regular = model.kind == "regular"
+    d_int = int(model.d) if regular else None
+    surveyed = None if is_trivial_survey(survey) else survey
     sizes: list[int] = []
-    open_rows: list[np.ndarray | None] = []
     parents: list[np.ndarray | None] = []
     surveys: list[np.ndarray | None] = []
-    sp, par = _rademacher(rng, n_trees) if depth > 1 else np.ones(n_trees, np.int8), None
-    for j in range(depth - 1):
-        if j > 0:
-            sp = np.repeat(sp, d_int) if regular else sp[par]
-            sp = _flipped(sp, rng.random(sp.size) < flip)
-        w, revealed = sampler.draw(rng, sp) if sampler is not None else (None, None)
-        rows = None
-        if (prune and revealed is not None and (j > 0 or include_root_survey)
-                and revealed.any()):
-            rows = np.flatnonzero(~revealed)
-        sizes.append(sp.size)
-        open_rows.append(rows)
+    sp, par, n = np.ones(n_trees, np.int8), None, n_trees      # a virtual + parent per root
+    for j in range(depth):
+        deepest = j == depth - 1
+        law = _NodeCodes.of(model, surveyed if j > 0 or include_root_survey else None, j == 0,
+                            stat if deepest else None if regular else "count", prune)
+        u = rng.random(n)
+        codes = law(u)
+        sizes.append(n)
         parents.append(par)
-        surveys.append(w)
-        if rows is not None:
-            sp = sp[rows]          # from here on, the spins of open nodes only
+        if deepest:
+            break
+        if j > 0:
+            sp = np.repeat(sp, d_int) if par is None else sp[par]
+        sp = sp * law.spin[codes]
+        # the survey LLRs are written over the uniforms, which are spent by then
+        surveys.append(None if law.w is None else np.multiply(law.w[codes], sp, out=u))
         if not regular:
-            par = np.repeat(np.arange(sp.size), counts_table.draw(rng, sp.size))
-
-    sizes.append(n_trees if depth == 1 else sp.size * d_int if regular else par.size)
-    parents.append(par)
-    root = depth == 1
-    law = _DeepestCodes.of(
-        model, None if sampler is None or (root and not include_root_survey) else survey,
-        root, "net" if need_leaf_spin_sums else "count" if need_leaf_counts else None, prune)
-    return _ChunkLevels(sizes, open_rows, parents, surveys, d_int, law,
-                        law(rng.random(sizes[-1])), sp)
+            par = np.repeat(np.arange(n), law.children[codes])
+        elif law.closed.any():
+            par = np.repeat(np.flatnonzero(~law.closed[codes]), d_int)
+        else:
+            par = None
+        n = n * d_int if par is None else par.size
+    return _ChunkLevels(sizes, parents, surveys, d_int, law, codes, sp)
 
 
 def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.ndarray:
-    """Sum child messages at level j+1 onto their open level-j parents."""
+    """Sum child messages at level j+1 onto their level-j parents."""
     par = levels.parents[j + 1]
     if par is None:
         return msg.reshape(-1, levels.d_children).sum(axis=1)
-    return _child_sums(par, msg, levels.n_open(j))
+    return _child_sums(par, msg, levels.sizes[j])
 
 
 def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float,
-                   include_root_survey: bool, deepest: bool = False):
+                   deepest: bool = False):
     """Upward pass from the coded deepest level to the root.
 
     Yields the saturated LLRs of each level, root last, from depth k-2 on,
@@ -543,9 +451,8 @@ def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: flo
     the root is that level).  The deepest messages are code table entries
     summed per parent.  Perfect and none tables are odd in the parent spin,
     so their + row is summed and multiplied by the parent's spin, which
-    spares a spin gather per node.  Child sums land on the open rows; a
-    closed node keeps its survey value spin * LLR_MAX.  Works in place on
-    levels without closed nodes.
+    spares a spin gather per node.  A closed node has no children, so it
+    keeps its survey value spin * LLR_MAX.
     """
     llr, msg = levels.law.tables(boundary)
     k = len(levels.sizes)
@@ -561,39 +468,26 @@ def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: flo
     for j in range(k - 2, -1, -1):
         if j < k - 2:
             r = _aggregate_children(edge_llr_map(r, theta), levels, j)
-        survey = levels.surveys[j] if j > 0 or include_root_survey else None
-        rows = levels.open_rows[j]
-        if rows is not None:
-            r, sums = survey.copy(), r
-            r[rows] += sums
-        elif survey is not None:
-            r += survey
+        if levels.surveys[j] is not None:
+            r += levels.surveys[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
         yield r
 
 
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
                        include_root_survey):
-    if depth == 0:
-        spins = _rademacher(rng, count)
-        out = np.empty((len(boundaries), count))
-        for i, boundary in enumerate(boundaries):
-            if boundary.kind == "perfect":
-                r = spins * LLR_MAX
-            elif boundary.kind == "none":
-                r = np.zeros(count)
-            else:                    # plus or minus: the entropy sees only |r|
-                r = np.full(count, min(boundary.value, LLR_MAX))
-            out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
-        return out
+    if depth == 0:              # the root entropy sees only |r|: no spins needed
+        r = np.array([LLR_MAX if b.kind == "perfect" else 0.0 if b.kind == "none"
+                      else min(b.value, LLR_MAX) for b in boundaries])
+        return np.repeat(1.0 / (1.0 + np.exp(r))[:, None], count, axis=1)
 
-    need_sums = any(b.kind == "perfect" for b in boundaries)
-    need_counts = any(b.kind in ("plus", "minus") for b in boundaries)
-    levels = _sample_chunk_levels(rng, model, survey, depth, count, need_sums, need_counts,
+    kinds = {b.kind for b in boundaries}
+    stat = "net" if "perfect" in kinds else "count" if kinds & {"plus", "minus"} else None
+    levels = _sample_chunk_levels(rng, model, survey, depth, count, stat,
                                   include_root_survey, prune=True)
     out = np.empty((len(boundaries), count))
     for i, boundary in enumerate(boundaries):
-        r = deque(_upward_levels(boundary, levels, model.theta, include_root_survey), maxlen=1)[0]
+        r = deque(_upward_levels(boundary, levels, model.theta), maxlen=1)[0]
         out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
     return out
 
@@ -861,11 +755,10 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 
 
 def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
-    levels = _sample_chunk_levels(rng, model, survey, depth, count,
-                                  need_leaf_spin_sums=False, need_leaf_counts=True,
-                                  include_root_survey=include_root_survey, prune=False)
+    levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
+                                  include_root_survey, prune=False)
     n_leaves = levels.n_leaves()
-    up_plus, up_minus = (_upward_levels(b, levels, model.theta, include_root_survey, True)
+    up_plus, up_minus = (_upward_levels(b, levels, model.theta, True)
                          for b in (BoundaryCondition.plus(magnitude),
                                    BoundaryCondition.minus(magnitude)))
     stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
@@ -888,13 +781,12 @@ def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
-    levels = _sample_chunk_levels(rng, model, survey, depth, count,
-                                  need_leaf_spin_sums=False, need_leaf_counts=True,
-                                  include_root_survey=include_root_survey, prune=False)
+    levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
+                                  include_root_survey, prune=False)
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude
     mins[depth - 1::-1] = [r.min() for r in _upward_levels(
-        BoundaryCondition.plus(magnitude), levels, model.theta, include_root_survey, True)]
+        BoundaryCondition.plus(magnitude), levels, model.theta, True)]
     return mins
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -95,9 +95,6 @@ class SyncGraph:
         inset = set(inside)
         edges = [(u, v) for u, v in self.edges if u in inset and v in inset]
         return inside, boundary, edges
-
-    def with_radius(self, radius: int) -> "SyncGraph":
-        return replace(self, radius=radius)
 
     @classmethod
     def path(cls, k: int, radius: int = 1) -> "SyncGraph":

@@ -2,9 +2,9 @@
 
 Realizes one broadcast tree at a time with every node expanded (no
 pruning below revealed nodes, offspring counts from numpy's Poisson
-generator) and runs the exact leaf-to-root BP recursion on it, so tests
-can check the batched sampler and its upward pass against an independent,
-plainly written implementation.
+generator, survey atoms from rng.choice) and runs the exact leaf-to-root
+BP recursion on it, so tests can check the batched sampler and its upward
+pass against an independent, plainly written implementation.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treebp.bms import SurveySpec, is_trivial_survey
+from treebp.bms import SurveySpec, delta_of, is_trivial_survey
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
-from treebp.monte_carlo import LLR_MAX, BoundaryCondition, _SurveySampler
+from treebp.monte_carlo import LLR_MAX, BoundaryCondition
 
 
 @dataclass
@@ -47,12 +47,24 @@ class SampledTree:
         return sum(self.level_sizes)
 
 
+def _survey_llrs(rng: np.random.Generator, survey: SurveySpec, spins: np.ndarray) -> np.ndarray:
+    """Survey LLRs spin * sign * magnitude: the atom drawn by its weight, the
+    sign flipped with probability delta, the magnitude log((1 - delta) /
+    delta) clipped at LLR_MAX."""
+    dist = delta_of(survey)
+    deltas = np.asarray(dist.deltas, dtype=float)[
+        rng.choice(len(dist), size=spins.size, p=np.asarray(dist.weights, dtype=float))]
+    sign = np.where(rng.random(spins.size) < deltas, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        mags = np.minimum(np.log1p(-deltas) - np.log(deltas), LLR_MAX)
+    return spins * sign * mags
+
+
 def sample_tree(model: TreeModel, depth: int, survey: SurveySpec, seed: int = 0) -> SampledTree:
     """Realize one tree to the given depth with spins and surveys."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sampler = None if is_trivial_survey(survey) else _SurveySampler(survey)
     flip = model.flip
 
     spins = [rng.integers(0, 2, 1, dtype=np.int8).astype(np.float64) * 2.0 - 1.0]
@@ -70,8 +82,8 @@ def sample_tree(model: TreeModel, depth: int, survey: SurveySpec, seed: int = 0)
 
     survey_llr: list[np.ndarray | None] = []
     for j in range(depth + 1):
-        if j < depth and sampler is not None:
-            survey_llr.append(sampler.draw(rng, spins[j])[0])
+        if j < depth and not is_trivial_survey(survey):
+            survey_llr.append(_survey_llrs(rng, survey, spins[j]))
         elif j < depth:
             survey_llr.append(np.zeros(spins[j].size))
         else:

@@ -130,6 +130,20 @@ def test_run_pair_high_snr_trivial_survey_distinct_limits():
     assert report.limit_leaves.prob_error < 0.01
 
 
+@pytest.mark.parametrize("max_depth, verdict", [(150, "undecided"), (200, "undecided"),
+                                                (250, "bi_holds")])
+def test_run_pair_contracting_gap_is_not_distinct(max_depth, verdict):
+    # both sequences move by less than tol per step while the gap still
+    # shrinks by 0.902 a step: the limits are not yet shown distinct at any
+    # budget, and a budget long enough closes the gap
+    cfg = DEConfig(max_depth=max_depth, include_root_survey=False)
+    report = run_pair(TreeModel.regular(3, 0.60553), SurveySpec.bec(0.999), cfg)
+    assert report.verdict == verdict
+    if verdict == "undecided":
+        assert len(report.records) == max_depth + 1
+        assert all(0.90 < r.gap_ratio < 0.91 for r in report.records[-4:])
+
+
 def test_run_pair_gap_invariants():
     report = run_pair(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5), DEConfig())
     for r in report.records:

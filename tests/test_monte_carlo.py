@@ -15,12 +15,12 @@ from treebp.monte_carlo import (
     LLR_MAX,
     BoundaryCondition,
     _chunk_trees,
-    _CountTable,
-    _DeepestCodes,
+    _leaf_law,
+    _NodeCodes,
     _nodes_per_tree,
     _reveal_weight,
+    _root_deltas_chunk,
     _sample_chunk_levels,
-    _SurveySampler,
     degradation_check,
     estimate_entropy,
     estimate_entropy_pair,
@@ -195,36 +195,24 @@ def test_count_tables_match_their_laws(kind, lam):
     theta = 0.6
     flip = 0.5 * (1.0 - theta)
     n = int(lam + 20.0 * math.sqrt(lam)) + 60
+    model = TreeModel.poisson(lam, theta)
     if kind == "poisson":
-        table = _CountTable.poisson(lam)
+        values, probs = _leaf_law(model, "count")
         exact = dict(enumerate(_poisson_probs(lam, n)))
         mean = lam
     else:
-        table = _CountTable.skellam(lam, flip)
+        values, probs = _leaf_law(model, "net")
         exact = _skellam_probs(lam, flip, n)
         mean = lam * theta
-    cdf = table.cdf
-    values = table.first + np.arange(cdf.size)
-    assert cdf[-1] == 1.0
-    assert np.all(np.diff(cdf) >= 0.0)
+    assert np.all(np.diff(values) == 1)
+    assert np.all(probs > 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-15
     dropped = sum(p for k, p in exact.items() if not values[0] <= k <= values[-1])
     assert dropped <= 1e-15
-    probs = np.diff(cdf, prepend=0.0)
     got_mean = float(np.dot(values, probs))
     got_var = float(np.dot((values - mean) ** 2, probs)) - (got_mean - mean) ** 2
     assert got_mean == pytest.approx(mean, rel=1e-12)
     assert got_var == pytest.approx(lam, rel=1e-12)
-
-
-class _FixedUniforms:
-    """Stands in for a Generator whose random(n) returns chosen uniforms."""
-
-    def __init__(self, u: np.ndarray):
-        self.u = u
-
-    def random(self, n: int) -> np.ndarray:
-        assert n == self.u.size
-        return self.u.copy()
 
 
 def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
@@ -236,46 +224,42 @@ def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
-@pytest.mark.parametrize("table", [
-    *(_CountTable.poisson(lam) for lam in (0.01, 4.0, 50.0, 800.0)),
-    _CountTable.skellam(4.0, 0.1), _CountTable.skellam(50.0, 0.3),
-], ids=["poisson0.01", "poisson4", "poisson50", "poisson800", "skellam4", "skellam50"])
-def test_guide_lookup_equals_binary_search(table):
-    u = _edge_uniforms(table.cdf)
+def _atoms(pairs) -> SurveySpec:
+    return SurveySpec.from_delta(DeltaDistribution(pairs))
+
+
+_THREE_ATOMS = _atoms([(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)])
+
+# Code laws whose CDFs the guide table must read exactly: the Poisson count
+# laws of upper levels, Skellam leaf laws and surveys with many atoms.
+_GUIDE_LAWS = {
+    **{f"poisson{lam:g}": (TreeModel.poisson(lam, 0.6), None, False, "count", True)
+       for lam in (0.01, 4.0, 50.0, 800.0)},
+    "skellam4": (TreeModel.poisson(4.0, 0.6), SurveySpec.bsc(0.1), False, "net", True),
+    "skellam50": (TreeModel.poisson(50.0, 0.6), None, True, "net", True),
+    "three": (TreeModel.poisson(3.0, 0.7), _THREE_ATOMS, False, "count", True),
+    "four": (TreeModel.regular(3, 0.7),
+             _atoms([(0.4, 0.25), (0.2, 0.25), (0.05, 0.3), (0.01, 0.2)]), True, None, True),
+    "forty": (TreeModel.regular(2, 0.6), _atoms([(0.5 * (k + 0.5) / 40, 1.0 / 40)
+                                                  for k in range(40)]), False, None, False),
+}
+
+
+@pytest.mark.parametrize("key", list(_GUIDE_LAWS))
+def test_guide_lookup_equals_binary_search(key):
+    law = _NodeCodes.of(*_GUIDE_LAWS[key])
+    assert law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0.0)
+    u = _edge_uniforms(law.cdf)
     u = np.concatenate([u, np.random.default_rng(1).random(20_000)])
-    values = table.first + np.arange(table.cdf.size)
-    want = values[np.searchsorted(table.cdf, u, side="right")]
-    assert np.array_equal(table.draw(_FixedUniforms(u), u.size), want)
-    # the guide settles most bins without a search: 0.34% of Poisson(4) draws search
-    assert table.split.mean() <= 0.05
+    want = np.searchsorted(law.cdf, u, side="right")
+    assert np.array_equal(law(u), want)
+    # the guide settles most bins without a search: 0.63% of Poisson(4) count
+    # codes search.  The Poisson(800) law holds two flipped copies of a count
+    # CDF that alone splits 4.4% of the bins, and splits 7.9%.
+    assert np.mean(law.guide < 0) <= (0.1 if key == "poisson800" else 0.05)
 
 
-@pytest.mark.parametrize("atoms", [
-    [(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)],
-    [(0.4, 0.25), (0.2, 0.25), (0.05, 0.3), (0.01, 0.2)],
-    [(0.5 * (k + 0.5) / 40, 1.0 / 40) for k in range(40)],
-], ids=["three", "four", "forty"])
-def test_survey_atom_lookup_equals_binary_search(atoms):
-    survey = SurveySpec.from_delta(DeltaDistribution(atoms))
-    sampler = _SurveySampler(survey)
-    assert sampler.n_atoms == len(atoms)
-    u = np.concatenate([_edge_uniforms(sampler.cum), _edge_uniforms(sampler.flip_cut)])
-    spins = np.where(np.arange(u.size) % 3 == 0, -1, 1).astype(np.int8)
-    w, revealed = sampler.draw(_FixedUniforms(u), spins)
-    idx = np.searchsorted(sampler.cum, u, side="right")
-    sign = 1.0 - 2.0 * (u < sampler.flip_cut[idx])
-    assert np.array_equal(w, spins * (sampler.mags[idx] * sign))
-    assert np.array_equal(np.signbit(w), np.signbit(spins * (sampler.mags[idx] * sign)))
-    if sampler.reveal_cut is None:
-        assert revealed is None
-    else:
-        assert np.array_equal(revealed, idx == len(atoms) - 1)
-
-
-_THREE_ATOMS = SurveySpec.from_delta(DeltaDistribution([(0.3, 0.5), (0.1, 0.3), (0.0, 0.2)]))
-
-
-# Deepest-level code laws: (model, survey or None, root, leaf statistic, prune).
+# Code laws: (model, survey or None, root, children's statistic, prune).
 _CODE_LAWS = {
     "regular_bsc_net": (TreeModel.regular(2, 0.7), SurveySpec.bsc(0.2), False, "net", True),
     "regular_bec_net": (TreeModel.regular(3, 0.7), SurveySpec.bec(0.5), False, "net", True),
@@ -287,6 +271,9 @@ _CODE_LAWS = {
     "regular_trivial_net": (TreeModel.regular(3, 0.6), None, False, "net", True),
     "root_bec_net": (TreeModel.poisson(4.0, 0.7), SurveySpec.bec(0.5), True, "net", True),
     "root_unsurveyed_count": (TreeModel.poisson(4.0, 0.7), None, True, "count", True),
+    "root_bec_count": (TreeModel.poisson(4.0, 0.7), SurveySpec.bec(0.5), True, "count", True),
+    "regular_bsc_upper": (TreeModel.regular(2, 0.7), SurveySpec.bsc(0.2), False, None, True),
+    "root_atoms_upper": (TreeModel.regular(3, 0.6), _THREE_ATOMS, True, None, True),
 }
 _TABLE_BOUNDARIES = [BoundaryCondition.perfect(), BoundaryCondition.none(),
                      BoundaryCondition.plus(), BoundaryCondition.plus(4.5),
@@ -302,11 +289,23 @@ def test_code_tables_match_the_per_node_formula(key):
     # each entry, recomputed node by node in scalar floats from the code's
     # draws, equals the table bit for bit (signed zeros included)
     model, survey, root, stat, prune = _CODE_LAWS[key]
-    law = _DeepestCodes.of(model, survey, root, stat, prune)
-    mags = None if survey is None else _SurveySampler(survey).mags
+    law = _NodeCodes.of(model, survey, root, stat, prune)
+    mags = None
+    if survey is not None:
+        deltas = np.asarray(delta_of(survey).deltas)
+        with np.errstate(divide="ignore"):
+            mags = np.minimum(np.log1p(-deltas) - np.log(deltas), LLR_MAX)
+    for c in range(law.cdf.size):
+        if law.children is not None:
+            n = 0 if law.closed[c] else model.d if model.kind == "regular" else law.stat[c]
+            assert law.children[c] == n
+        if mags is None:
+            assert law.w is None
+        else:
+            assert _bits(law.w[c]) == _bits(float(law.sign[c]) * mags[law.atom[c]])
     sat = edge_llr_map(math.inf, model.theta)
     for boundary in _TABLE_BOUNDARIES:
-        if boundary.kind in ("plus", "minus") and law.leaves is None:
+        if boundary.kind in ("plus", "minus") and law.children is None:
             continue
         if boundary.kind == "perfect" and stat != "net":
             continue
@@ -340,7 +339,7 @@ def test_code_tables_match_the_per_node_formula(key):
 
 @pytest.mark.parametrize("key", list(_CODE_LAWS))
 def test_perfect_and_none_code_tables_are_odd_in_the_parent_spin(key):
-    law = _DeepestCodes.of(*_CODE_LAWS[key])
+    law = _NodeCodes.of(*_CODE_LAWS[key])
     boundaries = [BoundaryCondition.none()]
     if _CODE_LAWS[key][3] == "net":
         boundaries.append(BoundaryCondition.perfect())
@@ -356,7 +355,7 @@ def _binomial_net_probs(d: int, flip: float) -> dict:
 @pytest.mark.parametrize("key", list(_CODE_LAWS))
 def test_code_law_marginals_match_their_pmfs(key):
     model, survey, root, stat, prune = _CODE_LAWS[key]
-    law = _DeepestCodes.of(model, survey, root, stat, prune)
+    law = _NodeCodes.of(model, survey, root, stat, prune)
     cdf = law.cdf
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
     probs = np.diff(cdf, prepend=0.0)
@@ -463,64 +462,65 @@ def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
     assert pairs[0] == pairs[1]
 
 
-# Exact outputs of small runs, re-recorded when the deepest level became one
-# coded draw per node (each new estimate within 3 combined stderr of the old);
+# Exact outputs of small runs, re-recorded when every level became one coded
+# draw per node (each new estimate and level gap within 3 combined stderr of
+# the old, each degradation bin's mean_delta - delta_tilde_center gap too);
 # any later sampler edit that moves one bit fails here.
 @pytest.mark.parametrize("run, expected", [
     (lambda: estimate_entropy_pair(TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), 5, 3000,
                                    seed=21),
-     {"leaves": {"estimate": 0.09808951181978481, "stderr": 0.0032134815845614602,
+     {"leaves": {"estimate": 0.09197712643559386, "stderr": 0.0031037304299403523,
                  "n_samples": 3000, "seed": 21},
-      "no_leaves": {"estimate": 0.10151021240537803, "stderr": 0.003266739623454256,
+      "no_leaves": {"estimate": 0.09544709368522879, "stderr": 0.003158742133009364,
                     "n_samples": 3000, "seed": 21},
-      "diff": {"estimate": 0.0034207005855932133, "stderr": 0.0007538128130039485,
+      "diff": {"estimate": 0.0034699672496349182, "stderr": 0.0006635000627212957,
                "n_samples": 3000, "seed": 21}}),
     (lambda: estimate_entropy_pair(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 6, 5000,
                                    seed=22),
-     {"leaves": {"estimate": 0.030536328226846036, "stderr": 0.0015684236120755526,
+     {"leaves": {"estimate": 0.030217488020858663, "stderr": 0.0015493676249323468,
                  "n_samples": 5000, "seed": 22},
-      "no_leaves": {"estimate": 0.03055185546696798, "stderr": 0.001569431782028858,
+      "no_leaves": {"estimate": 0.030246522269176096, "stderr": 0.0015519174228686913,
                     "n_samples": 5000, "seed": 22},
-      "diff": {"estimate": 1.552724012194565e-05, "stderr": 5.11146567741521e-05,
+      "diff": {"estimate": 2.903424831744031e-05, "stderr": 5.633340910912285e-05,
                "n_samples": 5000, "seed": 22}}),
     (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.4), 5, 3000,
                                    seed=23, include_root_survey=False),
-     {"leaves": {"estimate": 0.27974702966490905, "stderr": 0.004483141763994805,
+     {"leaves": {"estimate": 0.2698733536395196, "stderr": 0.0043618977334482206,
                  "n_samples": 3000, "seed": 23},
-      "no_leaves": {"estimate": 0.2801711887689143, "stderr": 0.00448219715968495,
+      "no_leaves": {"estimate": 0.2702750929974174, "stderr": 0.004368593999970225,
                     "n_samples": 3000, "seed": 23},
-      "diff": {"estimate": 0.00042415910400529056, "stderr": 0.00024385366022544646,
+      "diff": {"estimate": 0.0004017393578978293, "stderr": 0.00023933819180626395,
                "n_samples": 3000, "seed": 23}}),
     (lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.7), _THREE_ATOMS, 4, 2000, seed=27),
-     {"leaves": {"estimate": 0.18609865435488468, "stderr": 0.0050697861647147294,
+     {"leaves": {"estimate": 0.17210474453083505, "stderr": 0.004825745085963645,
                  "n_samples": 2000, "seed": 27},
-      "no_leaves": {"estimate": 0.19186546541882654, "stderr": 0.00512919803876394,
+      "no_leaves": {"estimate": 0.17733661290146052, "stderr": 0.004853196459131483,
                     "n_samples": 2000, "seed": 27},
-      "diff": {"estimate": 0.005766811063941881, "stderr": 0.0010183398803799769,
+      "diff": {"estimate": 0.005231868370625435, "stderr": 0.0009097241370617489,
                "n_samples": 2000, "seed": 27}}),
     (lambda: estimate_entropy(TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.3), 4,
                               BoundaryCondition.plus(), 2000, seed=24),
-     {"estimate": 0.2657868285732227, "stderr": 0.005101061048232754,
+     {"estimate": 0.2807790330316491, "stderr": 0.005059292741657638,
       "n_samples": 2000, "seed": 24}),
     (lambda: degradation_check(TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.5), 4, 3000, 5,
                                seed=25),
-     {"bins": [{"delta_tilde_center": 0.00033626314233583155,
-                "mean_delta": 0.0003276467851622398, "stderr": 2.7037612890282083e-05,
+     {"bins": [{"delta_tilde_center": 0.0004873799123259225,
+                "mean_delta": 0.0004800037354023211, "stderr": 3.5382325639687606e-05,
                 "n": 1800, "flagged": False},
-               {"delta_tilde_center": 0.039986818612778634, "mean_delta": 0.04015558878437702,
-                "stderr": 0.001554301281913149, "n": 592, "flagged": False},
-               {"delta_tilde_center": 0.29167241867868177, "mean_delta": 0.28874003833466516,
-                "stderr": 0.005977654585172816, "n": 608, "flagged": False}],
+               {"delta_tilde_center": 0.04635618849226608, "mean_delta": 0.04516042816280184,
+                "stderr": 0.0017229170875203788, "n": 587, "flagged": False},
+               {"delta_tilde_center": 0.2966692053365492, "mean_delta": 0.28877261249692465,
+                "stderr": 0.005976726609457485, "n": 613, "flagged": False}],
       "n_flagged": 0, "n_skipped": 0, "n_samples": 3000, "seed": 25, "ok": True}),
     (lambda: wsm_probe(TreeModel.poisson(2.0, 0.4), SurveySpec.bsc(0.2), 5, 2000, seed=26),
      {"regime": "contraction", "dtheta": 0.8, "depth": 5, "n_samples": 2000, "seed": 26,
       "boundary_magnitude": 30.0,
-      "level_gaps": [0.18014295852087345, 0.37430401030699584, 0.7963082181099536,
-                     1.6090544679605603, 3.394408039023706, 60.0],
-      "level_gap_stderrs": [0.004212289667615781, 0.00584107453699641,
-                            0.008159010122998913, 0.010458694753706985,
-                            0.013374727097427597, 0.0],
-      "measured_rate": 0.49489202134919397, "rate_bound": 0.8, "x_found": None,
+      "level_gaps": [0.17978979288138663, 0.3854551426799586, 0.8004535682705822,
+                     1.6125117485626634, 3.3904241866402294, 60.0],
+      "level_gap_stderrs": [0.004302622723837283, 0.006014042849459237,
+                            0.008278106677010188, 0.010520645724134473,
+                            0.013404007642416829, 0.0],
+      "measured_rate": 0.49640169690799374, "rate_bound": 0.8, "x_found": None,
       "margin": None, "min_llr_by_level": None, "min_llr": None, "persists": None,
       "status": "ok"}),
 ], ids=["pair_poisson_bsc", "pair_regular_bec", "pair_poisson_bec_noroot",
@@ -574,16 +574,22 @@ def test_clipped_finite_survey_is_not_pruned():
     # atom: every node keeps its children
     model, n_trees, depth = TreeModel.regular(3, 0.7), 50, 4
     levels = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bsc(1e-15),
-                                  depth, n_trees, True, True, True, prune=True)
+                                  depth, n_trees, "net", True, prune=True)
     assert levels.sizes == [n_trees * 3 ** j for j in range(depth)]
-    assert all(rows is None for rows in levels.open_rows)
+    assert all(par is None for par in levels.parents)
     assert levels.n_leaves() == n_trees * 3 ** depth
     assert np.all(np.abs(levels.surveys[1]) == LLR_MAX)
 
+    # an erasure survey reads 0 on open nodes and spin * LLR_MAX on revealed
+    # ones, which get no children
     erasure = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bec(0.5),
-                                   depth, n_trees, True, True, True, prune=True)
+                                   depth, n_trees, "net", True, prune=True)
     assert erasure.sizes[0] == n_trees
-    assert all(erasure.sizes[j + 1] == 3 * erasure.n_open(j) for j in range(depth - 1))
+    for j in range(depth - 1):
+        is_open = erasure.surveys[j] == 0.0
+        assert np.all(np.abs(erasure.surveys[j][~is_open]) == LLR_MAX)
+        assert erasure.sizes[j + 1] == 3 * np.count_nonzero(is_open)
+        assert np.array_equal(erasure.parents[j + 1], np.repeat(np.flatnonzero(is_open), 3))
     assert erasure.sizes[-1] < n_trees * 3 ** (depth - 1)
 
 
@@ -605,12 +611,41 @@ def test_chunk_plan_budgets_the_nodes_drawn():
     for tree in (model, TreeModel.poisson(4.0, 0.8)):
         for root in (True, False):
             levels = _sample_chunk_levels(np.random.default_rng(0), tree, SurveySpec.bec(0.5),
-                                          6, 4000, False, True, root, prune=True)
+                                          6, 4000, "count", root, prune=True)
             assert levels.codes.size == levels.sizes[-1]
             drawn = sum(levels.sizes) / 4000
             assert drawn == pytest.approx(_nodes_per_tree(tree, 5, 0.5, root), rel=0.05)
             drawn = (sum(levels.sizes) + levels.n_leaves()) / 4000
             assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
+
+
+class _CountingUniforms:
+    """Stands in for a Generator that has only random(n); counts the draws."""
+
+    def __init__(self, seed: int):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def random(self, n: int) -> np.ndarray:
+        self.drawn += n
+        return self.rng.random(n)
+
+
+@pytest.mark.parametrize("survey", [SurveySpec.bsc(0.2), SurveySpec.bec(0.5), _THREE_ATOMS,
+                                    SurveySpec.trivial()], ids=["bsc", "bec", "atoms", "trivial"])
+@pytest.mark.parametrize("model", [TreeModel.regular(3, 0.7), TreeModel.poisson(3.0, 0.7)],
+                         ids=["regular", "poisson"])
+def test_sampler_draws_one_uniform_per_node(model, survey):
+    for prune, root, depth in product((True, False), (True, False), range(1, 5)):
+        for stat in ("net", "count", None):
+            rng = _CountingUniforms(depth)
+            levels = _sample_chunk_levels(rng, model, survey, depth, 40, stat, root, prune)
+            assert len(levels.sizes) == depth
+            assert rng.drawn == sum(levels.sizes)
+    for boundary in (BoundaryCondition.perfect(), BoundaryCondition.plus()):
+        rng = _CountingUniforms(0)
+        out = _root_deltas_chunk(rng, 40, model=model, survey=survey, depth=0,
+                                 boundaries=(boundary,), include_root_survey=True)
+        assert rng.drawn == 0 and out.shape == (1, 40)
 
 
 def test_pruned_estimates_invariant_under_worker_count():
