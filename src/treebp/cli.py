@@ -10,9 +10,11 @@ decided run, 2 for a mathematically honest "undecided", 1 for errors,
 each error being a one-line diagnostic naming the offending parameter.
 
 Each command function takes the parsed namespace and returns
-(results, exit code, CSV table or None); main() alone writes the output.
-The envelope's config is the namespace minus _NOT_CONFIG, and --config
-files set parser defaults, so any flag on the command line wins.
+(results, exit code, CSV table or None); main() writes the results, and
+de run's --trace-csv table goes through the same CSV writer.  Results are
+library result objects, serialized as their dataclass fields.  The
+envelope's config is the namespace minus _NOT_CONFIG, and --config files
+set parser defaults, so any flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .bms import SurveySpec, bhattacharyya, delta_of, is_trivial_survey
@@ -120,6 +123,16 @@ class _Parser(argparse.ArgumentParser):
         self.set_defaults(**values)
 
 
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -181,9 +194,14 @@ def _cmd_de_run(args):
         return results, EXIT_OK, None
     report = run_pair(model, survey, cfg)
     if args.trace_csv:
-        report.write_trace_csv(args.trace_csv)
-    results = report.as_dict()
-    results["method"] = "density_evolution"
+        _write_csv("--trace-csv", args.trace_csv, (
+            ["k", "Pe_leaves", "Pe_noleaves", "C_leaves", "C_noleaves",
+             "Z_leaves", "Z_noleaves", "gap", "gap_ratio"],
+            [[r.k, repr(r.leaves.prob_error), repr(r.noleaves.prob_error),
+              repr(r.leaves.capacity), repr(r.noleaves.capacity),
+              repr(r.leaves.bhattacharyya), repr(r.noleaves.bhattacharyya),
+              repr(r.gap), repr(r.gap_ratio)] for r in report.records]))
+    results = {**_fields(report), "method": "density_evolution"}
     return results, EXIT_UNDECIDED if report.undecided else EXIT_OK, None
 
 
@@ -208,7 +226,7 @@ def _cmd_de_probe(args):
         "survey_bhattacharyya": z,
         "region_criterion": region.criterion,
         "region_bound_value": region.bound_value,
-        "probe": probe.as_dict(),
+        "probe": probe,
     }
     return results, code, None
 
@@ -236,12 +254,14 @@ def _cmd_thresholds_region(args):
           for i in range(args.x_steps)]
     ys = [args.y_min + i * (args.y_max - args.y_min) / max(args.y_steps - 1, 1)
           for i in range(args.y_steps)]
-    with _blame("--family"):
+    if args.family not in ("bec", "bms"):
+        raise CliError(f"--family: expected bec or bms, got {args.family!r}")
+    with _blame("--x-min/--x-max/--y-min/--y-max"):
         points = bi_region_scan(xs, ys, family=args.family)
     table = (["x", "y", "bound_value", "in_region", "criterion"],
              [[repr(p.x), repr(p.y), repr(p.bound_value), p.in_region, p.criterion]
               for p in points])
-    return {"points": [p.__dict__ for p in points]}, EXIT_OK, table
+    return {"points": points}, EXIT_OK, table
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +275,12 @@ def _cmd_mc_entropy(args):
     if args.boundary == "pair":
         with _blame("--depth/--samples"):
             pair = estimate_entropy_pair(model, survey, args.depth, args.samples, **common)
-        return pair.as_dict(), EXIT_OK, None
+        return pair, EXIT_OK, None
     with _blame("--boundary"):
         boundary = BoundaryCondition.parse(args.boundary)
     with _blame("--depth/--samples"):
         res = estimate_entropy(model, survey, args.depth, boundary, args.samples, **common)
-    return {"entropy": res.as_dict()}, EXIT_OK, None
+    return {"entropy": res}, EXIT_OK, None
 
 
 def _cmd_mc_majority(args):
@@ -268,7 +288,7 @@ def _cmd_mc_majority(args):
     with _blame("--eta/--depth/--samples"):
         report = majority_stats(model.d, args.theta, args.eta, args.depth, args.samples,
                                 kind=model.kind, seed=args.seed, workers=args.workers)
-    return report.as_dict(), EXIT_OK, None
+    return report, EXIT_OK, None
 
 
 def _cmd_mc_wsm(args):
@@ -278,7 +298,7 @@ def _cmd_mc_wsm(args):
         report = wsm_probe(model, survey, args.depth, args.samples, seed=args.seed,
                            boundary_magnitude=args.boundary_llr, workers=args.workers)
     code = EXIT_UNDECIDED if report.status == "no_separation_found" else EXIT_OK
-    return report.as_dict(), code, None
+    return report, code, None
 
 
 def _cmd_mc_degradation(args):
@@ -287,7 +307,7 @@ def _cmd_mc_degradation(args):
     with _blame("--depth/--samples/--bins"):
         report = degradation_check(model, survey, args.depth, args.samples,
                                    n_bins=args.bins, seed=args.seed, workers=args.workers)
-    return report.as_dict(), EXIT_OK, None
+    return report, EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +317,7 @@ def _cmd_sbm_exact(args):
     with _blame("--n/--a/--b/--eps/--graphs"):
         res = exact_conditional_entropy(args.n, args.a, args.b, args.eps, args.graphs,
                                         seed=args.seed, workers=args.workers)
-    return {"entropy_per_vertex": res.as_dict()}, EXIT_OK, None
+    return {"entropy_per_vertex": res}, EXIT_OK, None
 
 
 def _cmd_sbm_integral(args):
@@ -306,7 +326,7 @@ def _cmd_sbm_integral(args):
     table = (["eps", "entropy", "flagged"],
              [[repr(e), repr(h), f] for e, h, f in
               zip(report.eps_values, report.entropy_values, report.flagged)])
-    return report.as_dict(), EXIT_UNDECIDED if report.status == "undecided" else EXIT_OK, table
+    return report, EXIT_UNDECIDED if report.status == "undecided" else EXIT_OK, table
 
 
 def _cmd_sbm_derivative(args):
@@ -314,7 +334,7 @@ def _cmd_sbm_derivative(args):
         h_values = [float(h) for h in args.h.split(",") if h]
         report = derivative_identity_scan(args.n, args.a, args.b, args.eps, h_values,
                                           args.graphs, seed=args.seed, workers=args.workers)
-    return report.as_dict(), EXIT_OK, None
+    return report, EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +353,7 @@ def _cmd_spin_sync_mi(args):
     table = (["radius", "value", "stderr", "method", "ball_size", "boundary_size", "n_edges"],
              [[args.radius, repr(res.value), repr(res.stderr), res.method,
                res.ball_size, res.boundary_size, res.n_edges]])
-    return res.as_dict(), EXIT_OK, table
+    return res, EXIT_OK, table
 
 
 # Commands whose results also come as a CSV table (--out *.csv).
@@ -350,7 +370,8 @@ def _flags(*parents) -> argparse.ArgumentParser:
 
 def build_parser() -> _Parser:
     common = _flags()
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed (integer)")
+    common.add_argument("--seed", type=_nonneg_int, default=0,
+                        help="deterministic seed (non-negative integer)")
     common.add_argument("--config", help="flat key=value file; explicit flags win")
     common.add_argument("--out", help="output path (.json report, .csv where tabular)")
     workers = _flags()
@@ -466,21 +487,32 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # output
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _json_default(obj):
+    """Result objects serialize as their fields, numpy scalars as Python scalars."""
+    if is_dataclass(obj):
+        return _fields(obj)
     item = getattr(obj, "item", None)
     if callable(item):
-        return item()        # numpy scalars keep their Python type
+        return item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_output(args, results: dict, table) -> None:
+def _write_csv(flag: str, path: str, table) -> None:
+    header, rows = table
+    with _blame(flag), open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_output(args, results, table) -> None:
     """The CSV table for --out *.csv, else the JSON envelope to --out or stdout."""
     if args.out and args.out.endswith(".csv"):
-        header, rows = table
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv("--out", args.out, table)
         return
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -493,7 +525,7 @@ def _write_output(args, results: dict, table) -> None:
     }
     text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _blame("--out"), open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

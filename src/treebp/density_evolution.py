@@ -201,11 +201,6 @@ class DepthRecord:
     gap: float
     gap_ratio: float     # nan when the previous gap sits at the noise floor
 
-    def as_dict(self) -> dict:
-        return {"k": self.k, "leaves": self.leaves.as_dict(),
-                "noleaves": self.noleaves.as_dict(),
-                "gap": self.gap, "gap_ratio": self.gap_ratio}
-
 
 @dataclass
 class EvolutionReport:
@@ -215,9 +210,11 @@ class EvolutionReport:
     "distinct_limits" (both sequences settled and the gap stopped
     contracting: its last four finite ratios are all >= 1 - tol),
     "undecided" (depth budget exhausted first, or the gap still closing).
+    model and survey are the describe() strings of the tree model and survey.
     """
 
-    model: TreeModel
+    model: str
+    theta: float
     survey: str
     include_root_survey: bool
     convergence_tol: float
@@ -227,13 +224,14 @@ class EvolutionReport:
     sequences_converged: bool
     limit_leaves: InfoMeasures
     limit_noleaves: InfoMeasures
+    final_gap: float = field(init=False)
+
+    def __post_init__(self):
+        self.final_gap = self.records[-1].gap
 
     @property
     def undecided(self) -> bool:
         return self.verdict == "undecided"
-
-    def final_gap(self) -> float:
-        return self.records[-1].gap
 
     def tail_gap_ratios(self, window: int = 4, floor: float = 1e-7) -> list[float]:
         """Last few gap contraction ratios measured above the noise floor."""
@@ -241,36 +239,6 @@ class EvolutionReport:
                   if np.isfinite(r.gap_ratio) and r.gap >= _RATIO_FLOOR and r.gap_ratio > 0
                   and r.gap / max(r.gap_ratio, 1e-300) >= floor]
         return ratios[-window:]
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model.describe(),
-            "theta": self.model.theta,
-            "survey": self.survey,
-            "include_root_survey": self.include_root_survey,
-            "convergence_tol": self.convergence_tol,
-            "verdict": self.verdict,
-            "converged": self.converged,
-            "sequences_converged": self.sequences_converged,
-            "final_gap": self.final_gap(),
-            "limit_leaves": self.limit_leaves.as_dict(),
-            "limit_noleaves": self.limit_noleaves.as_dict(),
-            "records": [r.as_dict() for r in self.records],
-        }
-
-    def write_trace_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "Pe_leaves", "Pe_noleaves", "C_leaves", "C_noleaves",
-                             "Z_leaves", "Z_noleaves", "gap", "gap_ratio"])
-            for r in self.records:
-                writer.writerow([r.k,
-                                 repr(r.leaves.prob_error), repr(r.noleaves.prob_error),
-                                 repr(r.leaves.capacity), repr(r.noleaves.capacity),
-                                 repr(r.leaves.bhattacharyya), repr(r.noleaves.bhattacharyya),
-                                 repr(r.gap), repr(r.gap_ratio)])
 
 
 def _sequence_change(prev: InfoMeasures, cur: InfoMeasures) -> float:
@@ -324,7 +292,8 @@ def run_pair(model: TreeModel, survey: SurveySpec, cfg: DEConfig | None = None) 
     else:
         verdict = "undecided"
     return EvolutionReport(
-        model=model,
+        model=model.describe(),
+        theta=model.theta,
         survey=survey.describe(),
         include_root_survey=cfg.include_root_survey,
         convergence_tol=cfg.convergence_tol,
@@ -413,17 +382,9 @@ class UniquenessReport:
     status: str
     max_pe_diff: float
     max_z_diff: float
-    results: list[FixedPointResult]
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "max_pe_diff": self.max_pe_diff,
-            "max_z_diff": self.max_z_diff,
-            "inits": [r.init for r in self.results],
-            "limits": [r.limit().as_dict() for r in self.results],
-            "depths": [r.depth for r in self.results],
-        }
+    inits: list[str]
+    limits: list[InfoMeasures]
+    depths: list[int]
 
 
 def uniqueness_probe(model: TreeModel, survey: SurveySpec,
@@ -440,10 +401,10 @@ def uniqueness_probe(model: TreeModel, survey: SurveySpec,
     if len(inits) < 2:
         raise ValueError("uniqueness probe needs at least two initial conditions")
     results = _fixed_points(model, [(survey, init) for init in inits], cfg)
+    limits = [r.limit() for r in results]
     max_pe = max_z = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            a, b = results[i].limit(), results[j].limit()
+    for i, a in enumerate(limits):
+        for b in limits[i + 1:]:
             max_pe = max(max_pe, abs(a.prob_error - b.prob_error))
             max_z = max(max_z, abs(a.bhattacharyya - b.bhattacharyya))
     if not all(r.converged for r in results):
@@ -452,4 +413,6 @@ def uniqueness_probe(model: TreeModel, survey: SurveySpec,
         status = "multiple_candidates"
     else:
         status = "unique"
-    return UniquenessReport(status=status, max_pe_diff=max_pe, max_z_diff=max_z, results=results)
+    return UniquenessReport(status=status, max_pe_diff=max_pe, max_z_diff=max_z,
+                            inits=[r.init for r in results], limits=limits,
+                            depths=[r.depth for r in results])

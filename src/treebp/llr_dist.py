@@ -73,8 +73,8 @@ class GridConfig:
     n_bins: int = 2001
 
     def __post_init__(self):
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < math.inf:
+            raise ValueError("r_max must be positive and finite")
         if self.n_bins < 3 or self.n_bins % 2 == 0:
             raise ValueError("n_bins must be odd and at least 3")
 
@@ -303,15 +303,6 @@ class InfoMeasures:
     chi2_capacity: float
     bhattacharyya: float
     potential_mean: float
-
-    def as_dict(self) -> dict:
-        return {
-            "prob_error": self.prob_error,
-            "capacity": self.capacity,
-            "chi2_capacity": self.chi2_capacity,
-            "bhattacharyya": self.bhattacharyya,
-            "potential_mean": self.potential_mean,
-        }
 
 
 # -- conversions -----------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
 import numpy as np
@@ -138,10 +138,6 @@ class EstimatorResult:
     n_samples: int
     seed: int
 
-    def as_dict(self) -> dict:
-        return {"estimate": self.estimate, "stderr": self.stderr,
-                "n_samples": self.n_samples, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class PairedEntropyEstimate:
@@ -154,10 +150,6 @@ class PairedEntropyEstimate:
     leaves: EstimatorResult
     no_leaves: EstimatorResult
     diff: EstimatorResult
-
-    def as_dict(self) -> dict:
-        return {"leaves": self.leaves.as_dict(), "no_leaves": self.no_leaves.as_dict(),
-                "diff": self.diff.as_dict()}
 
 
 def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
@@ -545,10 +537,6 @@ class DegradationBin:
     n: int
     flagged: bool
 
-    def as_dict(self) -> dict:
-        return {"delta_tilde_center": self.delta_tilde_center, "mean_delta": self.mean_delta,
-                "stderr": self.stderr, "n": self.n, "flagged": self.flagged}
-
 
 @dataclass
 class DegradationReport:
@@ -564,15 +552,10 @@ class DegradationReport:
     n_skipped: int
     n_samples: int
     seed: int
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.n_flagged == 0
-
-    def as_dict(self) -> dict:
-        return {"bins": [b.as_dict() for b in self.bins], "n_flagged": self.n_flagged,
-                "n_skipped": self.n_skipped, "n_samples": self.n_samples,
-                "seed": self.seed, "ok": self.ok}
+    def __post_init__(self):
+        self.ok = self.n_flagged == 0
 
 
 def degradation_check(model: TreeModel, survey: SurveySpec, depth: int,
@@ -677,18 +660,6 @@ class MajorityReport:
     ratio_limit: float | None         # large-depth limit, defined above dtheta^2 = 1
     chi2_lower_bound: float           # 1 / (ratio + 1), from the sample ratio
     chi2_lower_bound_limit: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind, "d": self.d, "theta": self.theta, "eta": self.eta,
-            "depth": self.depth, "n_samples": self.n_samples, "seed": self.seed,
-            "sample_mean": self.sample_mean, "sample_mean_stderr": self.sample_mean_stderr,
-            "sample_var": self.sample_var, "sample_var_stderr": self.sample_var_stderr,
-            "closed_form_mean": self.closed_form_mean, "closed_form_var": self.closed_form_var,
-            "ratio": self.ratio, "ratio_closed_form": self.ratio_closed_form,
-            "ratio_limit": self.ratio_limit, "chi2_lower_bound": self.chi2_lower_bound,
-            "chi2_lower_bound_limit": self.chi2_lower_bound_limit,
-        }
 
 
 def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: int,
@@ -818,18 +789,6 @@ class WSMReport:
     min_llr: float | None = None
     persists: bool | None = None
     status: str = "ok"
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime, "dtheta": self.dtheta, "depth": self.depth,
-            "n_samples": self.n_samples, "seed": self.seed,
-            "boundary_magnitude": self.boundary_magnitude,
-            "level_gaps": self.level_gaps, "level_gap_stderrs": self.level_gap_stderrs,
-            "measured_rate": self.measured_rate, "rate_bound": self.rate_bound,
-            "x_found": self.x_found, "margin": self.margin,
-            "min_llr_by_level": self.min_llr_by_level, "min_llr": self.min_llr,
-            "persists": self.persists, "status": self.status,
-        }
 
 
 def _separation_level(model: TreeModel, survey: SurveySpec,

@@ -24,7 +24,7 @@ limiting root entropy over the erasure parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -349,23 +349,10 @@ class DerivativeReport:
     curvature_fit: float
     identity_ok: list[bool]      # |mean_diff_first| <= |C| h^2 + 3 stderr
     scaling_ok: list[bool]       # |mean_diff_sum - C h^2| <= 3 stderr
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return all(self.identity_ok) and all(self.scaling_ok)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "a": self.a, "b": self.b, "epsilon": self.epsilon,
-            "h_values": self.h_values, "n_graphs": self.n_graphs, "seed": self.seed,
-            "mean_diff_first": self.mean_diff_first,
-            "stderr_diff_first": self.stderr_diff_first,
-            "mean_diff_sum": self.mean_diff_sum,
-            "stderr_diff_sum": self.stderr_diff_sum,
-            "curvature_fit": self.curvature_fit,
-            "identity_ok": self.identity_ok, "scaling_ok": self.scaling_ok,
-            "ok": self.ok,
-        }
+    def __post_init__(self):
+        self.ok = all(self.identity_ok) and all(self.scaling_ok)
 
 
 def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
@@ -446,20 +433,10 @@ class TreeIntegralReport:
     refinement_diff: float
     band: dict | None
     n_undecided: int
+    status: str = field(init=False)
 
-    @property
-    def status(self) -> str:
-        return "ok" if self.n_undecided == 0 else "undecided"
-
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "d_mean": self.d_mean, "theta": self.theta,
-            "snr": self.snr, "eps_values": self.eps_values,
-            "entropy_values": self.entropy_values, "flagged": self.flagged,
-            "integral": self.integral, "integral_coarse": self.integral_coarse,
-            "refinement_diff": self.refinement_diff, "band": self.band,
-            "n_undecided": self.n_undecided, "status": self.status,
-        }
+    def __post_init__(self):
+        self.status = "ok" if self.n_undecided == 0 else "undecided"
 
 
 def sbm_entropy_via_trees(a: float, b: float, eps_grid=33,

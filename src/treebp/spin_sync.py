@@ -177,13 +177,6 @@ class MIResult:
     boundary_size: int
     n_edges: int
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value, "stderr": self.stderr, "method": self.method,
-            "n_samples": self.n_samples, "ball_size": self.ball_size,
-            "boundary_size": self.boundary_size, "n_edges": self.n_edges,
-        }
-
 
 def _ball_tables(graph: SyncGraph):
     """Local indexing, sign columns per ball edge, root/boundary masks."""

@@ -77,9 +77,6 @@ class SurveyStrengthBounds:
     pe_bound: float
     xi_bound: float
 
-    def as_dict(self) -> dict:
-        return {"z_bound": self.z_bound, "pe_bound": self.pe_bound, "xi_bound": self.xi_bound}
-
 
 def survey_strength_bounds() -> SurveyStrengthBounds:
     z = math.sqrt(math.e) / 2.0
@@ -199,6 +196,11 @@ def bi_region_scan(x_values, y_values, family: str = "bec") -> list[RegionPoint]
     region_criterion at the family's worst-case Z for y, so the box is a
     test on Z: BMS error probabilities y and 1 - y get the same label.
     """
+    xs = np.asarray(x_values, dtype=float)
+    ys = np.asarray(y_values, dtype=float)
+    if not np.all((xs >= 0.0) & (xs < math.inf)):
+        raise ValueError("SNR values x must be finite and non-negative")
+    if not np.all((ys >= 0.0) & (ys <= 1.0)):
+        raise ValueError("survey parameters y must lie in [0, 1]")
     return [region_criterion(float(x), _worst_case_z(family, float(y)), float(y))
-            for x in np.asarray(x_values, dtype=float)
-            for y in np.asarray(y_values, dtype=float)]
+            for x in xs for y in ys]

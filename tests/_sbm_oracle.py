@@ -108,15 +108,6 @@ class OracleTrendReport:
     gap_monotone: bool
     integral_report: TreeIntegralReport
 
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "n_values": self.n_values,
-            "exact_means": self.exact_means, "exact_stderrs": self.exact_stderrs,
-            "integral": self.integral, "gaps": self.gaps,
-            "gap_monotone": self.gap_monotone,
-            "integral_report": self.integral_report.as_dict(),
-        }
-
 
 def oracle_vs_integral(n_list, a: float, b: float, eps_grid=33,
                        n_graph_samples: int = 400, seed: int = 0,

@@ -376,3 +376,139 @@ def test_envelope_config_keys_and_values(capsys, tmp_path, argv, config):
     _, doc = run_json(capsys, *argv)
     assert doc["command"] == " ".join(argv[:2])
     assert json.dumps(doc["config"], sort_keys=True) == json.dumps(config, sort_keys=True)
+
+
+def key_paths(value, path=""):
+    """Dotted key paths of a JSON value; the dicts of a list share one `[]` path."""
+    if isinstance(value, dict):
+        return set().union(*(key_paths(v, f"{path}.{k}" if path else k)
+                             for k, v in value.items()))
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        shapes = [key_paths(v, path + "[]") for v in value]
+        assert all(shape == shapes[0] for shape in shapes), path
+        return shapes[0]
+    return {path}
+
+
+def under(prefix, keys):
+    return {f"{prefix}.{key}" for key in keys}
+
+
+INFO = ("bhattacharyya", "capacity", "chi2_capacity", "potential_mean", "prob_error")
+ESTIMATE = ("estimate", "n_samples", "seed", "stderr")
+
+# Every subcommand's `results` key set, nested objects included: saved result
+# files are read by these keys.
+RESULT_KEYS = [
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "trivial"),
+     {"verdict", "method", "snr"}
+     | under("limit", ("prob_error", "capacity", "chi2_capacity", "bhattacharyya"))),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-bins", "201", "--depth", "3"),
+     {"model", "theta", "survey", "include_root_survey", "convergence_tol", "verdict",
+      "converged", "sequences_converged", "final_gap", "method",
+      "records[].k", "records[].gap", "records[].gap_ratio"}
+     | under("limit_leaves", INFO) | under("limit_noleaves", INFO)
+     | under("records[].leaves", INFO) | under("records[].noleaves", INFO)),
+    (("de", "probe", "--model", "regular:4", "--theta", "0.75", "--survey", "bec:0.95",
+      "--depth", "20", "--grid-bins", "501"),
+     {"verdict", "snr", "survey_bhattacharyya", "region_criterion", "region_bound_value"}
+     | under("probe", ("status", "max_pe_diff", "max_z_diff", "inits", "depths"))
+     | under("probe.limits[]", INFO)),
+    (("thresholds", "constants"),
+     {"alpha_star", "z_bound", "pe_bound", "xi_bound", "peak_gain", "d2_window_endpoint"}),
+    (("thresholds", "region", "--x-steps", "3", "--y-steps", "2"),
+     under("points[]", ("x", "y", "bound_value", "in_region", "criterion"))),
+    (("mc", "entropy", "--model", "regular:3", "--theta", "0.7", "--survey", "bec:0.6",
+      "--depth", "3", "--samples", "300", "--seed", "3", "--workers", "1"),
+     under("leaves", ESTIMATE) | under("no_leaves", ESTIMATE) | under("diff", ESTIMATE)),
+    (("mc", "entropy", "--model", "regular:2", "--theta", "0.6", "--survey", "bec:0.5",
+      "--depth", "2", "--samples", "300", "--boundary", "plus:2.0", "--workers", "1"),
+     under("entropy", ESTIMATE)),
+    (("mc", "majority", "--model", "regular:3", "--theta", "0.6", "--eta", "0.1",
+      "--depth", "3", "--samples", "2000", "--seed", "2", "--workers", "1"),
+     {"kind", "d", "theta", "eta", "depth", "n_samples", "seed", "sample_mean",
+      "sample_mean_stderr", "sample_var", "sample_var_stderr", "closed_form_mean",
+      "closed_form_var", "ratio", "ratio_closed_form", "ratio_limit", "chi2_lower_bound",
+      "chi2_lower_bound_limit"}),
+    (("mc", "wsm", "--model", "regular:2", "--theta", "0.4", "--survey", "trivial",
+      "--depth", "4", "--samples", "300", "--seed", "1", "--workers", "1"),
+     {"regime", "dtheta", "depth", "n_samples", "seed", "boundary_magnitude", "level_gaps",
+      "level_gap_stderrs", "measured_rate", "rate_bound", "x_found", "margin",
+      "min_llr_by_level", "min_llr", "persists", "status"}),
+    (("mc", "degradation", "--model", "regular:3", "--theta", "0.7", "--survey", "bec:0.6",
+      "--depth", "3", "--samples", "2000", "--bins", "5", "--seed", "9", "--workers", "1"),
+     {"n_flagged", "n_skipped", "n_samples", "seed", "ok"}
+     | under("bins[]", ("delta_tilde_center", "mean_delta", "stderr", "n", "flagged"))),
+    (("sbm", "exact", "--n", "6", "--a", "3", "--b", "1", "--eps", "none", "--graphs", "30",
+      "--seed", "7", "--workers", "1"),
+     under("entropy_per_vertex", ESTIMATE)),
+    (("sbm", "integral", "--a", "5", "--b", "1", "--eps-points", "5"),
+     {"a", "b", "d_mean", "theta", "snr", "eps_values", "entropy_values", "flagged",
+      "integral", "integral_coarse", "refinement_diff", "n_undecided", "status"}
+     | under("band", ("lower", "upper", "width", "split_eps"))),
+    (("sbm", "derivative", "--n", "6", "--a", "3", "--b", "1", "--eps", "0.5",
+      "--h", "0.1,0.05", "--graphs", "80", "--seed", "2", "--workers", "1"),
+     {"n", "a", "b", "epsilon", "h_values", "n_graphs", "seed", "mean_diff_first",
+      "stderr_diff_first", "mean_diff_sum", "stderr_diff_sum", "curvature_fit",
+      "identity_ok", "scaling_ok", "ok"}),
+    (("spin-sync", "mi", "--graph", "path:9", "--theta", "0.8", "--eps", "0.9",
+      "--radius", "2", "--workers", "1"),
+     {"value", "stderr", "method", "n_samples", "ball_size", "boundary_size", "n_edges"}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", RESULT_KEYS,
+                         ids=[" ".join(argv[:2]) + f"-{i}" for i, (argv, _) in
+                              enumerate(RESULT_KEYS)])
+def test_results_key_set_is_pinned(capsys, argv, keys):
+    _, doc = run_json(capsys, *argv)
+    assert key_paths(doc["results"]) == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "entropy", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+     "--depth", "2", "--samples", "100"),
+    ("sbm", "exact", "--n", "5", "--a", "3", "--b", "1", "--graphs", "4"),
+    ("spin-sync", "mi", "--graph", "path:5", "--theta", "0.5", "--eps", "0.5",
+     "--exact", "no", "--samples", "100"),
+    MAJORITY + ("--theta", "0.5"),
+], ids=["mc-entropy", "sbm-exact", "spin-sync-mi", "mc-majority"])
+def test_negative_seed_names_seed(capsys, tmp_path, argv):
+    for extra in (("--seed", "-1"), ("--config", write_config(tmp_path, seed=-1))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 1 and out == ""
+        assert err == "error: argument --seed: expected a non-negative integer, got '-1'\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("thresholds", "constants", "--out", "{missing}/x.json"), "--out"),
+    (("thresholds", "region", "--x-steps", "2", "--y-steps", "2", "--out",
+      "{missing}/x.csv"), "--out"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--depth", "3", "--trace-csv", "{missing}/t.csv"), "--trace-csv"),
+])
+def test_write_failures_name_their_flag(capsys, tmp_path, argv, flag):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag}: [Errno 2] No such file or directory")
+
+
+def test_infinite_grid_rmax_rejected(capsys):
+    code, out, err = run_cli(capsys, "de", "run", "--model", "regular:3", "--theta", "0.5",
+                             "--survey", "bec:0.5", "--grid-rmax", "inf")
+    assert code == 1 and out == ""
+    assert err == "error: --grid-rmax must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--x-min", "nan", "--x-steps", "2", "--y-steps", "1"),
+    ("--family", "bec", "--y-min", "1.5", "--y-max", "1.5", "--x-min", "0.5",
+     "--x-max", "0.5"),
+    ("--family", "bms", "--y-max", "1.5"),
+], ids=["nan-snr", "bec-above-one", "bms-above-one"])
+def test_region_rejects_bad_coordinates(capsys, argv):
+    code, out, err = run_cli(capsys, "thresholds", "region", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --x-min/--x-max/--y-min/--y-max: ")

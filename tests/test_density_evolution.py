@@ -1,12 +1,14 @@
 """Paired density evolution: stepping, convergence verdicts, invariants."""
 
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from treebp.bms import DeltaDistribution, SurveySpec, is_trivial_survey
+from treebp.cli import main
 from treebp.density_evolution import (
     DEConfig,
     InitCondition,
@@ -104,7 +106,7 @@ def test_run_pair_low_snr_survey_converges():
     report = run_pair(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5), DEConfig())
     assert report.verdict == "bi_holds"
     assert report.converged
-    assert report.final_gap() < 1e-9
+    assert report.final_gap < 1e-9
     assert len(report.records) - 1 <= 200
     # both boundary conditions land on the same limit
     assert report.limit_leaves.prob_error == pytest.approx(
@@ -120,7 +122,7 @@ def test_run_pair_trivial_survey_subcritical_stalls_honestly():
     assert report.verdict == "distinct_limits"
     assert report.limit_noleaves.prob_error == pytest.approx(0.5, abs=1e-12)
     assert report.limit_leaves.prob_error == pytest.approx(0.5, abs=0.01)
-    assert report.final_gap() < 1e-3
+    assert report.final_gap < 1e-3
 
 
 def test_run_pair_high_snr_trivial_survey_distinct_limits():
@@ -167,7 +169,7 @@ def test_run_pair_deterministic():
     cfg = DEConfig(max_depth=8)
     a = run_pair(TreeModel.regular(3, 0.6), SurveySpec.bec(0.4), cfg)
     b = run_pair(TreeModel.regular(3, 0.6), SurveySpec.bec(0.4), cfg)
-    assert a.as_dict() == b.as_dict()
+    assert a == b
 
 
 def test_run_pair_include_root_survey_flag():
@@ -180,10 +182,12 @@ def test_run_pair_include_root_survey_flag():
         assert ro.leaves.capacity <= rw.leaves.capacity + 1e-12
 
 
-def test_trace_csv_format(tmp_path):
+def test_trace_csv_format(tmp_path, capsys):
     report = run_pair(TreeModel.regular(3, 0.6), SurveySpec.bec(0.4), DEConfig(max_depth=4))
     path = tmp_path / "trace.csv"
-    report.write_trace_csv(path)
+    assert main(["de", "run", "--model", "regular:3", "--theta", "0.6", "--survey", "bec:0.4",
+                 "--depth", "4", "--trace-csv", str(path)]) == 2
+    capsys.readouterr()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,Pe_leaves,Pe_noleaves,C_leaves,C_noleaves,Z_leaves,Z_noleaves,gap,gap_ratio"
     assert len(lines) == len(report.records) + 1
@@ -279,7 +283,7 @@ def test_uniqueness_probe_without_root_survey_skips_the_first_step():
                              cfg=DEConfig(include_root_survey=False))
     assert probe.status == "unique"
     assert probe.max_pe_diff < 1e-8
-    assert min(r.depth for r in probe.results) > 2
+    assert min(probe.depths) > 2
 
 
 def test_uniqueness_probe_high_snr_custom_inits():
@@ -293,7 +297,7 @@ def test_uniqueness_probe_high_snr_custom_inits():
 
 def test_report_serialization_keys():
     report = run_pair(TreeModel.regular(3, 0.6), SurveySpec.bec(0.4), DEConfig(max_depth=3))
-    doc = report.as_dict()
+    doc = asdict(report)
     assert doc["model"] == "regular:3"
     assert doc["survey"] == "bec:0.4"
     assert {"verdict", "converged", "final_gap", "records",

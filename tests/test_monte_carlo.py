@@ -1,6 +1,7 @@
 """Sampled-tree estimators: single-tree BP, entropy, coupling, majority, mixing."""
 
 import math
+from dataclasses import asdict
 from itertools import product
 from math import comb
 
@@ -457,8 +458,8 @@ def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
         single = estimate_entropy(model, survey, depth, BoundaryCondition.perfect(), n,
                                   seed=9, workers=workers)
         pair = estimate_entropy_pair(model, survey, depth, n, seed=9, workers=workers)
-        assert single.as_dict() == pair.leaves.as_dict()
-        pairs.append(pair.as_dict())
+        assert single == pair.leaves
+        pairs.append(pair)
     assert pairs[0] == pairs[1]
 
 
@@ -526,7 +527,7 @@ def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
 ], ids=["pair_poisson_bsc", "pair_regular_bec", "pair_poisson_bec_noroot",
         "pair_poisson_three_atoms", "plus_poisson", "degradation", "wsm_contraction"])
 def test_outputs_pinned_to_recorded_floats(run, expected):
-    assert run().as_dict() == expected
+    assert asdict(run()) == expected
 
 
 @pytest.mark.parametrize("include_root_survey", [True, False], ids=["root", "noroot"])
@@ -653,10 +654,10 @@ def test_pruned_estimates_invariant_under_worker_count():
     assert n > 3 * _chunk_trees(model, depth, _reveal_weight(survey))
     one = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=1)
     two = estimate_entropy_pair(model, survey, depth, n, seed=4, workers=2)
-    assert one.as_dict() == two.as_dict()
+    assert one == two
     one = degradation_check(model, survey, depth, n, 5, seed=4, workers=1)
     two = degradation_check(model, survey, depth, n, 5, seed=4, workers=2)
-    assert one.as_dict() == two.as_dict()
+    assert one == two
 
 
 def test_poisson_estimates_invariant_under_worker_count():
@@ -669,7 +670,7 @@ def test_poisson_estimates_invariant_under_worker_count():
              wsm_probe(model, survey, depth, n, seed=5, workers=w)) for w in (1, 2)]
     assert runs[1][2].regime == "contraction"
     for one, two in zip(*runs):
-        assert one.as_dict() == two.as_dict()
+        assert one == two
 
 
 def test_estimate_entropy_pair_ordering_and_reproducibility():
@@ -802,7 +803,7 @@ def test_wsm_equal_gaps_have_zero_stderr():
     assert all(se <= 1e-15 for se in report.level_gap_stderrs)
     again = wsm_probe(TreeModel.regular(2, 0.4), SurveySpec.trivial(), 12, 64, seed=1,
                       workers=2)
-    assert again.as_dict() == report.as_dict()
+    assert again == report
 
 
 def test_wsm_theta_zero_gap_collapses():
@@ -825,7 +826,7 @@ def test_wsm_separation_invariant_under_worker_count():
     n = 2 * _chunk_trees(model, depth) + 100          # three chunks
     one, two = (wsm_probe(model, survey, depth, n, seed=7, workers=w) for w in (1, 2))
     assert one.regime == "separation" and one.status == "ok"
-    assert one.as_dict() == two.as_dict()
+    assert one == two
 
 
 def test_wsm_validation():
@@ -854,7 +855,7 @@ def test_estimators_need_two_samples(estimator):
 def test_result_dictionaries():
     result = estimate_entropy(TreeModel.regular(2, 0.5), SurveySpec.bec(0.5), 2,
                               BoundaryCondition.none(), 500, seed=1)
-    assert set(result.as_dict()) == {"estimate", "stderr", "n_samples", "seed"}
+    assert set(asdict(result)) == {"estimate", "stderr", "n_samples", "seed"}
     report = degradation_check(TreeModel.regular(2, 0.5), SurveySpec.bec(0.5), 2, 500, 4)
-    doc = report.as_dict()
+    doc = asdict(report)
     assert {"bins", "n_flagged", "n_skipped", "ok"} <= set(doc)

@@ -1,6 +1,7 @@
 """Two-community graph entropy: exact oracles, survey marginalization, tree link."""
 
 import math
+from dataclasses import asdict
 from itertools import product
 from unittest import mock
 
@@ -237,7 +238,7 @@ def test_derivative_identity_small_scan():
     for i in range(2):
         assert abs(report.mean_diff_sum[i]) <= abs(report.curvature_fit) * \
             report.h_values[i] ** 2 + 3.0 * report.stderr_diff_sum[i]
-    doc = report.as_dict()
+    doc = asdict(report)
     assert {"curvature_fit", "identity_ok", "scaling_ok", "ok"} <= set(doc)
 
 
@@ -296,7 +297,7 @@ def test_oracle_trend_report_shape():
         assert gap == pytest.approx(mean - report.integral, abs=1e-12)
     inner = report.integral_report
     assert inner.n_undecided == sum(inner.flagged)
-    assert {"gap_monotone", "integral_report"} <= set(report.as_dict())
+    assert {"gap_monotone", "integral_report"} <= set(asdict(report))
 
 
 def test_tree_integral_flags_stalled_endpoint():

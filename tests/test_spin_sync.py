@@ -1,6 +1,7 @@
 """Root-boundary mutual information on small graphs with pair observations."""
 
 import math
+from dataclasses import asdict
 from itertools import product
 
 import pytest
@@ -158,7 +159,7 @@ def test_validation_and_caps():
 
 
 def test_result_dictionary():
-    doc = mi_root_boundary(SyncGraph.path(5), 0.6, 0.5).as_dict()
+    doc = asdict(mi_root_boundary(SyncGraph.path(5), 0.6, 0.5))
     assert {"value", "stderr", "method", "ball_size", "boundary_size",
             "n_edges"} <= set(doc)
     assert isinstance(MIResult(0.0, 0.0, "exact", 0, 1, 0, 0), MIResult)

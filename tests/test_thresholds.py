@@ -196,3 +196,12 @@ def test_bi_region_scan_uses_the_region_ladder():
         assert p.in_region == (p.bound_value < 1.0)
     labels = {p.y: p.criterion for p in bi_region_scan([2.0], ys, family="bms")}
     assert labels[0.1] == labels[0.95] == "corollary_box"
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([math.nan], [0.5]), ([-0.5], [0.5]), ([math.inf], [0.5]),
+    ([1.0], [1.5]), ([1.0], [-0.1]), ([1.0], [math.nan]),
+], ids=["nan-x", "negative-x", "infinite-x", "y-above-one", "negative-y", "nan-y"])
+def test_bi_region_scan_rejects_bad_coordinates(xs, ys):
+    with pytest.raises(ValueError):
+        bi_region_scan(xs, ys, family="bms")
