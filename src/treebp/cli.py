@@ -10,8 +10,10 @@ decided run, 2 for a mathematically honest "undecided", 1 for errors,
 each error being a one-line diagnostic naming the offending parameter.
 
 Each command function takes the parsed namespace and returns
-(results, exit code, CSV table or None); main() writes the results, and
-de run's --trace-csv table goes through the same CSV writer.  Results are
+(results, exit code, CSV table or None); main() checks that the output
+paths' directories are writable before the run and writes the results
+after it, and de run's --trace-csv table goes through the same CSV
+writer.  Results are
 library result objects, serialized as their dataclass fields.  The
 envelope's config is the namespace minus _NOT_CONFIG, and --config files
 set parser defaults, so any flag on the command line wins.
@@ -21,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -509,6 +513,22 @@ def _write_csv(flag: str, path: str, table) -> None:
         writer.writerows(rows)
 
 
+def _check_writable(flag: str, path: str | None) -> None:
+    """Fail before the run, naming flag, when path's directory is missing
+    or not writable."""
+    if not path:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    with _blame(flag):
+        raise OSError(code, os.strerror(code), directory)
+
+
 def _write_output(args, results, table) -> None:
     """The CSV table for --out *.csv, else the JSON envelope to --out or stdout."""
     if args.out and args.out.endswith(".csv"):
@@ -537,6 +557,8 @@ def main(argv=None) -> int:
         if args.out and args.out.endswith(".csv") and args.func not in _TABLE_COMMANDS:
             raise CliError(f"--out: '{args.tool} {args.command}' has no CSV table; "
                            "give a .json path")
+        _check_writable("--out", args.out)
+        _check_writable("--trace-csv", getattr(args, "trace_csv", None))
         results, code, table = args.func(args)
         _write_output(args, results, table)
         return code

@@ -388,7 +388,7 @@ def resymmetrize(mu: SymmetricLLRDistribution,
 
 # -- transforms ------------------------------------------------------------
 
-def edge_llr_map(r, theta: float):
+def edge_llr_map(r, theta: float, out: np.ndarray | None = None):
     """LLR transform across one broadcast edge: 2 artanh(theta tanh(r/2)).
 
     Evaluated as sign(r) log((a + b e^-|r|) / (b + a e^-|r|)) with
@@ -396,12 +396,14 @@ def edge_llr_map(r, theta: float):
     free of overflow and exactly odd.  Contracts by a factor theta in the
     Lipschitz sense and saturates at +-log(a/b).  Long inputs (MC levels)
     go through in blocks of _EDGE_BLOCK so the chain of passes stays in
-    cache; each element sees the same operations either way.
+    cache; each element sees the same operations either way.  An array r
+    may give out, a contiguous float array of its shape that does not
+    overlap it, to receive the result.
     """
     x = np.asarray(r, dtype=float)
     flat = x.reshape(-1)
     a, b = 1.0 + theta, 1.0 - theta
-    out = np.empty(flat.size)
+    out = np.empty(flat.size) if out is None else out.reshape(-1)
     scratch = np.empty(min(flat.size, _EDGE_BLOCK))
     for lo in range(0, flat.size, _EDGE_BLOCK):
         src, dst = flat[lo:lo + _EDGE_BLOCK], out[lo:lo + _EDGE_BLOCK]

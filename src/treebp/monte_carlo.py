@@ -28,13 +28,16 @@ gives it the LLR spin * LLR_MAX (density evolution's reveal is
 pruned when its own survey is excluded.  Surveys without a noiseless atom
 prune nothing and draw exactly what the full tree draws.  The
 boundary-sensitivity probe keeps every node, since it averages over
-whole levels.
+whole levels.  A chunk's level arrays are views of one byte block per
+process (_Arena), reused by every chunk.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
@@ -73,6 +76,67 @@ _TABLE_FLOOR = 2.0 ** -60
 
 # Inverse-CDF lookups go through a guide table of this many equal bins of [0, 1).
 _GUIDE_SIZE = 1 << 12
+
+# The deepest level draws its uniforms in blocks of this many.
+_DRAW_BLOCK = 1 << 16
+
+# Arena bytes reserved per node of a chunk's coded levels, with room to spare:
+# untouched pages of the block cost no memory.
+_ARENA_NODE_BYTES = 64
+
+
+class _Arena(threading.local):
+    """One byte block per process, handed out as a stack of array views.
+
+    A chunk task opens it with chunk(nbytes), and the arrays of the chunk's
+    levels and upward passes are views of the block, all freed when the
+    chunk ends.  So after the first chunk they reuse pages already faulted
+    in, where heap arrays are faulted in afresh and trimmed back to the OS
+    every chunk.  The block grows to the largest reservation and is held
+    for the life of the process (one per thread, so threads never share
+    it).  An array that does not fit, or is taken outside a chunk, comes
+    from np.empty: correct, just slower.
+
+    scratch() frees on exit what was taken inside it, so no generator that
+    takes arrays may be resumed inside a scratch frame opened outside it.
+    Gathers into views use take(..., mode="clip"): the indices are always
+    in range, and the default mode="raise" gathers into a temporary first.
+    """
+
+    def __init__(self):
+        self.block = np.empty(0, np.uint8)
+        self.top = 0
+
+    def empty(self, n: int, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = -(-self.top // 64) * 64         # views start on cache-line boundaries
+        end = start + n * dtype.itemsize
+        if end > self.block.size:
+            return np.empty(n, dtype)
+        self.top = end
+        return self.block[start:end].view(dtype)
+
+    @contextmanager
+    def chunk(self, nbytes: int):
+        if nbytes > self.block.size:
+            self.block = np.empty(0, np.uint8)       # free the old block first
+            self.block = np.empty(nbytes, np.uint8)
+        self.top = 0
+        try:
+            yield
+        finally:
+            self.top = self.block.size
+
+    @contextmanager
+    def scratch(self):
+        top = self.top
+        try:
+            yield
+        finally:
+            self.top = top
+
+
+_ARENA = _Arena()
 
 
 @dataclass(frozen=True)
@@ -180,6 +244,13 @@ def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0,
     return max(1, min(_CHUNK_TREE_CAP, _CHUNK_NODE_BUDGET // nodes))
 
 
+def _arena_bytes(model: TreeModel, depth: int, trees: int, reveal: float = 0.0,
+                 include_root_survey: bool = True) -> int:
+    """Arena reservation for a chunk of trees: its coded levels 0..depth-1."""
+    nodes = _nodes_per_tree(model, max(depth - 1, 0), reveal, include_root_survey)
+    return trees * nodes * _ARENA_NODE_BYTES
+
+
 def _reveal_weight(survey: SurveySpec) -> float:
     """Weight of the survey's noiseless atom (delta = 0), the last atom."""
     dist = delta_of(survey)
@@ -207,10 +278,10 @@ class _InverseCDF:
         at_hi = np.searchsorted(cdf, np.nextafter(lo + 1.0 / _GUIDE_SIZE, 0.0), side="right")
         self.guide = np.where(at_lo == at_hi, at_lo, -1)
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        k = np.empty(u.size, dtype=np.intp)
-        np.multiply(u, _GUIDE_SIZE, out=k, casting="unsafe")    # exact, then truncated
-        out = self.guide.take(k)
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(u.size, dtype=np.intp) if out is None else out
+        np.multiply(u, _GUIDE_SIZE, out=out, casting="unsafe")  # bins: exact, then truncated
+        self.guide.take(out, out=out, mode="clip")     # each bin is read before it is written
         pos = np.flatnonzero(out < 0)
         out[pos] = np.searchsorted(self.cdf, u[pos], side="right")
         return out
@@ -338,6 +409,32 @@ class _NodeCodes(_InverseCDF):
         return self._tables[boundary]
 
 
+def _spread(values: np.ndarray, par: np.ndarray | None, d: int | None,
+            out: np.ndarray) -> np.ndarray:
+    """Each child's copy of its parent's value, into out: par maps children
+    to parents, or is None for contiguous blocks of d children per parent."""
+    if par is None:
+        out.reshape(-1, d)[:] = values[:, None]
+    else:
+        values.take(par, out=out, mode="clip")
+    return out
+
+
+def _parent_map(counts: np.ndarray) -> np.ndarray:
+    """np.repeat(np.arange(counts.size), counts), built in the arena.
+
+    counts is overwritten by its running sum, whose i-th entry is the first
+    row of parent i+1.  One parent boundary is scattered onto each such row
+    (rows past the end land in a sink entry), and a running sum of the
+    boundaries numbers every row with its parent.
+    """
+    ends = np.cumsum(counts, out=counts)
+    par = _ARENA.empty((int(ends[-1]) if ends.size else 0) + 1, np.intp)
+    par.fill(0)
+    np.add.at(par, ends, 1)
+    return np.cumsum(par[:-1], out=par[:-1])
+
+
 def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
     """Sum of the child messages of each of n parents, as floats even when
     there are no children (bincount returns int64 on empty input)."""
@@ -371,14 +468,22 @@ class _ChunkLevels:
     parent_spins: np.ndarray
 
     def n_leaves(self) -> float:
-        return float(self.law.children[self.codes].sum())
+        per_code = np.bincount(self.codes, minlength=self.law.children.size)
+        return float(per_code @ self.law.children)
 
     def deepest(self, table: np.ndarray) -> np.ndarray:
         """Per-node values of a (parent spin, code) table at the deepest level."""
-        ps, par = self.parent_spins, self.parents[-1]
-        if len(self.sizes) > 1:
-            ps = np.repeat(ps, self.d_children) if par is None else ps[par]
-        return table[(ps > 0).astype(np.intp), self.codes]
+        n = self.codes.size
+        out = _ARENA.empty(n)
+        with _ARENA.scratch():
+            ps = self.parent_spins
+            if len(self.sizes) > 1:
+                ps = _spread(ps, self.parents[-1], self.d_children, _ARENA.empty(n, np.int8))
+            flat = np.greater(ps, 0, out=_ARENA.empty(n, np.intp))    # the parent spin's row
+            flat *= table.shape[1]
+            flat += self.codes
+            table.take(flat, out=out, mode="clip")
+        return out
 
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
@@ -405,23 +510,30 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
         deepest = j == depth - 1
         law = _NodeCodes.of(model, surveyed if j > 0 or include_root_survey else None, j == 0,
                             stat if deepest else None if regular else "count", prune)
-        u = rng.random(n)
-        codes = law(u)
+        codes = _ARENA.empty(n, np.intp)
         sizes.append(n)
         parents.append(par)
-        if deepest:
+        if deepest:         # the same stream as one draw, without n uniforms at once
+            u = _ARENA.empty(min(n, _DRAW_BLOCK))
+            for lo in range(0, n, _DRAW_BLOCK):
+                block = rng.random(out=u[:min(_DRAW_BLOCK, n - lo)])
+                law(block, out=codes[lo:lo + block.size])
             break
+        u = rng.random(out=_ARENA.empty(n))
+        law(u, out=codes)
+        spins = law.spin.take(codes, out=_ARENA.empty(n, np.int8), mode="clip")
         if j > 0:
-            sp = np.repeat(sp, d_int) if par is None else sp[par]
-        sp = sp * law.spin[codes]
-        # the survey LLRs are written over the uniforms, which are spent by then
-        surveys.append(None if law.w is None else np.multiply(law.w[codes], sp, out=u))
-        if not regular:
-            par = np.repeat(np.arange(n), law.children[codes])
-        elif law.closed.any():
-            par = np.repeat(np.flatnonzero(~law.closed[codes]), d_int)
-        else:
+            spins *= _spread(sp, par, d_int, _ARENA.empty(n, np.int8))
+        sp = spins
+        if law.w is None:
+            surveys.append(None)
+        else:   # the survey LLRs are written over the uniforms, which are spent by then
+            surveys.append(law.w.take(codes, out=u, mode="clip"))
+            u *= sp
+        if regular and not law.closed.any():
             par = None
+        else:   # the codes are spent too: their child counts go over them
+            par = _parent_map(law.children.take(codes, out=codes, mode="clip"))
         n = n * d_int if par is None else par.size
     return _ChunkLevels(sizes, parents, surveys, d_int, law, codes, sp)
 
@@ -430,7 +542,7 @@ def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.nda
     """Sum child messages at level j+1 onto their level-j parents."""
     par = levels.parents[j + 1]
     if par is None:
-        return msg.reshape(-1, levels.d_children).sum(axis=1)
+        return msg.reshape(-1, levels.d_children).sum(axis=1, out=_ARENA.empty(levels.sizes[j]))
     return _child_sums(par, msg, levels.sizes[j])
 
 
@@ -453,13 +565,14 @@ def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: flo
     if k == 1:
         return
     if boundary.kind in ("perfect", "none"):
-        r = _aggregate_children(msg[1][levels.codes], levels, k - 2)
+        plus_row = msg[1].take(levels.codes, out=_ARENA.empty(levels.codes.size), mode="clip")
+        r = _aggregate_children(plus_row, levels, k - 2)
         r *= levels.parent_spins
     else:
         r = _aggregate_children(levels.deepest(msg), levels, k - 2)
     for j in range(k - 2, -1, -1):
         if j < k - 2:
-            r = _aggregate_children(edge_llr_map(r, theta), levels, j)
+            r = _aggregate_children(edge_llr_map(r, theta, out=_ARENA.empty(r.size)), levels, j)
         if levels.surveys[j] is not None:
             r += levels.surveys[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
@@ -467,7 +580,7 @@ def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: flo
 
 
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
-                       include_root_survey):
+                       include_root_survey, arena_bytes=0):
     if depth == 0:              # the root entropy sees only |r|: no spins needed
         r = np.array([LLR_MAX if b.kind == "perfect" else 0.0 if b.kind == "none"
                       else min(b.value, LLR_MAX) for b in boundaries])
@@ -475,12 +588,14 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
 
     kinds = {b.kind for b in boundaries}
     stat = "net" if "perfect" in kinds else "count" if kinds & {"plus", "minus"} else None
-    levels = _sample_chunk_levels(rng, model, survey, depth, count, stat,
-                                  include_root_survey, prune=True)
     out = np.empty((len(boundaries), count))
-    for i, boundary in enumerate(boundaries):
-        r = deque(_upward_levels(boundary, levels, model.theta), maxlen=1)[0]
-        out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
+    with _ARENA.chunk(arena_bytes):
+        levels = _sample_chunk_levels(rng, model, survey, depth, count, stat,
+                                      include_root_survey, prune=True)
+        for i, boundary in enumerate(boundaries):
+            with _ARENA.scratch():
+                r = deque(_upward_levels(boundary, levels, model.theta), maxlen=1)[0]
+                out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
     return out
 
 
@@ -490,9 +605,11 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
         raise ValueError("need at least two samples")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    reveal = _reveal_weight(survey)
+    chunk = _chunk_trees(model, depth, reveal, include_root_survey)
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
-                   boundaries=tuple(boundaries), include_root_survey=include_root_survey)
-    chunk = _chunk_trees(model, depth, _reveal_weight(survey), include_root_survey)
+                   boundaries=tuple(boundaries), include_root_survey=include_root_survey,
+                   arena_bytes=_arena_bytes(model, depth, chunk, reveal, include_root_survey))
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     return np.concatenate(parts, axis=1)
 
@@ -725,19 +842,23 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
 # Weak spatial mixing probe
 
 
-def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
-    levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
-                                  include_root_survey, prune=False)
-    n_leaves = levels.n_leaves()
-    up_plus, up_minus = (_upward_levels(b, levels, model.theta, True)
-                         for b in (BoundaryCondition.plus(magnitude),
-                                   BoundaryCondition.minus(magnitude)))
+def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey,
+                   arena_bytes=0):
     stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
-    stats[depth] = (n_leaves, 2.0 * magnitude, 0.0)
-    for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
-        g = np.abs(rp - rm)
-        mean = g.mean() if g.size else 0.0
-        stats[j] = (g.size, mean, np.dot(g - mean, g - mean))
+    with _ARENA.chunk(arena_bytes):
+        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
+                                      include_root_survey, prune=False)
+        stats[depth] = (levels.n_leaves(), 2.0 * magnitude, 0.0)
+        # the two passes are interleaved, so their arrays stay taken until the chunk ends
+        up_plus, up_minus = (_upward_levels(b, levels, model.theta, True)
+                             for b in (BoundaryCondition.plus(magnitude),
+                                       BoundaryCondition.minus(magnitude)))
+        for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
+            g = np.subtract(rp, rm, out=_ARENA.empty(rp.size))
+            np.abs(g, out=g)
+            mean = g.mean() if g.size else 0.0
+            g -= mean
+            stats[j] = (g.size, mean, np.dot(g, g))
     return stats
 
 
@@ -751,13 +872,15 @@ def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([n, ma + delta * w, sa + sb + delta * delta * na * w], axis=1)
 
 
-def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey):
-    levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
-                                  include_root_survey, prune=False)
+def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey,
+                   arena_bytes=0):
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude
-    mins[depth - 1::-1] = [r.min() for r in _upward_levels(
-        BoundaryCondition.plus(magnitude), levels, model.theta, True)]
+    with _ARENA.chunk(arena_bytes):
+        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
+                                      include_root_survey, prune=False)
+        mins[depth - 1::-1] = [r.min() for r in _upward_levels(
+            BoundaryCondition.plus(magnitude), levels, model.theta, True)]
     return mins
 
 
@@ -821,11 +944,12 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
         raise ValueError(f"boundary magnitude must lie in (0, {LLR_MAX:g}]")
     dtheta = model.d * model.theta
     chunk = _chunk_trees(model, depth)
+    arena_bytes = _arena_bytes(model, depth, chunk)
 
     if dtheta <= 1.0:
         task = partial(_wsm_gap_chunk, model=model, survey=survey, depth=depth,
                        magnitude=boundary_magnitude,
-                       include_root_survey=include_root_survey)
+                       include_root_survey=include_root_survey, arena_bytes=arena_bytes)
         parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
         stats = reduce(_merge_moments, parts)
         gaps, stderrs = [], []
@@ -852,7 +976,7 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
                          status="no_separation_found")
     task = partial(_wsm_min_chunk, model=model, survey=survey, depth=depth,
                    magnitude=boundary_magnitude,
-                   include_root_survey=include_root_survey)
+                   include_root_survey=include_root_survey, arena_bytes=arena_bytes)
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     mins = np.full(depth + 1, math.inf)
     for p in parts:

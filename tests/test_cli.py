@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import treebp
+from treebp import cli
 from treebp.cli import main
 
 
@@ -493,6 +494,25 @@ def test_write_failures_name_their_flag(capsys, tmp_path, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {flag}: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sbm", "integral", "--a", "4", "--b", "1", "--out", "{missing}/x.json"), "--out"),
+    (("sbm", "integral", "--a", "4", "--b", "1", "--out", "{file}/x.json"), "--out"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--trace-csv", "{missing}/t.csv"), "--trace-csv"),
+], ids=["out-missing-dir", "out-under-a-file", "trace-csv-missing-dir"])
+def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, argv, flag):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in argv]
+    calls = []
+    for name in ("_cmd_sbm_integral", "_cmd_de_run"):
+        monkeypatch.setattr(cli, name, lambda args: calls.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert calls == []
+    assert code == 1 and out == ""
+    reason = "Not a directory" if "/file/" in argv[-1] else "No such file or directory"
+    assert err.startswith(f"error: {flag}: [Errno ") and reason in err
 
 
 def test_infinite_grid_rmax_rejected(capsys):

@@ -1,6 +1,7 @@
 """Sampled-tree estimators: single-tree BP, entropy, coupling, majority, mixing."""
 
 import math
+import threading
 from dataclasses import asdict
 from itertools import product
 from math import comb
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from treebp.bms import DeltaDistribution, SurveySpec, binary_entropy, delta_of
+from treebp import monte_carlo
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import (
@@ -19,6 +21,7 @@ from treebp.monte_carlo import (
     _leaf_law,
     _NodeCodes,
     _nodes_per_tree,
+    _parent_map,
     _reveal_weight,
     _root_deltas_chunk,
     _sample_chunk_levels,
@@ -621,14 +624,15 @@ def test_chunk_plan_budgets_the_nodes_drawn():
 
 
 class _CountingUniforms:
-    """Stands in for a Generator that has only random(n); counts the draws."""
+    """Stands in for a Generator that has only random(n=None, out=None);
+    counts the draws, out.size of them when out is given."""
 
     def __init__(self, seed: int):
         self.rng, self.drawn = np.random.default_rng(seed), 0
 
-    def random(self, n: int) -> np.ndarray:
-        self.drawn += n
-        return self.rng.random(n)
+    def random(self, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        self.drawn += out.size if out is not None else n
+        return self.rng.random(n, out=out)
 
 
 @pytest.mark.parametrize("survey", [SurveySpec.bsc(0.2), SurveySpec.bec(0.5), _THREE_ATOMS,
@@ -647,6 +651,59 @@ def test_sampler_draws_one_uniform_per_node(model, survey):
         out = _root_deltas_chunk(rng, 40, model=model, survey=survey, depth=0,
                                  boundaries=(boundary,), include_root_survey=True)
         assert rng.drawn == 0 and out.shape == (1, 40)
+
+
+@pytest.mark.parametrize("counts", [
+    [0, 0, 0], [0, 0, 2, 1], [3, 1, 0, 0], [0, 2, 0, 0, 1, 0], [4], [0], [],
+    np.random.default_rng(1).poisson(1.0, 500),
+], ids=["all-zero", "zeros-first", "zeros-last", "zeros-between", "one-parent",
+        "one-childless-parent", "no-parents", "poisson"])
+def test_parent_map_matches_repeat(counts):
+    counts = np.asarray(counts, dtype=np.intp)
+    want = np.repeat(np.arange(counts.size), counts)
+    got = _parent_map(counts.copy())
+    assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def test_arena_reuse_keeps_every_result():
+    # one process runs estimators whose chunks reuse the arena: several chunks
+    # per run, two interleaved upward passes (wsm), a count-statistic boundary,
+    # closed regular levels, and reservations that shrink and then grow.
+    # Every result must equal the same run with plain heap arrays.
+    runs = [
+        lambda: estimate_entropy_pair(TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.2), 5,
+                                      9000, seed=31, workers=1),
+        lambda: wsm_probe(TreeModel.regular(2, 0.4), SurveySpec.bsc(0.2), 6, 9000, seed=32,
+                          workers=1),
+        lambda: estimate_entropy(TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.3), 4,
+                                 BoundaryCondition.plus(2.0), 5000, seed=33, workers=1),
+        lambda: estimate_entropy_pair(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8,
+                                      5000, seed=34, workers=1),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monte_carlo._ARENA, "empty",
+                      lambda n, dtype=np.float64: np.empty(n, dtype))
+        heap = [run() for run in runs]
+    assert [run() for run in runs + runs[:1]] == heap + heap[:1]
+
+
+def test_arena_is_per_thread():
+    # each thread carves its own block: threads running estimators at once
+    # get the results of serial runs
+    args = (TreeModel.poisson(3.0, 0.6), SurveySpec.bsc(0.2), 5, 9000)
+    serial = [estimate_entropy_pair(*args, seed=seed, workers=1) for seed in range(4)]
+    got = [None] * 4
+
+    def run(seed):
+        got[seed] = estimate_entropy_pair(*args, seed=seed, workers=1)
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert got == serial
 
 
 def test_pruned_estimates_invariant_under_worker_count():

@@ -242,6 +242,34 @@ def test_derivative_identity_small_scan():
     assert {"curvature_fit", "identity_ok", "scaling_ok", "ok"} <= set(doc)
 
 
+def _chunk_counts(monkeypatch) -> list:
+    """Record how many chunks each parallel_chunk_map call in sbm runs."""
+    counts, real = [], sbm.parallel_chunk_map
+
+    def spy(task, n_items, chunk_size, seed, workers=None):
+        counts.append(-(-n_items // chunk_size))
+        return real(task, n_items, chunk_size, seed, workers)
+
+    monkeypatch.setattr(sbm, "parallel_chunk_map", spy)
+    return counts
+
+
+def test_exact_conditional_entropy_invariant_under_worker_count(monkeypatch):
+    chunks = _chunk_counts(monkeypatch)
+    one, two = (exact_conditional_entropy(8, 5.0, 1.0, 0.5, 600, seed=3, workers=w)
+                for w in (1, 2))
+    assert chunks == [3, 3]
+    assert one == two
+
+
+def test_derivative_identity_scan_invariant_under_worker_count(monkeypatch):
+    chunks = _chunk_counts(monkeypatch)
+    one, two = (derivative_identity_scan(8, 5.0, 1.0, 0.5, [0.1, 0.05], 46, seed=3, workers=w)
+                for w in (1, 2))
+    assert chunks == [4, 4]
+    assert one == two
+
+
 def test_derivative_scan_validation():
     with pytest.raises(ValueError):
         derivative_identity_scan(6, 3.0, 1.0, 0.05, [0.1], 10)
