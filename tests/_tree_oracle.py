@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from treebp.bms import SurveySpec, delta_of, is_trivial_survey
+from treebp.bms import DeltaDistribution, SurveySpec, delta_of, is_trivial_survey
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import LLR_MAX, BoundaryCondition
@@ -47,11 +48,17 @@ class SampledTree:
         return sum(self.level_sizes)
 
 
-def _survey_llrs(rng: np.random.Generator, survey: SurveySpec, spins: np.ndarray) -> np.ndarray:
-    """Survey LLRs spin * sign * magnitude: the atom drawn by its weight, the
-    sign flipped with probability delta, the magnitude log((1 - delta) /
-    delta) clipped at LLR_MAX."""
-    dist = delta_of(survey)
+@lru_cache(maxsize=None)
+def _atom_law(survey: SurveySpec) -> DeltaDistribution | None:
+    """The survey's crossover mixture, None when the survey is trivial."""
+    return None if is_trivial_survey(survey) else delta_of(survey)
+
+
+def _survey_llrs(rng: np.random.Generator, dist: DeltaDistribution,
+                 spins: np.ndarray) -> np.ndarray:
+    """Survey LLRs spin * sign * magnitude: the atom of the survey's law dist
+    drawn by its weight, the sign flipped with probability delta, the
+    magnitude log((1 - delta) / delta) clipped at LLR_MAX."""
     deltas = np.asarray(dist.deltas, dtype=float)[
         rng.choice(len(dist), size=spins.size, p=np.asarray(dist.weights, dtype=float))]
     sign = np.where(rng.random(spins.size) < deltas, -1.0, 1.0)
@@ -80,10 +87,11 @@ def sample_tree(model: TreeModel, depth: int, survey: SurveySpec, seed: int = 0)
         spins.append(spins[j - 1][par] * flips)
         parents.append(par)
 
+    dist = _atom_law(survey)
     survey_llr: list[np.ndarray | None] = []
     for j in range(depth + 1):
-        if j < depth and not is_trivial_survey(survey):
-            survey_llr.append(_survey_llrs(rng, survey, spins[j]))
+        if j < depth and dist is not None:
+            survey_llr.append(_survey_llrs(rng, dist, spins[j]))
         elif j < depth:
             survey_llr.append(np.zeros(spins[j].size))
         else:

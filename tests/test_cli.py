@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON envelope, config merging, artifacts."""
 
+import hashlib
 import json
 import math
 import os
@@ -135,6 +136,23 @@ def test_reruns_are_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_dense_custom_survey_output_is_pinned(capsys, tmp_path):
+    # 64 atoms give the survey law far more nonzero bins than a pair sum
+    # takes by shifted adds, so every survey sum goes through the FFT; the
+    # stdout (path aside) is pinned from the code before shifted adds existed
+    path = tmp_path / "dense.csv"
+    path.write_text("delta,weight\n" + "".join(f"{(i + 1) / 130!r},{1 / 64!r}\n"
+                                               for i in range(64)))
+    code, out, _ = run_cli(capsys, "de", "run", "--model", "poisson:4", "--theta", "0.6",
+                           "--survey", f"custom:@{path}")
+    assert code == 0
+    doc = json.loads(out)["results"]
+    assert doc["limit_leaves"]["capacity"] == 0.4380307236062677
+    assert doc["limit_noleaves"]["capacity"] == 0.43803072346142247
+    digest = hashlib.sha256(out.replace(str(path), "dense.csv").encode()).hexdigest()
+    assert digest == "a0d53a90f922802bed4e28932ebad0b6d981d13922a2359efdc5d25c09c42ea8"
 
 
 def test_worker_count_does_not_change_output(capsys):

@@ -7,9 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treebp import llr_dist
 from treebp.bms import (
     DeltaDistribution,
     SurveySpec,
@@ -250,6 +251,26 @@ def test_stacked_sums_crop_each_row_to_its_own_support():
             np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("rows", [[0, 1, 2], [0, 0], [1, 0, 1], [2, 2]])
+def test_sparse_survey_sums_match_the_spectral_sum(monkeypatch, rows):
+    # BEC and BSC surveys add as shifted copies, with no transform; the
+    # aggregates reach +r_max, so the bec reveal (+r_max) and the bsc
+    # offsets (+-46, +-47 bins) fold mass onto the boundary bins
+    surveys = _Stack.of([from_delta(delta_of(SurveySpec.parse(spec)), GRID)
+                         .with_infinities_clamped()
+                         for spec in ("bec:0.5", "bsc:0.2", "bsc:1e-15")])
+    aggs = _Stack.of([_saturating_law(), flip_mix(_point(29.5), 0.2),
+                      poisson_convolve(apply_edge_map(_point(20.0), 0.99), 3.0)][:len(rows)])
+    assert (aggs.masses[:, -48:].sum(axis=1) > 0.05).all()
+    shifted = _convolve(aggs, surveys, rows)
+    assert not surveys._spectra
+    monkeypatch.setattr(llr_dist, "_SHIFT_ADD_BINS", -1)
+    spectral = _convolve(aggs, surveys, rows)
+    assert surveys._spectra
+    np.testing.assert_allclose(shifted.masses, spectral.masses, rtol=0.0, atol=1e-15)
+    assert (shifted.masses[:, -1] > 0.05).all()
+
+
 def test_edge_map_is_theta_lipschitz():
     rng = np.random.default_rng(11)
     for theta in (0.2, 0.5, 0.9, 0.99):
@@ -442,8 +463,17 @@ def _interior_laws(draw, reach=5):
     return SymmetricLLRDistribution(SMALL, m)
 
 
+def _dense_law(bins):
+    """A law on bins consecutive bins around the center of SMALL."""
+    w = np.arange(1.0, bins + 1)
+    m = np.zeros(SMALL.n_bins)
+    m[SMALL.center_index - bins // 2:SMALL.center_index + bins - bins // 2] = w / w.sum()
+    return SymmetricLLRDistribution(SMALL, m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_interior_laws(), _interior_laws())
+@example(_dense_law(7), _dense_law(2 * llr_dist._SHIFT_ADD_BINS + 1))  # the spectral path
 def test_convolve_matches_direct_sum(mu1, mu2):
     np.testing.assert_allclose(convolve(mu1, mu2).masses,
                                _direct_convolve(mu1.masses, mu2.masses), rtol=0, atol=1e-14)
