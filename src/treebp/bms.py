@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +51,17 @@ def _entropy_of_masses(p: np.ndarray) -> float:
     """Shannon entropy -sum p log p of a mass vector, nats, with 0 log 0 = 0."""
     nz = p[p > 0.0]
     return -float(nz @ np.log(nz))
+
+
+@lru_cache(maxsize=8)
+def _popcounts(n_bits: int) -> np.ndarray:
+    """Read-only table of the set-bit count of every index below 2**n_bits."""
+    idx = np.arange(1 << n_bits, dtype=np.int64)
+    pc = np.zeros(1 << n_bits, dtype=np.int64)
+    for j in range(n_bits):
+        pc += (idx >> j) & 1
+    pc.setflags(write=False)
+    return pc
 
 
 _LATTICE_FLOATS = 1 << 17   # lattice entries per row block (1 MB), at least one row

@@ -290,8 +290,8 @@ def _cmd_mc_entropy(args):
 def _cmd_mc_majority(args):
     model = _parse_model(args.model, args.theta)
     with _blame("--eta/--depth/--samples"):
-        report = majority_stats(model.d, args.theta, args.eta, args.depth, args.samples,
-                                kind=model.kind, seed=args.seed, workers=args.workers)
+        report = majority_stats(model, args.eta, args.depth, args.samples,
+                                seed=args.seed, workers=args.workers)
     return report, EXIT_OK, None
 
 
@@ -514,12 +514,14 @@ def _write_csv(flag: str, path: str, table) -> None:
 
 
 def _check_writable(flag: str, path: str | None) -> None:
-    """Fail before the run, naming flag, when path's directory is missing
-    or not writable."""
+    """Fail before the run, naming flag, when path is a directory or its
+    directory is missing or not writable."""
     if not path:
         return
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
+    if os.path.isdir(path):
+        code, directory = errno.EISDIR, path
+    elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
     elif not os.access(directory, os.W_OK | os.X_OK):
         code = errno.EACCES

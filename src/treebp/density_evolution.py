@@ -82,8 +82,8 @@ class TreeModel:
         if self.kind == "regular":
             if int(self.d) != self.d or self.d < 1:
                 raise ValueError("regular offspring count must be an integer >= 1")
-        elif self.d <= 0:
-            raise ValueError("mean offspring count must be positive")
+        elif not 0.0 < self.d < math.inf:
+            raise ValueError("mean offspring count must be positive and finite")
 
     @classmethod
     def regular(cls, d: int, theta: float) -> "TreeModel":

@@ -277,12 +277,6 @@ class SymmetricLLRDistribution:
             raise ValueError("mean undefined with mass at +-inf")
         return float(np.dot(self.masses, self.grid.centers()))
 
-    def potential_mean(self) -> float:
-        """E[exp(-R/2)]; the +inf atom contributes 0."""
-        if self.neg_inf_mass > _INF_FLOOR:
-            return math.inf
-        return float(np.dot(self.masses, _terms(self.grid)[1]))
-
     def with_infinities_clamped(self) -> "SymmetricLLRDistribution":
         """Fold the +-inf atoms onto the outermost grid bins."""
         if self.is_finite and self.pos_inf_mass == 0.0 and self.neg_inf_mass == 0.0:

@@ -30,6 +30,9 @@ prune nothing and draw exactly what the full tree draws.  The
 boundary-sensitivity probe keeps every node, since it averages over
 whole levels.  A chunk's level arrays are views of one byte block per
 process (_Arena), reused by every chunk.
+
+Every estimator, majority_stats and majority_closed_forms included, takes
+the tree as a TreeModel.
 """
 
 from __future__ import annotations
@@ -719,24 +722,27 @@ def degradation_check(model: TreeModel, survey: SurveySpec, depth: int,
 # Majority decoder statistics
 
 
-def majority_closed_forms(d: float, theta: float, eta: float, depth: int,
-                          kind: str = "regular") -> tuple[float, float]:
+def _vote_scale(model: TreeModel) -> float:
+    """Per-level variance factor of the vote sum: 1 - theta^2 regular, 1 Poisson."""
+    return (1.0 - model.theta * model.theta) if model.kind == "regular" else 1.0
+
+
+def majority_closed_forms(model: TreeModel, eta: float, depth: int) -> tuple[float, float]:
     """Exact mean and variance of the leaf vote sum given a plus root."""
-    a = d * theta * theta
-    mean = (1.0 - 2.0 * eta) * (d * theta) ** depth
+    d, a = model.d, model.snr
+    mean = (1.0 - 2.0 * eta) * (d * model.theta) ** depth
     growth = float(depth) if abs(a - 1.0) < 1e-12 else (a ** depth - 1.0) / (a - 1.0)
-    scale = (1.0 - theta * theta) if kind == "regular" else 1.0
     var = 4.0 * eta * (1.0 - eta) * d ** depth \
-        + scale * (1.0 - 2.0 * eta) ** 2 * d ** depth * growth
+        + _vote_scale(model) * (1.0 - 2.0 * eta) ** 2 * d ** depth * growth
     return mean, var
 
 
-def _majority_chunk(rng, count, *, d, theta, eta, depth, kind, shift):
-    flip = 0.5 * (1.0 - theta)
+def _majority_chunk(rng, count, *, model, eta, depth, shift):
+    d, flip = model.d, model.flip
     nplus = np.ones(count, dtype=np.int64)
     total = np.ones(count, dtype=np.int64)
     for _ in range(depth):
-        if kind == "regular":
+        if model.kind == "regular":
             di = int(d)
             from_plus = rng.binomial(nplus * di, flip)
             from_minus = rng.binomial((total - nplus) * di, flip)
@@ -779,30 +785,26 @@ class MajorityReport:
     chi2_lower_bound_limit: float | None
 
 
-def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: int,
-                   kind: str = "regular", seed: int = 0,
-                   workers: int | None = None) -> MajorityReport:
+def majority_stats(model: TreeModel, eta: float, depth: int, n_samples: int,
+                   seed: int = 0, workers: int | None = None) -> MajorityReport:
     """Simulate the leaf vote sum via its level-count sufficient statistic.
 
     Only the per-level (plus, minus) counts are sampled, so the cost per
-    tree is linear in the depth rather than the tree size.
+    tree is linear in the depth rather than the tree size.  The counts are
+    int64, so depths with d^depth above 2^62 are rejected.
     """
-    if kind not in ("regular", "poisson"):
-        raise ValueError("kind must be 'regular' or 'poisson'")
     if not 0.0 < eta < 0.5:
         raise ValueError("vote noise eta must lie in (0, 1/2)")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if kind == "regular" and int(d) != d:
-        raise ValueError("regular offspring count must be an integer")
+    if depth * math.log2(model.d) > 62:
+        raise ValueError(f"depth {depth} needs about {model.d:g}^{depth} leaves per tree, "
+                         "past the 2^62 limit of the int64 level counts")
 
-    mean_cf, var_cf = majority_closed_forms(d, theta, eta, depth, kind)
-    task = partial(_majority_chunk, d=d, theta=theta, eta=eta, depth=depth,
-                   kind=kind, shift=mean_cf)
+    mean_cf, var_cf = majority_closed_forms(model, eta, depth)
+    task = partial(_majority_chunk, model=model, eta=eta, depth=depth, shift=mean_cf)
     parts = parallel_chunk_map(task, n_samples, 1 << 14, seed, workers)
 
     n = sum(p[0] for p in parts)
@@ -818,18 +820,18 @@ def majority_stats(d: float, theta: float, eta: float, depth: int, n_samples: in
     var_stderr = math.sqrt(max(mu4 - mu2 * mu2, 0.0) / n)
     mean_stderr = math.sqrt(max(var, 0.0) / n)
 
-    a = d * theta * theta
+    a = model.snr
     ratio = var / (mean * mean) if mean != 0.0 else math.inf
     ratio_cf = var_cf / (mean_cf * mean_cf) if mean_cf != 0.0 else math.inf
     if a > 1.0:
-        scale = (1.0 - theta * theta) if kind == "regular" else 1.0
-        ratio_limit = scale / (a - 1.0)
+        ratio_limit = _vote_scale(model) / (a - 1.0)
         chi2_limit = 1.0 / (ratio_limit + 1.0)
     else:
         ratio_limit = None
         chi2_limit = None
     return MajorityReport(
-        kind=kind, d=d, theta=theta, eta=eta, depth=depth, n_samples=n, seed=seed,
+        kind=model.kind, d=model.d, theta=model.theta,
+        eta=eta, depth=depth, n_samples=n, seed=seed,
         sample_mean=mean, sample_mean_stderr=mean_stderr,
         sample_var=var, sample_var_stderr=var_stderr,
         closed_form_mean=mean_cf, closed_form_var=var_cf,

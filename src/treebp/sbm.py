@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._parallel import parallel_chunk_map
-from .bms import SurveySpec, _subset_entropies
+from .bms import SurveySpec, _popcounts, _subset_entropies
 from .density_evolution import DEConfig, InitCondition, TreeModel, _fixed_points
 from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
@@ -139,15 +139,6 @@ def sbm_tree_model(a: float, b: float) -> TreeModel:
 
 # ---------------------------------------------------------------------------
 # Exact enumeration oracle
-
-@lru_cache(maxsize=8)
-def _popcounts(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    pc = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        pc += (idx >> j) & 1
-    return pc
-
 
 def _count_log(count: np.ndarray, logp: float) -> np.ndarray:
     # count * logp with the 0 * (-inf) = 0 convention for impossible factors

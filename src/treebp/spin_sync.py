@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_chunk_map
-from .bms import _entropy_of_masses, _subset_entropies
+from .bms import _entropy_of_masses, _popcounts, _subset_entropies
 
 __all__ = [
     "MAX_BALL",
@@ -218,9 +218,7 @@ def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:
         w *= np.where(match, 1.0 - delta, delta)
 
     o_bit = 1 << root_local
-    pop = np.zeros(size, dtype=np.int64)
-    for j in range(nb):
-        pop += (idx >> j) & 1
+    pop = _popcounts(nb)
     weight = (1.0 - epsilon) ** pop * epsilon ** (nb - pop)
 
     # h[S] = H(edge outcomes, spins in S); the gain is I(o; D | outcomes, spins in s)

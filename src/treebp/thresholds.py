@@ -6,6 +6,10 @@ relaxed bound d theta^2 exp(-(d theta^2 - 1)_+ / 2) Z(W), whose supremum
 over the branching number is 2/sqrt(e); the bound certifies boundary
 irrelevance whenever it is below 1, and it is below 1 for every channel
 once d theta^2 exceeds the root of a exp(-(a-1)/2) = 1 above 1.
+
+contraction_coeff and relaxed_contraction_bound take the tree as a
+TreeModel.  The relaxed gain is one function (_gain), read by the bound,
+the region labels and the high-SNR threshold.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bms import SurveySpec, bhattacharyya, delta_of
+from .density_evolution import TreeModel
 
 __all__ = [
     "high_snr_threshold",
     "peak_contraction_gain",
     "survey_strength_bounds",
     "SurveyStrengthBounds",
-    "contraction_coeff_regular",
-    "contraction_coeff_poisson",
+    "contraction_coeff",
     "relaxed_contraction_bound",
     "regular_d2_window_endpoint",
     "RegionPoint",
@@ -31,14 +35,14 @@ __all__ = [
 ]
 
 
-def _bisect_downcrossing(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Root of fn where it crosses from positive to negative on (lo, hi).
+def _bisect_downcrossing(fn, lo: float, hi: float) -> float:
+    """Root of fn where it crosses from positive to negative on (lo, hi), to 1e-9.
 
     Plain bisection keeping the left end on the positive side, so a zero of
     fn at the left endpoint itself does not confuse the bracket.
     """
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-9:
             break
         mid = 0.5 * (lo + hi)
         if fn(mid) > 0.0:
@@ -48,13 +52,18 @@ def _bisect_downcrossing(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
-def high_snr_threshold(tol: float = 1e-9) -> float:
+def _gain(a: float) -> float:
+    """Relaxed gain a exp(-(a-1)_+ / 2) of the branching SNR a."""
+    return a * math.exp(-0.5 * max(a - 1.0, 0.0))
+
+
+def high_snr_threshold() -> float:
     """Unique a > 1 with a exp(-(a-1)/2) = 1, by bisection on (1, 10).
 
     Above this branching signal-to-noise value the relaxed contraction bound
     is below 1 for every survey channel, however weak.
     """
-    return _bisect_downcrossing(lambda a: a * math.exp(-0.5 * (a - 1.0)) - 1.0, 1.0, 10.0, tol)
+    return _bisect_downcrossing(lambda a: _gain(a) - 1.0, 1.0, 10.0)
 
 
 def peak_contraction_gain() -> float:
@@ -93,52 +102,38 @@ def _survey_z(survey: SurveySpec | float) -> float:
     return float(survey)
 
 
-def contraction_coeff_regular(d: int, theta: float, survey: SurveySpec | float) -> float:
-    """Asymptotic potential-gap contraction factor on the d-regular tree.
+def contraction_coeff(model: TreeModel, survey: SurveySpec | float) -> float:
+    """Asymptotic potential-gap contraction factor of the model's tree.
 
     survey may be a SurveySpec or a Bhattacharyya coefficient directly.
+    Regular trees need d >= 2.
     """
-    if int(d) != d or d < 2:
-        raise ValueError("regular offspring count must be an integer >= 2")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
-    d = int(d)
-    a = d * theta * theta
+    a, d = model.snr, model.d
     excess = max(a - 1.0, 0.0)
-    return a * (1.0 - excess / (d - 1.0)) ** ((d - 1.0) / 2.0) * _survey_z(survey)
+    if model.kind == "regular":
+        if d < 2:
+            raise ValueError("regular offspring count must be >= 2")
+        factor = (1.0 - excess / (d - 1.0)) ** ((d - 1.0) / 2.0)
+    else:
+        factor = math.exp(-d * (1.0 - math.sqrt(1.0 - excess / d)))
+    return a * factor * _survey_z(survey)
 
 
-def contraction_coeff_poisson(d_mean: float, theta: float, survey: SurveySpec | float) -> float:
-    """Asymptotic potential-gap contraction factor with Poisson(d_mean) offspring."""
-    if d_mean <= 0:
-        raise ValueError("mean offspring count must be positive")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
-    a = d_mean * theta * theta
-    excess = max(a - 1.0, 0.0)
-    return a * math.exp(-d_mean * (1.0 - math.sqrt(1.0 - excess / d_mean))) * _survey_z(survey)
-
-
-def relaxed_contraction_bound(d: float, theta: float, survey: SurveySpec | float) -> float:
+def relaxed_contraction_bound(model: TreeModel, survey: SurveySpec | float) -> float:
     """d theta^2 exp(-(d theta^2 - 1)_+ / 2) Z(W): dominates both exact coefficients."""
-    if d <= 0:
-        raise ValueError("offspring count must be positive")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
-    a = d * theta * theta
-    return a * math.exp(-0.5 * max(a - 1.0, 0.0)) * _survey_z(survey)
+    return _gain(model.snr) * _survey_z(survey)
 
 
-def regular_d2_window_endpoint(tol: float = 1e-9) -> float:
+def regular_d2_window_endpoint() -> float:
     """Upper end of the SNR window where the d = 2 coefficient is >= 1.
 
     Solves a sqrt(2 - a) = 1 above 1 with a perfect survey (Z = 1); the
     root is the golden ratio.
     """
     def gap(a: float) -> float:
-        return contraction_coeff_regular(2, math.sqrt(a / 2.0), 1.0) - 1.0
+        return contraction_coeff(TreeModel.regular(2, math.sqrt(a / 2.0)), 1.0) - 1.0
 
-    return _bisect_downcrossing(gap, 1.0, 2.0 - 1e-12, tol)
+    return _bisect_downcrossing(gap, 1.0, 2.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def region_criterion(snr: float, z: float, y: float | None = None) -> RegionPoin
     box test uses the Bhattacharyya coefficient itself.
     """
     bounds = survey_strength_bounds()
-    value = snr * math.exp(-0.5 * max(snr - 1.0, 0.0)) * z
+    value = _gain(snr) * z
     if snr < 1.0:
         crit = "dtheta2_lt_1"
     elif z < bounds.z_bound:

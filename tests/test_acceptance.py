@@ -35,8 +35,7 @@ from treebp.sbm import (
 )
 from treebp.spin_sync import SyncGraph, mi_root_boundary
 from treebp.thresholds import (
-    contraction_coeff_poisson,
-    contraction_coeff_regular,
+    contraction_coeff,
     high_snr_threshold,
     peak_contraction_gain,
     regular_d2_window_endpoint,
@@ -130,13 +129,13 @@ def test_criterion_04_high_snr_uniqueness():
 @criterion("05", "contraction rate of the pair gap", 60.0)
 def test_criterion_05_contraction_rates():
     survey = SurveySpec.bec(0.5)
-    c1 = contraction_coeff_regular(4, 0.8, survey)
+    c1 = contraction_coeff(TreeModel.regular(4, 0.8), survey)
     reg = run_pair(TreeModel.regular(4, 0.8), survey)
     ratios = reg.tail_gap_ratios()
     assert ratios, "no usable tail window"
     assert max(ratios) <= 1.05 * c1
 
-    c2 = contraction_coeff_poisson(4.0, 0.8, survey)
+    c2 = contraction_coeff(TreeModel.poisson(4.0, 0.8), survey)
     poi = run_pair(TreeModel.poisson(4.0, 0.8), survey)
     ratios = poi.tail_gap_ratios()
     assert ratios, "no usable tail window"
@@ -158,13 +157,13 @@ def test_criterion_06_nonnegativity_sandwich_grid():
 
 @criterion("07", "boundary majority moments and ratio", 120.0)
 def test_criterion_07_majority_statistics():
-    reg = majority_stats(4, 0.7, 0.1, 8, 100_000, "regular", seed=9)
+    reg = majority_stats(TreeModel.regular(4, 0.7), 0.1, 8, 100_000, seed=9)
     assert reg.ratio_limit == pytest.approx(0.53125, abs=1e-12)
     assert abs(reg.ratio - reg.ratio_limit) <= 0.10 * reg.ratio_limit
     assert abs(reg.sample_mean - reg.closed_form_mean) <= 4.0 * reg.sample_mean_stderr
     assert abs(reg.sample_var - reg.closed_form_var) <= 4.0 * reg.sample_var_stderr
 
-    poi = majority_stats(4.0, 0.7, 0.1, 8, 100_000, "poisson", seed=9)
+    poi = majority_stats(TreeModel.poisson(4.0, 0.7), 0.1, 8, 100_000, seed=9)
     assert poi.ratio_limit == pytest.approx(1.0 / 0.96, abs=1e-12)
     assert abs(poi.ratio - poi.ratio_limit) <= 0.10 * poi.ratio_limit
     assert abs(poi.sample_mean - poi.closed_form_mean) <= 4.0 * poi.sample_mean_stderr

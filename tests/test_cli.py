@@ -34,11 +34,12 @@ def test_constants_envelope(capsys):
                         "config", "seed", "results"}
     assert doc["tool"] == "treebp" and doc["command"] == "thresholds constants"
     assert doc["schema_version"] == 1 and doc["seed"] == 0
-    res = doc["results"]
-    assert res["alpha_star"] == pytest.approx(3.51286, abs=1e-5)
-    assert res["z_bound"] == pytest.approx(0.824361, abs=1e-6)
-    assert res["pe_bound"] == pytest.approx(0.216967, abs=1e-6)
-    assert res["peak_gain"] == pytest.approx(2.0 / math.sqrt(math.e), abs=1e-12)
+    # the exact floats, so a refactor of the gain or the bisection shows
+    assert doc["results"] == {
+        "alpha_star": 3.5128624170611147, "d2_window_endpoint": 1.6180339888663369,
+        "pe_bound": 0.21696751825751576, "peak_gain": 1.2130613194252668,
+        "xi_bound": 0.1756393646499359, "z_bound": 0.8243606353500641}
+    assert doc["results"]["peak_gain"] == 2.0 / math.sqrt(math.e)
 
 
 def test_de_run_trivial_subcritical(capsys):
@@ -84,6 +85,10 @@ def test_bad_parameter_names_flag(capsys):
     code, _, err = run_cli(capsys, "de", "run", "--model", "weird:3",
                            "--theta", "0.5", "--survey", "trivial")
     assert code == 1 and "--model" in err
+    for d_mean in ("nan", "inf"):
+        code, _, err = run_cli(capsys, "mc", "majority", "--model", f"poisson:{d_mean}",
+                               "--theta", "0.5", "--eta", "0.1", "--depth", "3")
+        assert code == 1 and err.startswith("error: --model/--theta: ")
     code, _, err = run_cli(capsys, "mc", "entropy", "--model", "regular:3",
                            "--theta", "0.5", "--survey", "bec:0.5",
                            "--depth", "2", "--boundary", "sideways")
@@ -201,6 +206,17 @@ def test_config_file_merging(capsys, tmp_path):
                            "--theta", "0.6", "--eta", "0.1", "--depth", "2",
                            "--config", str(tmp_path / "missing.cfg"))
     assert code == 1 and "--config" in err
+
+
+@pytest.mark.parametrize("model, depth", [("regular:4", "600"), ("regular:4", "40"),
+                                          ("regular:4", "32"), ("poisson:4", "32"),
+                                          ("regular:2", "63")])
+def test_majority_depth_past_int64_counts_is_one_line_error(capsys, model, depth):
+    code, out, err = run_cli(capsys, "mc", "majority", "--model", model, "--theta", "0.7",
+                             "--eta", "0.1", "--depth", depth, "--samples", "100")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--depth" in err and "Traceback" not in err
+    assert err.startswith(f"error: --eta/--depth/--samples: depth {depth} ")
 
 
 def test_json_out_file(capsys, tmp_path):
@@ -517,19 +533,25 @@ def test_write_failures_name_their_flag(capsys, tmp_path, argv, flag):
 @pytest.mark.parametrize("argv, flag", [
     (("sbm", "integral", "--a", "4", "--b", "1", "--out", "{missing}/x.json"), "--out"),
     (("sbm", "integral", "--a", "4", "--b", "1", "--out", "{file}/x.json"), "--out"),
+    (("sbm", "integral", "--a", "4", "--b", "1", "--out", "{dir}"), "--out"),
     (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
       "--trace-csv", "{missing}/t.csv"), "--trace-csv"),
-], ids=["out-missing-dir", "out-under-a-file", "trace-csv-missing-dir"])
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--trace-csv", "{dir}"), "--trace-csv"),
+], ids=["out-missing-dir", "out-under-a-file", "out-is-a-dir", "trace-csv-missing-dir",
+        "trace-csv-is-a-dir"])
 def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, argv, flag):
     (tmp_path / "file").write_text("")
-    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in argv]
+    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file", dir=tmp_path)
+            for a in argv]
     calls = []
     for name in ("_cmd_sbm_integral", "_cmd_de_run"):
         monkeypatch.setattr(cli, name, lambda args: calls.append(args))
     code, out, err = run_cli(capsys, *argv)
     assert calls == []
     assert code == 1 and out == ""
-    reason = "Not a directory" if "/file/" in argv[-1] else "No such file or directory"
+    reason = ("Is a directory" if argv[-1] == str(tmp_path) else
+              "Not a directory" if "/file/" in argv[-1] else "No such file or directory")
     assert err.startswith(f"error: {flag}: [Errno ") and reason in err
 
 

@@ -26,7 +26,7 @@ from treebp.llr_dist import (
     info_measures,
 )
 from treebp.sbm import sbm_tree_model
-from treebp.thresholds import contraction_coeff_regular
+from treebp.thresholds import contraction_coeff
 
 from _de_step import de_step
 
@@ -45,8 +45,9 @@ def test_tree_model_validation():
         TreeModel.regular(2.5, 0.5)
     with pytest.raises(ValueError):
         TreeModel.regular(0, 0.5)
-    with pytest.raises(ValueError):
-        TreeModel.poisson(0.0, 0.5)
+    for d_mean in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TreeModel.poisson(d_mean, 0.5)
     with pytest.raises(ValueError):
         TreeModel("binary", 2, 0.5)
 
@@ -159,7 +160,7 @@ def test_run_pair_gap_invariants():
 
 def test_run_pair_tail_ratio_respects_contraction_coeff():
     report = run_pair(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5), DEConfig())
-    c1 = contraction_coeff_regular(3, 0.5, SurveySpec.bec(0.5))
+    c1 = contraction_coeff(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5))
     tails = report.tail_gap_ratios()
     assert tails
     assert all(r <= 1.05 * c1 for r in tails)

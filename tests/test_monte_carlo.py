@@ -527,8 +527,25 @@ def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
       "measured_rate": 0.49640169690799374, "rate_bound": 0.8, "x_found": None,
       "margin": None, "min_llr_by_level": None, "min_llr": None, "persists": None,
       "status": "ok"}),
+    (lambda: majority_stats(TreeModel.regular(3, 0.6), 0.15, 5, 5000, seed=4),
+     {"kind": "regular", "d": 3.0, "theta": 0.6, "eta": 0.15, "depth": 5, "n_samples": 5000,
+      "seed": 4, "sample_mean": 12.9448, "sample_mean_stderr": 0.3407815385307729,
+      "sample_var": 580.6602850170034, "sample_var_stderr": 11.576707434912782,
+      "closed_form_mean": 13.226975999999993, "closed_form_var": 570.9931528366078,
+      "ratio": 3.4652249537967403, "ratio_closed_form": 3.263696526765108,
+      "ratio_limit": 8.000000000000016, "chi2_lower_bound": 0.22395288263130148,
+      "chi2_lower_bound_limit": 0.11111111111111091}),
+    (lambda: majority_stats(TreeModel.poisson(2.5, 0.8), 0.1, 4, 5000, seed=6),
+     {"kind": "poisson", "d": 2.5, "theta": 0.8, "eta": 0.1, "depth": 4, "n_samples": 5000,
+      "seed": 6, "sample_mean": 12.9966, "sample_mean_stderr": 0.21969435771125764,
+      "sample_var": 241.32805405081015, "sample_var_stderr": 6.302471377017676,
+      "closed_form_mean": 12.8, "closed_form_var": 245.46250000000003,
+      "ratio": 1.4287238859543216, "ratio_closed_form": 1.4981842041015625,
+      "ratio_limit": 1.6666666666666665, "chi2_lower_bound": 0.41173885832932744,
+      "chi2_lower_bound_limit": 0.375}),
 ], ids=["pair_poisson_bsc", "pair_regular_bec", "pair_poisson_bec_noroot",
-        "pair_poisson_three_atoms", "plus_poisson", "degradation", "wsm_contraction"])
+        "pair_poisson_three_atoms", "plus_poisson", "degradation", "wsm_contraction",
+        "majority_regular", "majority_poisson"])
 def test_outputs_pinned_to_recorded_floats(run, expected):
     assert asdict(run()) == expected
 
@@ -793,13 +810,13 @@ def test_degradation_moderate_case_unflagged():
 
 
 def test_majority_closed_form_mean_example():
-    mean, _ = majority_closed_forms(2, 0.6, 0.1, 3, "regular")
+    mean, _ = majority_closed_forms(TreeModel.regular(2, 0.6), 0.1, 3)
     assert mean == pytest.approx((1.0 - 0.2) * 1.2 ** 3, abs=1e-12)
     assert mean == pytest.approx(1.3824, abs=1e-12)
 
 
 def test_majority_closed_form_poisson_variance_example():
-    _, var = majority_closed_forms(4.0, 0.7, 0.1, 2, "poisson")
+    _, var = majority_closed_forms(TreeModel.poisson(4.0, 0.7), 0.1, 2)
     # 4 eta (1-eta) d^k + (1-2 eta)^2 d^k ((d theta^2)^k - 1)/(d theta^2 - 1)
     growth = (1.96 ** 2 - 1.0) / 0.96
     assert var == pytest.approx(0.36 * 16.0 + 0.64 * 16.0 * growth, abs=1e-10)
@@ -810,35 +827,45 @@ def test_majority_closed_form_depth_one_enumeration():
     # depth 1, d independent children: mean and variance from first principles
     d, theta, eta = 3, 0.55, 0.2
     m1 = (1.0 - 2.0 * eta) * theta
-    mean, var = majority_closed_forms(d, theta, eta, 1, "regular")
+    mean, var = majority_closed_forms(TreeModel.regular(d, theta), eta, 1)
     assert mean == pytest.approx(d * m1, abs=1e-12)
     assert var == pytest.approx(d * (1.0 - m1 * m1), abs=1e-12)
 
 
 def test_majority_stats_matches_closed_forms():
-    report = majority_stats(3, 0.6, 0.15, 5, 40000, "regular", seed=2)
+    report = majority_stats(TreeModel.regular(3, 0.6), 0.15, 5, 40000, seed=2)
     assert abs(report.sample_mean - report.closed_form_mean) <= 4.0 * report.sample_mean_stderr
     assert abs(report.sample_var - report.closed_form_var) <= 4.0 * report.sample_var_stderr
     assert report.chi2_lower_bound == pytest.approx(1.0 / (report.ratio + 1.0), abs=1e-12)
 
 
 def test_majority_stats_poisson_and_validation():
-    report = majority_stats(3.0, 0.8, 0.1, 5, 30000, "poisson", seed=8)
+    report = majority_stats(TreeModel.poisson(3.0, 0.8), 0.1, 5, 30000, seed=8)
     assert abs(report.sample_mean - report.closed_form_mean) <= 4.0 * report.sample_mean_stderr
     assert report.ratio_limit == pytest.approx(1.0 / (3.0 * 0.64 - 1.0), abs=1e-12)
+    model = TreeModel.regular(3, 0.6)
     with pytest.raises(ValueError):
-        majority_stats(3, 0.6, 0.0, 5, 1000)
+        majority_stats(model, 0.0, 5, 1000)
     with pytest.raises(ValueError):
-        majority_stats(3, 0.6, 0.6, 5, 1000)
+        majority_stats(model, 0.6, 5, 1000)
     with pytest.raises(ValueError):
-        majority_stats(3.5, 0.6, 0.1, 5, 1000, "regular")
-    with pytest.raises(ValueError):
-        majority_stats(3, 0.6, 0.1, 0, 1000)
+        majority_stats(model, 0.1, 0, 1000)
+
+
+@pytest.mark.parametrize("model", [TreeModel.regular(4, 0.7), TreeModel.poisson(4.0, 0.7)],
+                         ids=["regular", "poisson"])
+def test_majority_stats_rejects_depths_past_int64_counts(model):
+    # 4^31 = 2^62 level counts still fit in int64; one level more does not
+    report = majority_stats(model, 0.1, 31, 100, seed=1)
+    assert math.isfinite(report.sample_mean) and math.isfinite(report.sample_var)
+    for depth in (32, 600):
+        with pytest.raises(ValueError, match=f"^depth {depth} .*2\\^62"):
+            majority_stats(model, 0.1, depth, 100, seed=1)
 
 
 def test_majority_stats_worker_invariance():
-    one = majority_stats(3, 0.6, 0.15, 4, 50000, "regular", seed=2, workers=1)
-    two = majority_stats(3, 0.6, 0.15, 4, 50000, "regular", seed=2, workers=4)
+    one = majority_stats(TreeModel.regular(3, 0.6), 0.15, 4, 50000, seed=2, workers=1)
+    two = majority_stats(TreeModel.regular(3, 0.6), 0.15, 4, 50000, seed=2, workers=4)
     assert one.sample_mean == two.sample_mean
     assert one.sample_var == two.sample_var
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from treebp.bms import DeltaDistribution, SurveySpec, bhattacharyya, delta_of
+from treebp.density_evolution import TreeModel
 from treebp.thresholds import (
     bi_region_scan,
-    contraction_coeff_poisson,
-    contraction_coeff_regular,
+    contraction_coeff,
     high_snr_threshold,
     peak_contraction_gain,
     region_criterion,
@@ -61,42 +61,44 @@ def test_regular_d2_window_endpoint():
     assert a == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-6)
     # endpoint solves c1 = 1 at d=2 with a unit-strength survey
     theta = math.sqrt(a / 2.0)
-    assert contraction_coeff_regular(2, theta, SurveySpec.trivial()) == pytest.approx(
-        1.0, abs=1e-8)
+    assert contraction_coeff(TreeModel.regular(2, theta), SurveySpec.trivial()) == \
+        pytest.approx(1.0, abs=1e-8)
 
 
 def test_contraction_coeff_regular_examples():
-    c = contraction_coeff_regular(3, 0.5, SurveySpec.bec(0.5))
+    c = contraction_coeff(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5))
     assert c == pytest.approx(0.375, abs=1e-12)
     # trivial survey only contributes a unit factor
-    c_triv = contraction_coeff_regular(3, 0.5, SurveySpec.trivial())
+    c_triv = contraction_coeff(TreeModel.regular(3, 0.5), SurveySpec.trivial())
     assert c_triv == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
-        contraction_coeff_regular(1, 0.5, SurveySpec.trivial())
+        contraction_coeff(TreeModel.regular(1, 0.5), SurveySpec.trivial())
 
 
 def test_contraction_coeff_regular_closed_form_above_one():
     # d=4, theta=0.8: a=2.56, factor (1-(a-1)/3)^{3/2}
-    c = contraction_coeff_regular(4, 0.8, SurveySpec.bec(0.5))
+    c = contraction_coeff(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5))
     want = 2.56 * (1.0 - 1.56 / 3.0) ** 1.5 * 0.5
     assert c == pytest.approx(want, abs=1e-12)
 
 
 def test_contraction_coeff_poisson_examples():
     # below the unit threshold the exponential factor is 1
-    c = contraction_coeff_poisson(3.0, 0.5, SurveySpec.bec(0.5))
+    c = contraction_coeff(TreeModel.poisson(3.0, 0.5), SurveySpec.bec(0.5))
     assert c == pytest.approx(0.75 * 0.5, abs=1e-12)
-    c2 = contraction_coeff_poisson(4.0, 0.8, SurveySpec.bec(0.5))
+    c2 = contraction_coeff(TreeModel.poisson(4.0, 0.8), SurveySpec.bec(0.5))
     want = 2.56 * math.exp(-4.0 * (1.0 - math.sqrt(1.0 - 1.56 / 4.0))) * 0.5
     assert c2 == pytest.approx(want, abs=1e-12)
 
 
 def test_relaxed_bound_examples():
     # branching SNR 1 with a unit survey factor sits exactly on the boundary
-    assert relaxed_contraction_bound(4, 0.5, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert relaxed_contraction_bound(TreeModel.regular(4, 0.5), 1.0) == pytest.approx(
+        1.0, abs=1e-12)
     a = high_snr_threshold()
-    assert relaxed_contraction_bound(16, math.sqrt(a) / 4.0, 1.0) == pytest.approx(1.0, abs=1e-7)
-    got = relaxed_contraction_bound(4, 0.8, SurveySpec.bec(0.5))
+    assert relaxed_contraction_bound(TreeModel.regular(16, math.sqrt(a) / 4.0), 1.0) == \
+        pytest.approx(1.0, abs=1e-7)
+    got = relaxed_contraction_bound(TreeModel.regular(4, 0.8), SurveySpec.bec(0.5))
     assert got == pytest.approx(2.56 * math.exp(-0.78) * 0.5, abs=1e-12)
     assert got == pytest.approx(0.587, abs=1e-3)
 
@@ -108,9 +110,10 @@ def test_relaxed_bound_dominates_both_coefficients():
         theta = float(rng.uniform(0.05, 0.99))
         eps = float(rng.uniform(0.0, 1.0))
         survey = SurveySpec.bec(eps)
-        relaxed = relaxed_contraction_bound(d, theta, survey)
-        assert contraction_coeff_regular(d, theta, survey) <= relaxed + 1e-12
-        assert contraction_coeff_poisson(float(d), theta, survey) <= relaxed + 1e-12
+        relaxed = relaxed_contraction_bound(TreeModel.regular(d, theta), survey)
+        assert relaxed_contraction_bound(TreeModel.poisson(d, theta), survey) == relaxed
+        assert contraction_coeff(TreeModel.regular(d, theta), survey) <= relaxed + 1e-12
+        assert contraction_coeff(TreeModel.poisson(d, theta), survey) <= relaxed + 1e-12
 
 
 def test_relaxed_bound_shape_outside_window():
@@ -118,7 +121,7 @@ def test_relaxed_bound_shape_outside_window():
     a_star = high_snr_threshold()
     for snr in (0.2, 0.9999, a_star + 1e-4, 5.0, 20.0):
         inside = 1.0 <= snr <= a_star
-        value = relaxed_contraction_bound(25.0, math.sqrt(snr / 25.0), 1.0)
+        value = relaxed_contraction_bound(TreeModel.poisson(25.0, math.sqrt(snr / 25.0)), 1.0)
         assert (value < 1.0) == (not inside)
 
 
