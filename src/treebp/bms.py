@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._parallel import _ARENA
+
 __all__ = [
     "DeltaDistribution",
     "SurveySpec",
@@ -67,6 +69,16 @@ def _popcounts(n_bits: int) -> np.ndarray:
 _LATTICE_FLOATS = 1 << 17   # lattice entries per row block (1 MB), at least one row
 
 
+def _lattice_rows(n_bits: int, rows: int) -> int:
+    """Mass rows per lattice block: at most _LATTICE_FLOATS cells, at least one row."""
+    return min(max(1, _LATTICE_FLOATS // 3 ** n_bits), rows)
+
+
+def _lattice_bytes(n_bits: int, rows: int = 1) -> int:
+    """Arena bytes _subset_entropies takes for rows mass rows, alignment included."""
+    return 8 * (2 * _lattice_rows(n_bits, rows) + 1) * 3 ** n_bits + 128
+
+
 def _subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
     """Entry S: sum over rows of the entropy of the marginal keeping the bits of S.
 
@@ -74,35 +86,40 @@ def _subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
     mass index.  The up pass, the 3^n subset-sum transform, turns each leading
     bit axis into trailing slots [bit 0, bit 1, summed out]; the down pass
     folds the row-summed -t log t back: slot 2 = bit not in S, 0 + 1 = in S.
+    The lattice pair and the sum come from _ARENA (the heap outside a chunk)
+    and are freed on return; the returned table is a fresh array.
     """
     rows = np.asarray(masses, dtype=float).reshape(-1, 1 << n_bits)
     cells = 3 ** n_bits
-    block = max(1, _LATTICE_FLOATS // cells)
-    acc = np.zeros(cells)
-    lattice = np.empty((2, min(block, len(rows)) * cells))    # the passes alternate
-    for start in range(0, len(rows), block):
-        t = rows[start:start + block]
+    block = _lattice_rows(n_bits, len(rows))
+    with _ARENA.scratch():
+        acc = _ARENA.empty(cells)
+        acc.fill(0.0)
+        # the passes alternate between the two rows of the pair
+        lattice = _ARENA.empty(2 * block * cells).reshape(2, -1)
+        for start in range(0, len(rows), block):
+            t = rows[start:start + block]
+            for i in range(n_bits):
+                pair = t.reshape(len(t), 2, -1)
+                up = lattice[i % 2, :3 * pair[:, 0].size].reshape(len(t), pair.shape[2], 3)
+                up[..., 0] = pair[:, 0]
+                up[..., 1] = pair[:, 1]
+                np.add(pair[:, 0], pair[:, 1], out=up[..., 2])
+                t = up.reshape(len(t), -1)
+            ent = lattice[n_bits % 2, :t.size].reshape(t.shape)
+            ent.fill(0.0)
+            np.log(t, out=ent, where=t > 0.0)
+            ent *= t
+            ent[0] += acc       # axis-0 sums add rows in order: any block size agrees
+            ent.sum(axis=0, out=acc)
+        h = np.negative(acc, out=acc)
         for i in range(n_bits):
-            pair = t.reshape(len(t), 2, -1)
-            up = lattice[i % 2, :3 * pair[:, 0].size].reshape(len(t), pair.shape[2], 3)
-            up[..., 0] = pair[:, 0]
-            up[..., 1] = pair[:, 1]
-            np.add(pair[:, 0], pair[:, 1], out=up[..., 2])
-            t = up.reshape(len(t), -1)
-        ent = lattice[n_bits % 2, :t.size].reshape(t.shape)
-        ent.fill(0.0)
-        np.log(t, out=ent, where=t > 0.0)
-        ent *= t
-        ent[0] += acc           # axis-0 sums add rows in order: any block size agrees
-        acc = ent.sum(axis=0)
-    h = -acc
-    for _ in range(n_bits):
-        trio = h.reshape(3, -1)
-        down = np.empty((trio.shape[1], 2))
-        down[:, 0] = trio[2]
-        np.add(trio[0], trio[1], out=down[:, 1])
-        h = down.reshape(-1)
-    return h
+            trio = h.reshape(3, -1)
+            down = lattice[i % 2, :2 * trio.shape[1]].reshape(-1, 2)
+            down[:, 0] = trio[2]
+            np.add(trio[0], trio[1], out=down[:, 1])
+            h = down.reshape(-1)
+        return h.copy()
 
 
 class DeltaDistribution:

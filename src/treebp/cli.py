@@ -55,7 +55,7 @@ _NOT_CONFIG = frozenset({"func", "tool", "command", "out", "config", "workers", 
 
 # Library fields set by one flag each, so their errors can name the flag alone.
 _FIELD_FLAGS = {"max_depth": "--depth", "convergence_tol": "--tol", "r_max": "--grid-rmax",
-                "n_bins": "--grid-bins", "theta": "--theta"}
+                "n_bins": "--grid-bins", "theta": "--theta", "h_values": "--h"}
 
 
 class CliError(Exception):

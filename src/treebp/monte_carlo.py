@@ -29,7 +29,7 @@ pruned when its own survey is excluded.  Surveys without a noiseless atom
 prune nothing and draw exactly what the full tree draws.  The
 boundary-sensitivity probe keeps every node, since it averages over
 whole levels.  A chunk's level arrays are views of one byte block per
-process (_Arena), reused by every chunk.
+process (_parallel._Arena), reused by every chunk.
 
 Every estimator, majority_stats and majority_closed_forms included, takes
 the tree as a TreeModel.
@@ -38,15 +38,13 @@ the tree as a TreeModel.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._parallel import parallel_chunk_map
+from ._parallel import _ARENA, parallel_chunk_map
 from .bms import SurveySpec, binary_entropy, delta_of, is_trivial_survey
 from .density_evolution import TreeModel
 from .llr_dist import edge_llr_map
@@ -86,60 +84,6 @@ _DRAW_BLOCK = 1 << 16
 # Arena bytes reserved per node of a chunk's coded levels, with room to spare:
 # untouched pages of the block cost no memory.
 _ARENA_NODE_BYTES = 64
-
-
-class _Arena(threading.local):
-    """One byte block per process, handed out as a stack of array views.
-
-    A chunk task opens it with chunk(nbytes), and the arrays of the chunk's
-    levels and upward passes are views of the block, all freed when the
-    chunk ends.  So after the first chunk they reuse pages already faulted
-    in, where heap arrays are faulted in afresh and trimmed back to the OS
-    every chunk.  The block grows to the largest reservation and is held
-    for the life of the process (one per thread, so threads never share
-    it).  An array that does not fit, or is taken outside a chunk, comes
-    from np.empty: correct, just slower.
-
-    scratch() frees on exit what was taken inside it, so no generator that
-    takes arrays may be resumed inside a scratch frame opened outside it.
-    Gathers into views use take(..., mode="clip"): the indices are always
-    in range, and the default mode="raise" gathers into a temporary first.
-    """
-
-    def __init__(self):
-        self.block = np.empty(0, np.uint8)
-        self.top = 0
-
-    def empty(self, n: int, dtype=np.float64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        start = -(-self.top // 64) * 64         # views start on cache-line boundaries
-        end = start + n * dtype.itemsize
-        if end > self.block.size:
-            return np.empty(n, dtype)
-        self.top = end
-        return self.block[start:end].view(dtype)
-
-    @contextmanager
-    def chunk(self, nbytes: int):
-        if nbytes > self.block.size:
-            self.block = np.empty(0, np.uint8)       # free the old block first
-            self.block = np.empty(nbytes, np.uint8)
-        self.top = 0
-        try:
-            yield
-        finally:
-            self.top = self.block.size
-
-    @contextmanager
-    def scratch(self):
-        top = self.top
-        try:
-            yield
-        finally:
-            self.top = top
-
-
-_ARENA = _Arena()
 
 
 @dataclass(frozen=True)

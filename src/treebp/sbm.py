@@ -1,9 +1,12 @@
 """Two-community block model oracles and the tree-side entropy integral.
 
-Small instances are solved exactly by enumerating all 2^n label vectors.
-The per-vertex survey (reveal with probability 1 - epsilon) is handled two
-ways: sampled realizations for Monte Carlo estimates, and exact
-marginalization through the revelation-set expansion
+Small instances are solved exactly by enumerating all 2^n label vectors,
+for a block of graphs at once: the cut edges of every labeling are counted
+by doubling over vertices in exact integers, and the single-graph
+functions are one-row calls of the block kernel.  The per-vertex survey
+(reveal with probability 1 - epsilon) is handled two ways: sampled
+realizations for Monte Carlo estimates, and exact marginalization through
+the revelation-set expansion
 
     H(X | G, Y) = H(X | G) - E_S[ H(X_S | G) ],
 
@@ -13,7 +16,8 @@ over the posterior (O(3^n) work), which makes the erasure derivative and the
 conditional entropy at any epsilon exact polynomials evaluated per graph;
 the derivative identity (derivative equals the sum over vertices of the
 leave-one-out conditional entropies) then holds exactly and finite
-difference errors are pure O(h^2) curvature.
+difference errors are pure O(h^2) curvature.  All n leave-one-out terms
+come from one gather of the table and one (vertex, |S|) grouped sum.
 
 The integral estimator maps (a, b) to a Poisson offspring tree with edge
 correlation |a - b| / (a + b) and erasure surveys, runs density evolution
@@ -29,8 +33,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._parallel import parallel_chunk_map
-from .bms import SurveySpec, _popcounts, _subset_entropies
+from . import bms
+from ._parallel import _ARENA, parallel_chunk_map
+from .bms import SurveySpec, _lattice_bytes, _popcounts, _subset_entropies
 from .density_evolution import DEConfig, InitCondition, TreeModel, _fixed_points
 from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
@@ -89,12 +94,19 @@ def _validate_intensities(n: int, a: float, b: float) -> None:
         raise ValueError("intensities must satisfy 0 <= a, b <= n")
 
 
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple:
+    """Read-only (i, j) index arrays of the vertex pairs i < j."""
+    pairs = np.triu_indices(n, k=1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
 def _sample_sbm_rng(n: int, a: float, b: float, rng: np.random.Generator) -> SBMInstance:
     labels = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    thresh = np.where(same, a / n, b / n)
-    coins = rng.random(iu.size) < thresh
+    iu, ju = _pairs(n)
+    coins = rng.random(iu.size) < np.where(labels[iu] == labels[ju], a / n, b / n)
     adj = np.zeros((n, n), dtype=bool)
     adj[iu, ju] = coins
     adj |= adj.T
@@ -147,48 +159,55 @@ def _count_log(count: np.ndarray, logp: float) -> np.ndarray:
     return count * logp
 
 
-def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> np.ndarray:
-    """Unnormalized log-posterior over all 2^n label vectors.
+def _block_loglik(adjs: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
+    """Unnormalized log-posterior over all 2^n label vectors of G graphs, (G, 2^n).
 
-    Bit j of the vector index set means vertex j has label +1.  Non-edges
-    contribute their exact (1 - a/n) / (1 - b/n) factors.  Labelings that
-    contradict a revealed survey value get -inf.
+    Bit j of the vector index set means vertex j has label +1.  The cut
+    (disagreeing) edges are counted by doubling over vertices in exact
+    integers: setting vertex k on a labeling x < 2^k adds
+    deg(k) - 2 popcount(x & N(k)) cut edges, N(k) the neighbour bitmask.
+    Non-edges contribute their exact (1 - a/n) / (1 - b/n) factors.
     """
-    n = inst.n
     if n > MAX_EXACT_N:
         raise ValueError(f"exact enumeration is capped at n = {MAX_EXACT_N}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    edges_i, edges_j = np.nonzero(np.triu(inst.adjacency))
-    m = edges_i.size
+    adjs = adjs.astype(np.int64)
+    deg = adjs.sum(axis=2)
+    nbrs = adjs @ (1 << np.arange(n))
+    pc = _popcounts(n)
+    diff_edges = np.zeros((len(adjs), 1 << n), dtype=np.int64)
+    for k in range(n):
+        lo = 1 << k
+        diff_edges[:, lo:2 * lo] = (diff_edges[:, :lo] + deg[:, k, None]
+                                    - 2 * pc[np.arange(lo) & nbrs[:, k, None]])
     n_pairs = n * (n - 1) // 2
-
-    diff_edges = np.zeros(1 << n, dtype=np.int64)
-    for i, j in zip(edges_i, edges_j):
-        diff_edges += ((idx >> i) ^ (idx >> j)) & 1
-    same_edges = m - diff_edges
-    row = 2 * _popcounts(n) - n                  # sum over vertices of x_i
+    same_edges = deg.sum(axis=1, keepdims=True) // 2 - diff_edges
+    row = 2 * pc - n                             # sum over vertices of x_i
     q_all = (row * row - n) // 2                 # sum over all pairs of x_i x_j
     same_pairs = (n_pairs + q_all) // 2
-    same_non = same_pairs - same_edges
-    diff_non = (n_pairs - same_pairs) - diff_edges
 
-    pa, pb = inst.a / n, inst.b / n
-    with np.errstate(divide="ignore"):
-        ll = (_count_log(same_edges, math.log(pa) if pa > 0 else -math.inf)
-              + _count_log(same_non, math.log1p(-pa) if pa < 1 else -math.inf)
-              + _count_log(diff_edges, math.log(pb) if pb > 0 else -math.inf)
-              + _count_log(diff_non, math.log1p(-pb) if pb < 1 else -math.inf))
-
-    if survey is not None:
-        revealed_bits = 0
-        need_bits = 0
-        for j in range(n):
-            if survey.revealed[j]:
-                revealed_bits |= 1 << j
-                if survey.values[j] > 0:
-                    need_bits |= 1 << j
-        ll = np.where((idx & revealed_bits) == need_bits, ll, -math.inf)
+    # the four terms are added in place, in order, to hold few block-sized arrays
+    pa, pb = a / n, b / n
+    ll = _count_log(same_edges, math.log(pa) if pa > 0 else -math.inf)
+    ll += _count_log(same_pairs - same_edges, math.log1p(-pa) if pa < 1 else -math.inf)
+    ll += _count_log(diff_edges, math.log(pb) if pb > 0 else -math.inf)
+    ll += _count_log(n_pairs - same_pairs - diff_edges, math.log1p(-pb) if pb < 1 else -math.inf)
     return ll
+
+
+def _mask_surveys(ll: np.ndarray, surveys: list) -> np.ndarray:
+    """-inf at the labelings of row g that contradict surveys[g]'s revealed values."""
+    bits = 1 << np.arange(surveys[0].revealed.size)
+    shown = np.array([[s.revealed @ bits] for s in surveys])
+    need = np.array([[(s.values > 0) @ bits] for s in surveys])
+    return np.where((np.arange(ll.shape[1]) & shown) == need, ll, -math.inf)
+
+
+def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> np.ndarray:
+    """_block_loglik's one row; labelings that contradict a revealed survey value get -inf."""
+    ll = _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b)
+    if survey is not None:
+        ll = _mask_surveys(ll, [survey])
+    return ll[0]
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -214,12 +233,20 @@ def exact_entropy_for_instance(inst: SBMInstance,
 
 
 def _exact_entropy_chunk(rng, count, *, n, a, b, epsilon):
-    out = np.empty(count)
-    for t in range(count):
-        inst = _sample_sbm_rng(n, a, b, rng)
-        survey = None if epsilon is None else _sample_survey_rng(inst, epsilon, rng)
-        out[t] = exact_entropy_for_instance(inst, survey) / n
-    return out
+    insts, surveys = [], []
+    for _ in range(count):                          # graph, then its survey
+        insts.append(_sample_sbm_rng(n, a, b, rng))
+        if epsilon is not None:
+            surveys.append(_sample_survey_rng(insts[-1], epsilon, rng))
+    adjs = np.stack([g.adjacency for g in insts])
+    block = max(1, bms._LATTICE_FLOATS >> (n + 3))  # at most eight 2^n temporaries a graph
+    out = []
+    for s in range(0, count, block):
+        ll = _block_loglik(adjs[s:s + block], n, a, b)
+        if surveys:
+            ll = _mask_surveys(ll, surveys[s:s + block])
+        out += [_entropy_from_loglik(row) / n for row in ll]
+    return np.array(out)
 
 
 def exact_conditional_entropy(n: int, a: float, b: float, epsilon: float | None,
@@ -259,38 +286,48 @@ def _grouped_by_popcount(table: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(_popcounts(n), weights=table, minlength=n + 1)
 
 
+def _erasure_sums(by_count: np.ndarray, eps_values) -> np.ndarray:
+    """Row i: sum over m <= k of (1 - e)^m e^(k - m) by_count[..., m], e = eps_values[i],
+    k the last index of by_count, added in m order like a scalar loop."""
+    k = by_count.shape[-1] - 1
+    acc = 0.0
+    for m in range(k + 1):
+        weights = np.array([(1.0 - e) ** m * e ** (k - m) for e in eps_values])
+        acc = acc + np.multiply.outer(weights, by_count[..., m])
+    return acc
+
+
 def survey_averaged_entropy(inst: SBMInstance, epsilon: float,
                             table: np.ndarray | None = None) -> float:
     """H(X | G, Y^eps) in nats, exactly marginalized over survey outcomes."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("erasure parameter must lie in [0, 1]")
-    n = inst.n
     if table is None:
         table = subset_entropy_table(inst)
-    by_count = _grouped_by_popcount(table, n)
-    full = table[-1]
-    acc = 0.0
-    for m_rev in range(n + 1):
-        acc += (1.0 - epsilon) ** m_rev * epsilon ** (n - m_rev) * by_count[m_rev]
-    return float(full - acc)
+    return float(table[-1] - _erasure_sums(_grouped_by_popcount(table, inst.n), [epsilon])[0])
 
 
-@lru_cache(maxsize=64)
-def _subsets_without(n: int, u: int) -> tuple:
-    """(subsets S not holding vertex u, |S|)."""
-    rest = np.flatnonzero((np.arange(1 << n) >> u & 1) == 0)
-    return rest, _popcounts(n)[rest]
+@lru_cache(maxsize=8)
+def _leave_one_out_plan(n: int) -> tuple:
+    """Read-only gather indices (n, 2, 2^(n-1)) of S + u and S, S running over
+    the subsets without u in increasing order, and bincount keys u * n + |S|."""
+    u = np.arange(n)[:, None]
+    j = np.arange(1 << (n - 1))
+    rest = (j >> u << (u + 1)) | (j & ((1 << u) - 1))     # a zero bit put in at u
+    index = np.stack([rest | (1 << u), rest], axis=1)
+    keys = (u * n + _popcounts(n)[rest]).ravel()
+    for arr in (index, keys):
+        arr.setflags(write=False)
+    return index, keys
 
 
-def _leave_one_out_entropy(table: np.ndarray, n: int, u: int, epsilon: float) -> float:
-    """H(X_u | G, Y^eps over the other vertices), exact."""
-    rest, rest_sizes = _subsets_without(n, u)
-    gains = table[rest | (1 << u)] - table[rest]
-    by_count = np.bincount(rest_sizes, weights=gains, minlength=n)
-    acc = 0.0
-    for m_rev in range(n):
-        acc += (1.0 - epsilon) ** m_rev * epsilon ** (n - 1 - m_rev) * by_count[m_rev]
-    return float(acc)
+def _leave_one_out_terms(table: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """H(X_u | G, Y^eps of the other vertices) for every vertex u, exact:
+    the gains table[S + u] - table[S] weighed by |S|."""
+    index, keys = _leave_one_out_plan(n)
+    pair = table[index]
+    by_vertex = np.bincount(keys, weights=(pair[:, 0] - pair[:, 1]).ravel(), minlength=n * n)
+    return _erasure_sums(by_vertex.reshape(n, n), [epsilon])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +335,17 @@ def _leave_one_out_entropy(table: np.ndarray, n: int, u: int, epsilon: float) ->
 
 
 def _derivative_chunk(rng, count, *, n, a, b, epsilon, h_values):
-    n_h = len(h_values)
-    diff_first = np.empty((n_h, count))   # derivative minus n * first-vertex term
-    diff_sum = np.empty((n_h, count))     # derivative minus the vertex sum
-    for t in range(count):
-        inst = _sample_sbm_rng(n, a, b, rng)
-        table = subset_entropy_table(inst)
-        vertex_terms = [_leave_one_out_entropy(table, n, u, epsilon) for u in range(n)]
-        first = n * vertex_terms[0]
-        total = float(sum(vertex_terms))
-        for i, h in enumerate(h_values):
-            lhs = (survey_averaged_entropy(inst, epsilon + h, table)
-                   - survey_averaged_entropy(inst, epsilon - h, table)) / (2.0 * h)
-            diff_first[i, t] = lhs - first
-            diff_sum[i, t] = lhs - total
+    steps = [e for h in h_values for e in (epsilon + h, epsilon - h)]
+    diff_first = np.empty((len(h_values), count))   # derivative minus n * first-vertex term
+    diff_sum = np.empty((len(h_values), count))     # derivative minus the vertex sum
+    with _ARENA.chunk(_lattice_bytes(n)):
+        for t in range(count):
+            table = subset_entropy_table(_sample_sbm_rng(n, a, b, rng))
+            vertex_terms = _leave_one_out_terms(table, n, epsilon)
+            entropies = table[-1] - _erasure_sums(_grouped_by_popcount(table, n), steps)
+            lhs = (entropies[0::2] - entropies[1::2]) / (2.0 * np.array(h_values))
+            diff_first[:, t] = lhs - n * vertex_terms[0]
+            diff_sum[:, t] = lhs - sum(vertex_terms.tolist())   # in vertex order, not pairwise
     return diff_first, diff_sum
 
 
@@ -354,11 +388,10 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
     if n > MAX_SUBSET_N:
         raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
     h_values = [float(h) for h in h_values]
-    if not h_values:
-        raise ValueError("need at least one step size")
-    hmax = max(h_values)
-    if not (0.0 < epsilon - hmax and epsilon + hmax < 1.0):
-        raise ValueError("epsilon +- h must stay inside (0, 1)")
+    if not h_values or not all(0.0 < h and 0.0 < epsilon - h and epsilon + h < 1.0
+                               for h in h_values):
+        raise ValueError("h_values must be one or more steps h > 0 with epsilon +- h "
+                         "inside (0, 1)")
     if n_graph_samples < 2:
         raise ValueError("need at least two graph samples")
 
@@ -366,8 +399,7 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
     task = partial(_derivative_chunk, n=n, a=a, b=b, epsilon=epsilon,
                    h_values=tuple(h_values))
     parts = parallel_chunk_map(task, n_graph_samples, chunk, seed, workers)
-    diff_first = np.concatenate([p[0] for p in parts], axis=1)
-    diff_sum = np.concatenate([p[1] for p in parts], axis=1)
+    diff_first, diff_sum = (np.concatenate(d, axis=1) for d in zip(*parts))
 
     n_graphs = diff_first.shape[1]
     mean_first = diff_first.mean(axis=1)

@@ -26,8 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import parallel_chunk_map
-from .bms import _entropy_of_masses, _popcounts, _subset_entropies
+from ._parallel import _ARENA, parallel_chunk_map
+from .bms import _entropy_of_masses, _lattice_bytes, _popcounts, _subset_entropies
 
 __all__ = [
     "MAX_BALL",
@@ -222,7 +222,8 @@ def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:
     weight = (1.0 - epsilon) ** pop * epsilon ** (nb - pop)
 
     # h[S] = H(edge outcomes, spins in S); the gain is I(o; D | outcomes, spins in s)
-    h = _subset_entropies(w, nb)
+    with _ARENA.chunk(_lattice_bytes(nb, len(w))):
+        h = _subset_entropies(w, nb)
     gain = h[idx | o_bit] + h[idx | d_mask] - h[idx | o_bit | d_mask] - h
     total = weight @ gain
     return MIResult(float(total), 0.0, "exact", 0, nb, n_bnd, ne)

@@ -2,9 +2,11 @@
 
 Each shares no code path with the enumeration it checks: a pure-Python
 linear-domain enumeration of every labeling, and the zero-erasure
-single-vertex entropy read off per-pair posterior odds.  Also two trend
-reports, exact finite-n entropies next to the tree integral and next to
-the two tree-window entropies.
+single-vertex entropy read off per-pair posterior odds.  Also the
+per-vertex leave-one-out entropy, one vertex at a time, as the reference
+for the all-vertex terms of the derivative scan, and two trend reports:
+exact finite-n entropies next to the tree integral and next to the two
+tree-window entropies.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from itertools import product
 import numpy as np
 
 from treebp._parallel import parallel_chunk_map
-from treebp.bms import SurveySpec
+from treebp.bms import SurveySpec, _popcounts
 from treebp.density_evolution import DEConfig, run_pair
 from treebp.sbm import (
     MAX_SUBSET_N,
     SBMInstance,
     SurveyRealization,
     TreeIntegralReport,
-    _leave_one_out_entropy,
     _logsumexp,
     _sample_sbm_rng,
     exact_conditional_entropy,
@@ -94,6 +95,17 @@ def single_vertex_entropy_all_revealed(inst: SBMInstance) -> float:
     return acc
 
 
+def leave_one_out_entropy(table: np.ndarray, n: int, u: int, epsilon: float) -> float:
+    """H(X_u | G, Y^eps over the other vertices), exact, from a subset table."""
+    rest = np.flatnonzero((np.arange(1 << n) >> u & 1) == 0)
+    gains = table[rest | (1 << u)] - table[rest]
+    by_count = np.bincount(_popcounts(n)[rest], weights=gains, minlength=n)
+    acc = 0.0
+    for m_rev in range(n):
+        acc += (1.0 - epsilon) ** m_rev * epsilon ** (n - 1 - m_rev) * by_count[m_rev]
+    return float(acc)
+
+
 @dataclass
 class OracleTrendReport:
     """Exact finite-n per-vertex entropies next to the tree integral."""
@@ -148,7 +160,7 @@ def sandwich_report(n: int, a: float, b: float, epsilon: float, depth: int,
         for t in range(count):
             inst = _sample_sbm_rng(n, a, b, rng)
             table = subset_entropy_table(inst)
-            vals[t] = _leave_one_out_entropy(table, n, 0, epsilon)
+            vals[t] = leave_one_out_entropy(table, n, 0, epsilon)
         return vals
 
     vals = np.concatenate(parallel_chunk_map(chunk, n_graph_samples, 64, seed, workers=1))

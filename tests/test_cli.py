@@ -111,6 +111,13 @@ def test_bad_parameter_names_flag(capsys):
     code, _, err = run_cli(capsys, "sbm", "exact", "--n", "6", "--a", "3", "--b", "1",
                            "--eps", "half")
     assert code == 1 and "--eps" in err
+    for h in ("0", "-0.6"):
+        code, out, err = run_cli(capsys, "sbm", "derivative", "--n", "6", "--a", "3",
+                                 "--b", "1", "--eps", "0.5", "--h", f"0.1,{h}",
+                                 "--graphs", "4", "--workers", "1")
+        assert code == 1 and out == ""
+        assert err == ("error: --h must be one or more steps h > 0 with epsilon +- h "
+                       "inside (0, 1)\n")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -158,6 +165,23 @@ def test_dense_custom_survey_output_is_pinned(capsys, tmp_path):
     assert doc["limit_noleaves"]["capacity"] == 0.43803072346142247
     digest = hashlib.sha256(out.replace(str(path), "dense.csv").encode()).hexdigest()
     assert digest == "a0d53a90f922802bed4e28932ebad0b6d981d13922a2359efdc5d25c09c42ea8"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("sbm", "exact", "--n", "12", "--a", "4", "--b", "1", "--eps", "0.5", "--graphs", "40"),
+     "fef1185dbf51b61e0ecbe187d56be8e9ed43d476b07ea9489dcd5abc6baacb06"),
+    (("sbm", "exact", "--n", "8", "--a", "5", "--b", "0", "--graphs", "40"),
+     "a4634b17fafb0830540a88fbd06dd916698e33841c1754e142fade142f5d5e08"),
+    (("sbm", "derivative", "--n", "10", "--a", "5", "--b", "1", "--eps", "0.5",
+      "--h", "0.1,0.05,0.025", "--graphs", "12"),
+     "dae8596e2c74750f546624b69c55354bcec9afecb63a8e65d1c7fdffdb5a44d0"),
+])
+def test_exact_oracle_output_is_pinned(capsys, argv, digest):
+    # pinned from the graph-by-graph enumeration and the per-vertex
+    # leave-one-out loop that the block kernels replaced
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_worker_count_does_not_change_output(capsys):

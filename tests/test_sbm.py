@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebp import bms, sbm
-from treebp.bms import SurveySpec, _entropy_of_masses, _subset_entropies
+from treebp._parallel import _ARENA
+from treebp.bms import SurveySpec, _entropy_of_masses, _lattice_bytes, _subset_entropies
 from treebp.density_evolution import DEConfig, InitCondition, bp_fixed_point
 from treebp.sbm import (
     MAX_EXACT_N,
     MAX_SUBSET_N,
+    SBMInstance,
     derivative_identity_scan,
     exact_conditional_entropy,
     exact_entropy_for_instance,
@@ -28,10 +30,10 @@ from treebp.sbm import (
     subset_entropy_table,
     survey_averaged_entropy,
 )
-from treebp.sbm import _leave_one_out_entropy
 from treebp.thresholds import survey_strength_bounds
 
 from _sbm_oracle import (
+    leave_one_out_entropy,
     oracle_vs_integral,
     reference_conditional_entropy,
     sandwich_report,
@@ -172,6 +174,19 @@ def test_subset_lattice_matches_bincount_oracle(n, rows, zero_frac, seed):
             assert np.array_equal(_subset_entropies(masses, n), table)
 
 
+def test_subset_lattice_in_an_arena_chunk_returns_a_heap_table():
+    masses = np.random.default_rng(4).random(1 << 9)
+    masses /= masses.sum()
+    heap = _subset_entropies(masses, 9)
+    with _ARENA.chunk(_lattice_bytes(9)):
+        top = _ARENA.top
+        for _ in range(2):        # the second call reuses the first call's views
+            table = _subset_entropies(masses, 9)
+            assert _ARENA.top == top
+            assert not np.shares_memory(table, _ARENA.block)
+            assert np.array_equal(table, heap)
+
+
 def test_subset_table_matches_bincount_oracle_at_the_cap():
     inst = sample_sbm(MAX_SUBSET_N, 4.0, 1.0, seed=5)
     ll = label_loglik(inst)
@@ -182,26 +197,94 @@ def test_subset_table_matches_bincount_oracle_at_the_cap():
     assert np.abs(table - oracle).max() <= 1e-13
 
 
+def _matrix_form_loglik(inst):
+    # x^T A x over +-1 label rows, as a matrix product; an impossible factor
+    # (probability 0) adds -inf where its count is positive and 0 elsewhere
+    n = inst.n
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    x = 2 * bits - 1
+    adj = inst.adjacency.astype(np.int64)
+    m = int(adj.sum()) // 2
+    same_edges = (m + ((x @ adj) * x).sum(axis=1) // 2) // 2
+    plus = bits.sum(axis=1)
+    same_pairs = (plus * (plus - 1) + (n - plus) * (n - plus - 1)) // 2
+    same_non = same_pairs - same_edges
+    diff_edges = m - same_edges
+    diff_non = n * (n - 1) // 2 - same_pairs - diff_edges
+    pa, pb = inst.a / n, inst.b / n
+
+    def term(count, possible, log):
+        return count * log() if possible else np.where(count > 0, -math.inf, 0.0)
+
+    return (term(same_edges, pa > 0, lambda: math.log(pa))
+            + term(same_non, pa < 1, lambda: math.log1p(-pa))
+            + term(diff_edges, pb > 0, lambda: math.log(pb))
+            + term(diff_non, pb < 1, lambda: math.log1p(-pb)))
+
+
 def test_label_loglik_counts_match_the_label_matrix_form():
-    # x^T A x over +-1 label rows, as a matrix product: the integer counts
-    # and hence every log-likelihood must agree bit for bit
+    # the integer counts and hence every log-likelihood must agree bit for bit
     for n, a, b, seed in ((1, 0.5, 0.5, 0), (6, 3.0, 1.0, 1), (9, 5.0, 2.0, 2),
                           (12, 4.0, 1.0, 3)):
         inst = sample_sbm(n, a, b, seed=seed)
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        x = 2 * bits - 1
-        adj = inst.adjacency.astype(np.int64)
-        m = int(adj.sum()) // 2
-        same_edges = (m + ((x @ adj) * x).sum(axis=1) // 2) // 2
-        plus = bits.sum(axis=1)
-        same_pairs = (plus * (plus - 1) + (n - plus) * (n - plus - 1)) // 2
-        same_non = same_pairs - same_edges
-        diff_edges = m - same_edges
-        diff_non = n * (n - 1) // 2 - same_pairs - diff_edges
-        pa, pb = a / n, b / n
-        ll = (same_edges * math.log(pa) + same_non * math.log1p(-pa)
-              + diff_edges * math.log(pb) + diff_non * math.log1p(-pb))
-        assert np.array_equal(label_loglik(inst), ll)
+        assert np.array_equal(label_loglik(inst), _matrix_form_loglik(inst))
+
+
+def _fixed_graph(n, a, b, complete):
+    adj = np.full((n, n), complete) & ~np.eye(n, dtype=bool)
+    return SBMInstance(n, a, b, np.ones(n, dtype=np.int8), adj)
+
+
+@pytest.mark.parametrize("graphs", [
+    [sample_sbm(6, 3.0, 1.0, seed=1)],
+    [sample_sbm(9, 5.0, 2.0, seed=s) for s in range(3)],
+    [sample_sbm(12, 4.0, 1.0, seed=s) for s in range(5)],
+    [_fixed_graph(7, 0.0, 0.0, False)],
+    [_fixed_graph(7, 3.0, 1.0, False)],
+    [_fixed_graph(7, 7.0, 2.0, True)],
+    [_fixed_graph(7, 3.0, 7.0, True)],
+    [sample_sbm(8, 0.0, 3.0, seed=s) for s in range(3)],
+    [sample_sbm(8, 5.0, 0.0, seed=s) for s in range(3)],
+    [sample_sbm(1, 0.5, 0.5, seed=s) for s in range(2)],
+    [sample_sbm(MAX_EXACT_N, 4.0, 1.0, seed=s) for s in range(2)],
+], ids=["g1", "g3", "g5", "edgeless-a0-b0", "edgeless", "complete-a-n", "complete-b-n",
+        "a0", "b0", "n1", "cap"])
+def test_block_loglik_rows_match_one_row_calls(graphs):
+    # the graphs of a case share n, a and b; a = 0, b = 0 and a or b = n
+    # give -inf factors (probability 0) on edges or non-edges
+    n, a, b = graphs[0].n, graphs[0].a, graphs[0].b
+    block = sbm._block_loglik(np.stack([g.adjacency for g in graphs]), n, a, b)
+    assert block.shape == (len(graphs), 1 << n)
+    for row, g in zip(block, graphs):
+        assert np.array_equal(row, label_loglik(g))
+        assert np.array_equal(row, _matrix_form_loglik(g))
+
+
+@pytest.mark.parametrize("n, epsilon, count, block_floats", [
+    (12, 0.5, 7, 1 << 17), (12, None, 5, 1 << 17), (8, 0.3, 10, 3 << 11), (8, None, 4, 1),
+])
+def test_exact_chunk_blocks_match_graph_by_graph(n, epsilon, count, block_floats):
+    # counts that are not a multiple of the block, blocks of 4 (n = 12), 3 and 1
+    def graph_by_graph(rng):
+        out = []
+        for _ in range(count):
+            inst = sbm._sample_sbm_rng(n, 4.0, 1.0, rng)
+            survey = None if epsilon is None else sbm._sample_survey_rng(inst, epsilon, rng)
+            out.append(exact_entropy_for_instance(inst, survey) / n)
+        return np.array(out)
+
+    with mock.patch.object(bms, "_LATTICE_FLOATS", block_floats):
+        got = sbm._exact_entropy_chunk(np.random.default_rng(9), count, n=n, a=4.0, b=1.0,
+                                       epsilon=epsilon)
+    assert np.array_equal(got, graph_by_graph(np.random.default_rng(9)))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_leave_one_out_terms_match_the_per_vertex_reference(n):
+    table = subset_entropy_table(sample_sbm(n, 5.0, 1.0, seed=n))
+    for epsilon in (0.0, 0.3, 0.5, 1.0):
+        assert np.array_equal(sbm._leave_one_out_terms(table, n, epsilon),
+                              [leave_one_out_entropy(table, n, u, epsilon) for u in range(n)])
 
 
 def test_survey_average_matches_brute_force():
@@ -227,7 +310,7 @@ def test_single_vertex_reduction_matches_leave_one_out():
         inst = sample_sbm(7, 5.0, 1.0, seed=seed)
         table = subset_entropy_table(inst)
         assert single_vertex_entropy_all_revealed(inst) == pytest.approx(
-            _leave_one_out_entropy(table, 7, 0, 0.0), abs=1e-12)
+            leave_one_out_entropy(table, 7, 0, 0.0), abs=1e-12)
 
 
 def test_derivative_identity_small_scan():
@@ -277,6 +360,9 @@ def test_derivative_scan_validation():
         derivative_identity_scan(6, 3.0, 1.0, 0.95, [0.1], 10)
     with pytest.raises(ValueError):
         derivative_identity_scan(6, 3.0, 1.0, 0.5, [], 10)
+    for h in (0.0, -0.6, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h_values must be one or more steps h > 0"):
+            derivative_identity_scan(6, 3.0, 1.0, 0.5, [0.1, h], 10)
     with pytest.raises(ValueError):
         derivative_identity_scan(MAX_SUBSET_N + 1, 3.0, 1.0, 0.5, [0.1], 10)
 
