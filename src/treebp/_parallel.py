@@ -5,6 +5,9 @@ each chunk derives its RNG stream from the master seed and its own chunk
 index, and results are reduced in chunk order.  Estimates are therefore
 bit-identical for any worker count, including the serial path.  A chunk
 task may take its arrays from the per-process arena (_ARENA).
+EstimatorResult, the mean and stderr that the sampled estimators reduce
+their chunks to, lives here so that each engine can return it without
+importing another.
 """
 
 from __future__ import annotations
@@ -13,11 +16,20 @@ import multiprocessing
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-__all__ = ["parallel_chunk_map"]
+__all__ = ["EstimatorResult", "parallel_chunk_map"]
+
+
+@dataclass(frozen=True)
+class EstimatorResult:
+    estimate: float
+    stderr: float
+    n_samples: int
+    seed: int
 
 
 def _chunk_plan(n_items: int, chunk_size: int) -> list[tuple[int, int]]:

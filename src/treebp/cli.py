@@ -15,8 +15,13 @@ paths' directories are writable before the run and writes the results
 after it, and de run's --trace-csv table goes through the same CSV
 writer.  Results are
 library result objects, serialized as their dataclass fields.  The
-envelope's config is the namespace minus _NOT_CONFIG, and --config files
-set parser defaults, so any flag on the command line wins.
+envelope's config is the namespace minus _NOT_CONFIG.  A --config file's
+lines are parsed as flags placed ahead of the typed ones, so any flag on
+the command line wins.
+
+The parser is built once per process and never changed after that.  Each
+command imports its engine (monte_carlo, sbm, spin_sync, thresholds) when
+it runs, so importing this module loads only what the package loads.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import sys
@@ -34,14 +40,6 @@ from . import __version__
 from .bms import SurveySpec, bhattacharyya, delta_of, is_trivial_survey
 from .density_evolution import DEConfig, TreeModel, run_pair, uniqueness_probe
 from .llr_dist import GridConfig
-from .monte_carlo import (BoundaryCondition, degradation_check, estimate_entropy,
-                          estimate_entropy_pair, majority_stats, wsm_probe)
-from .sbm import (derivative_identity_scan, exact_conditional_entropy,
-                  sbm_entropy_via_trees)
-from .spin_sync import SyncGraph, mi_root_boundary
-from .thresholds import (bi_region_scan, high_snr_threshold, peak_contraction_gain,
-                         region_criterion, regular_d2_window_endpoint,
-                         survey_strength_bounds)
 
 SCHEMA_VERSION = 1
 
@@ -88,28 +86,28 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         # Command parsers own --config and receive only their own arguments.
         if any(action.dest == "config" for action in self._actions):
-            self._apply_config(args)
+            args = [*self._config_args(args), *args]
         return super().parse_known_args(args, namespace)
 
-    def _apply_config(self, args) -> None:
-        """Load --config key=value lines as this parser's defaults.
+    def _config_args(self, args) -> list[str]:
+        """The --config file's key=value lines as --flag=value arguments.
 
-        Defaults go through each flag's type= like typed values, and a flag
-        the file supplies is no longer required.  This mutates the parser,
-        so build a fresh one per parse (main does).
+        They go ahead of the typed arguments, and argparse keeps a flag's
+        last value, so a typed flag in any form wins over the file, and a
+        required flag the file sets is satisfied.  Values pass through
+        verbatim, each through its flag's type= like a typed value.
         """
-        probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-        probe.add_argument("--config")
         try:
-            path = probe.parse_known_args(args)[0].config
+            path = _config_probe().parse_known_args(args)[0].config
         except argparse.ArgumentError as exc:
             raise CliError(str(exc)) from None
         if path is None:
-            return
+            return []
         with _blame("--config"), open(path) as fh:
             lines = fh.read().splitlines()
-        actions = {a.dest: a for a in self._actions if a.option_strings and a.dest != "help"}
-        values = {}
+        flags = {a.dest: a.option_strings[0] for a in self._actions
+                 if a.option_strings and a.dest != "help"}
+        out = []
         for ln, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -120,11 +118,17 @@ class _Parser(argparse.ArgumentParser):
             dest = key.replace("-", "_")
             if dest == "config":
                 raise CliError("--config: config files cannot nest")
-            if dest not in actions:
+            if dest not in flags:
                 raise CliError(f"--config: line {ln}: unknown key {key!r}")
-            values[dest] = value
-            actions[dest].required = False
-        self.set_defaults(**values)
+            out.append(f"{flags[dest]}={value}")
+        return out
+
+
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config")
+    return probe
 
 
 def _nonneg_int(text: str) -> int:
@@ -210,6 +214,7 @@ def _cmd_de_run(args):
 
 
 def _cmd_de_probe(args):
+    from .thresholds import region_criterion
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
     cfg = _de_config(args)
@@ -239,6 +244,8 @@ def _cmd_de_probe(args):
 # thresholds
 
 def _cmd_thresholds_constants(args):
+    from .thresholds import (high_snr_threshold, peak_contraction_gain,
+                             regular_d2_window_endpoint, survey_strength_bounds)
     bounds = survey_strength_bounds()
     results = {
         "alpha_star": high_snr_threshold(),
@@ -252,6 +259,7 @@ def _cmd_thresholds_constants(args):
 
 
 def _cmd_thresholds_region(args):
+    from .thresholds import bi_region_scan
     if args.x_steps < 1 or args.y_steps < 1:
         raise CliError("--x-steps/--y-steps: must be positive")
     xs = [args.x_min + i * (args.x_max - args.x_min) / max(args.x_steps - 1, 1)
@@ -272,6 +280,7 @@ def _cmd_thresholds_region(args):
 # mc
 
 def _cmd_mc_entropy(args):
+    from .monte_carlo import BoundaryCondition, estimate_entropy, estimate_entropy_pair
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
     common = dict(seed=args.seed, include_root_survey=args.include_root_survey,
@@ -288,6 +297,7 @@ def _cmd_mc_entropy(args):
 
 
 def _cmd_mc_majority(args):
+    from .monte_carlo import majority_stats
     model = _parse_model(args.model, args.theta)
     with _blame("--eta/--depth/--samples"):
         report = majority_stats(model, args.eta, args.depth, args.samples,
@@ -296,6 +306,7 @@ def _cmd_mc_majority(args):
 
 
 def _cmd_mc_wsm(args):
+    from .monte_carlo import wsm_probe
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
     with _blame("--model/--survey/--depth/--samples/--boundary-llr"):
@@ -306,6 +317,7 @@ def _cmd_mc_wsm(args):
 
 
 def _cmd_mc_degradation(args):
+    from .monte_carlo import degradation_check
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
     with _blame("--depth/--samples/--bins"):
@@ -318,6 +330,7 @@ def _cmd_mc_degradation(args):
 # sbm
 
 def _cmd_sbm_exact(args):
+    from .sbm import exact_conditional_entropy
     with _blame("--n/--a/--b/--eps/--graphs"):
         res = exact_conditional_entropy(args.n, args.a, args.b, args.eps, args.graphs,
                                         seed=args.seed, workers=args.workers)
@@ -325,6 +338,7 @@ def _cmd_sbm_exact(args):
 
 
 def _cmd_sbm_integral(args):
+    from .sbm import sbm_entropy_via_trees
     with _blame("--a/--b/--eps-points"):
         report = sbm_entropy_via_trees(args.a, args.b, args.eps_points)
     table = (["eps", "entropy", "flagged"],
@@ -334,6 +348,7 @@ def _cmd_sbm_integral(args):
 
 
 def _cmd_sbm_derivative(args):
+    from .sbm import derivative_identity_scan
     with _blame("--n/--a/--b/--eps/--h/--graphs"):
         h_values = [float(h) for h in args.h.split(",") if h]
         report = derivative_identity_scan(args.n, args.a, args.b, args.eps, h_values,
@@ -345,6 +360,7 @@ def _cmd_sbm_derivative(args):
 # spin-sync
 
 def _cmd_spin_sync_mi(args):
+    from .spin_sync import SyncGraph, mi_root_boundary
     with _blame("--graph/--radius"):
         graph = SyncGraph.parse(args.graph, radius=args.radius)
     exact = {"auto": None, "yes": True, "no": False}.get(args.exact)
@@ -361,7 +377,7 @@ def _cmd_spin_sync_mi(args):
 
 
 # Commands whose results also come as a CSV table (--out *.csv).
-_TABLE_COMMANDS = frozenset({_cmd_thresholds_region, _cmd_sbm_integral, _cmd_spin_sync_mi})
+_TABLE_COMMANDS = frozenset({"_cmd_thresholds_region", "_cmd_sbm_integral", "_cmd_spin_sync_mi"})
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +388,9 @@ def _flags(*parents) -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process; parsing never changes it."""
     common = _flags()
     common.add_argument("--seed", type=_nonneg_int, default=0,
                         help="deterministic seed (non-negative integer)")
@@ -412,7 +430,7 @@ def build_parser() -> _Parser:
 
     def command(group, name, func, help, *parents):
         p = group.add_parser(name, help=help, parents=[*parents, common])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)     # main looks the command up when it runs
         return p
 
     de = area("de", "density evolution")
@@ -561,7 +579,7 @@ def main(argv=None) -> int:
                            "give a .json path")
         _check_writable("--out", args.out)
         _check_writable("--trace-csv", getattr(args, "trace_csv", None))
-        results, code, table = args.func(args)
+        results, code, table = globals()[args.func](args)
         _write_output(args, results, table)
         return code
     except (CliError, ValueError, OSError) as exc:

@@ -44,7 +44,7 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._parallel import _ARENA, parallel_chunk_map
+from ._parallel import _ARENA, EstimatorResult, parallel_chunk_map
 from .bms import SurveySpec, binary_entropy, delta_of, is_trivial_survey
 from .density_evolution import TreeModel
 from .llr_dist import edge_llr_map
@@ -140,14 +140,6 @@ class BoundaryCondition:
         if self.kind in ("plus", "minus"):
             return f"{self.kind}:{self.value:g}"
         return self.kind
-
-
-@dataclass(frozen=True)
-class EstimatorResult:
-    estimate: float
-    stderr: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)

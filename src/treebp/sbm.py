@@ -34,10 +34,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import bms
-from ._parallel import _ARENA, parallel_chunk_map
+from ._parallel import _ARENA, EstimatorResult, parallel_chunk_map
 from .bms import SurveySpec, _lattice_bytes, _popcounts, _subset_entropies
 from .density_evolution import DEConfig, InitCondition, TreeModel, _fixed_points
-from .monte_carlo import EstimatorResult
 from .thresholds import high_snr_threshold, survey_strength_bounds
 
 __all__ = [

@@ -132,13 +132,35 @@ def test_library_errors_name_one_flag(capsys, flag, value, message):
     assert err == f"error: {message}\n"       # the flag alone, no library field name
 
 
-def test_import_loads_no_scipy():
+def fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this treebp."""
     src = str(Path(treebp.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, treebp.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+ENGINES = ("treebp.monte_carlo", "treebp.sbm", "treebp.spin_sync", "treebp.thresholds")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), ENGINES),
+    (("de", "run", "--model", "regular:3", "--theta", "0.6", "--survey", "bec:0.5",
+      "--depth", "50"), ENGINES),
+    (("sbm", "exact", "--n", "5", "--a", "3", "--b", "1", "--graphs", "2", "--workers", "1"),
+     ("treebp.monte_carlo", "treebp.spin_sync")),
+], ids=["import", "de-run", "sbm-exact"])
+def test_commands_import_only_their_engine(argv, absent):
+    code = ("import contextlib, io, sys, treebp.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert not {list(argv)!r} or treebp.cli.main({list(argv)!r}) == 0\n"
+            f"print([m for m in {absent!r} if m in sys.modules])")
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -358,6 +380,54 @@ def test_config_rejects_nesting_and_unknown_keys(capsys, tmp_path, line):
     cfg.write_text(line + "\n")
     code, out, err = run_cli(capsys, *MAJORITY, "--theta", "0.5", "--config", str(cfg))
     assert code == 1 and out == "" and "--config" in err
+
+
+def test_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # one parser serves every call in a process: a file's values, and the
+    # required flags it satisfied, must not leak into the next call
+    majority = (*MAJORITY[:-2], "--workers", "1")
+    calls = [(*majority, "--config", write_config(tmp_path, theta=0.5, samples=500)),
+             majority,
+             (*majority, "--theta", "0.5")]
+    forward = [run_cli(capsys, *argv) for argv in calls]
+    backward = [run_cli(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    (code, out, err), (code2, out2, err2), (code3, out3, err3) = forward
+    assert code == 0 and err == "" and json.loads(out)["config"]["samples"] == 500
+    assert code2 == 1 and out2 == "" and err2 == "error: the following arguments are required: --theta\n"
+    assert code3 == 0 and err3 == "" and json.loads(out3)["config"]["samples"] == 100_000
+
+
+def test_help_is_the_same_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = sorted({argv[:2] for argv, _ in ENVELOPE_CONFIGS})
+    assert len(commands) == 12
+
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    for argv in [(), *commands]:
+        first = help_text(argv)
+        assert first.startswith("usage: treebp") and help_text(argv) == first
+
+
+def test_config_values_pass_through_verbatim(capsys, tmp_path):
+    typed = run_cli(capsys, *MAJORITY, "--theta", "-0.5")
+    assert typed == (1, "", "error: --theta must lie in [0, 1)\n")
+    assert run_cli(capsys, *MAJORITY, "--config", write_config(tmp_path, theta=-0.5)) == typed
+    spaced = tmp_path / "a survey dir"
+    spaced.mkdir()
+    path = spaced / "law.csv"
+    path.write_text("delta,weight\n0.1,0.5\n0.3,0.5\n")
+    argv = ("de", "run", "--model", "regular:3", "--theta", "0.6", "--depth", "20")
+    code, out, err = run_cli(capsys, *argv, "--config",
+                             write_config(tmp_path, survey=f"custom:@{path}"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["survey"] == f"custom:@{path}"
+    assert run_cli(capsys, *argv, "--survey", f"custom:@{path}") == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [
