@@ -12,7 +12,6 @@ importing another.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from contextlib import contextmanager
@@ -62,6 +61,7 @@ def parallel_chunk_map(task, n_items: int, chunk_size: int, seed: int,
     workers = min(workers, len(plan))
     if workers == 1:
         return [run(count, index) for count, index in plan]
+    import multiprocessing
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:

@@ -39,7 +39,7 @@ from dataclasses import fields, is_dataclass
 from . import __version__
 from .bms import SurveySpec, bhattacharyya, delta_of, is_trivial_survey
 from .density_evolution import DEConfig, TreeModel, run_pair, uniqueness_probe
-from .llr_dist import GridConfig
+from .llr_dist import GridConfig, poisson_truncation
 
 SCHEMA_VERSION = 1
 
@@ -181,6 +181,13 @@ def _de_config(args, **extra) -> DEConfig:
         return DEConfig(grid=grid, max_depth=args.depth, convergence_tol=args.tol, **extra)
 
 
+def _check_truncation(model: TreeModel) -> None:
+    """Name --model, before density evolution, for a Poisson mean it cannot truncate."""
+    if model.kind == "poisson":
+        with _blame("--model"):
+            poisson_truncation(model.d)
+
+
 # ---------------------------------------------------------------------------
 # de
 
@@ -200,6 +207,7 @@ def _cmd_de_run(args):
                       "chi2_capacity": 0.0, "bhattacharyya": 1.0},
         }
         return results, EXIT_OK, None
+    _check_truncation(model)
     report = run_pair(model, survey, cfg)
     if args.trace_csv:
         _write_csv("--trace-csv", args.trace_csv, (
@@ -220,6 +228,7 @@ def _cmd_de_probe(args):
     cfg = _de_config(args)
     z = bhattacharyya(delta_of(survey))
     region = region_criterion(model.snr, z)
+    _check_truncation(model)
     probe = uniqueness_probe(model, survey, cfg=cfg)
     certified = region.criterion != "none"
     if certified and probe.status == "unique":
@@ -403,7 +412,7 @@ def build_parser() -> _Parser:
     grid.add_argument("--grid-bins", type=int, default=2001,
                       help="quantization bins (odd integer >= 3)")
     grid.add_argument("--grid-rmax", type=float, default=30.0,
-                      help="grid saturation magnitude (> 0)")
+                      help="grid saturation magnitude (> 0, at most 1400)")
     model = _flags()
     model.add_argument("--model", required=True, help="regular:D or poisson:D")
     theta = _flags()

@@ -25,10 +25,9 @@ are read off the same pairs.  The crossover-mixture form (DeltaDistribution)
 is only an import and export format.
 
 Every transform runs on a stack of laws, one per row (``_Stack``), with
-each row checked, cropped and folded on its own; the single-law functions
-are one-row calls.  Row for row, a stack gives the bits of a one-row call
-in a shifted-add sum, and in an FFT sum whenever it shares that call's FFT
-length.
+each row checked, cropped and folded on its own, and an FFT sum taken at
+each row's own length; the single-law functions are one-row calls.  Row for
+row, a stack gives the bits of a one-row call, whatever the other rows.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ __all__ = [
     "convolve",
     "power_convolve",
     "poisson_convolve",
+    "poisson_truncation",
     "entropy",
     "info_measures",
     "resymmetrize",
@@ -87,6 +87,8 @@ class GridConfig:
     def __post_init__(self):
         if not 0 < self.r_max < math.inf:
             raise ValueError("r_max must be positive and finite")
+        if self.r_max > 1400.0:    # exp(r_max / 2), the weight of bin -r_max, overflows at 1419.6
+            raise ValueError("r_max must be at most 1400")
         if self.n_bins < 3 or self.n_bins % 2 == 0:
             raise ValueError("n_bins must be odd and at least 3")
 
@@ -130,14 +132,6 @@ def _terms(grid: GridConfig) -> tuple[dict, np.ndarray]:
     return terms, half
 
 
-def _row_bincount(bins: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:
-    """Bincount of each row of (rows, k) weights into shared bins, in order as np.add.at."""
-    rows = len(weights)
-    flat = (bins + n_bins * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=weights.ravel(),
-                       minlength=rows * n_bins).reshape(rows, n_bins)
-
-
 def _deposit_plan(grid: GridConfig, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bins [i0, i0 + 1] and fractions (1 - frac, frac) of the mean-preserving
     linear split of atoms at positions onto the grid.
@@ -155,10 +149,12 @@ def _deposit_plan(grid: GridConfig, positions) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _deposit_rows(grid: GridConfig, plan, weights: np.ndarray) -> np.ndarray:
-    """Rows of atom weights (rows, atoms) split onto the grid by a plan."""
+    """Rows of atom weights (rows, atoms) split onto the grid by a plan, in order as np.add.at."""
     bins, left, right = plan
-    return _row_bincount(bins, np.concatenate([weights * left, weights * right], axis=1),
-                         grid.n_bins)
+    rows, n = len(weights), grid.n_bins
+    flat = (bins + n * np.arange(rows)[:, None]).ravel()
+    w = np.concatenate([weights * left, weights * right], axis=1).ravel()
+    return np.bincount(flat, weights=w, minlength=rows * n).reshape(rows, n)
 
 
 def _deposit(grid: GridConfig, positions, weights) -> np.ndarray:
@@ -187,10 +183,12 @@ class _Stack:
         """No mass below -1e-12, rounding negatives clipped (in place), and each
         row's total within _MASS_SLACK of 1."""
         inf = np.zeros((len(masses), 2)) if inf is None else inf
-        if min(masses.min(initial=0.0), inf.min(initial=0.0)) < -1e-12:
+        low = min(masses.min(initial=0.0), inf.min(initial=0.0))
+        if low < -1e-12:
             raise ValueError("negative probability mass")
-        np.maximum(masses, 0.0, out=masses)
-        np.maximum(inf, 0.0, out=inf)
+        if low < 0.0:
+            np.maximum(masses, 0.0, out=masses)
+            np.maximum(inf, 0.0, out=inf)
         off = [t for t in (masses.sum(axis=1) + inf.sum(axis=1)).tolist()
                if abs(t - 1.0) > _MASS_SLACK]
         if off:
@@ -222,7 +220,7 @@ class _Stack:
 
     def spectrum(self, size: int) -> np.ndarray:
         if size not in self._spectra:
-            self._spectra[size] = _spectrum(self, *_span(*_support(self)), size)
+            self._spectra[size] = _spectrum(self, size)
         return self._spectra[size]
 
 
@@ -474,84 +472,91 @@ def _support(s: _Stack) -> tuple[np.ndarray, np.ndarray]:
     return nz.argmax(axis=1) - c, nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1) - c
 
 
-def _span(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
-    """Smallest lo and largest hi over the rows (lists beat numpy reductions
-    on a few rows)."""
-    return min(lo.tolist()), max(hi.tolist())
-
-
-def _spectrum(s: _Stack, a: int, b: int, size: int) -> np.ndarray:
-    """Row spectra of s, nonzero on offsets [a, b], placed circularly (center
-    bin at index 0) on length size."""
+def _spectrum(s: _Stack, size: int) -> np.ndarray:
+    """Row spectra of s placed circularly (center bin at index 0) on length
+    size, exact for each row whose support lies within (-size/2, size/2)."""
     c = s.grid.center_index
+    k = min(size // 2 - 1, c)
     x = np.zeros((len(s.masses), size))
-    x[:, np.arange(a, b + 1) % size] = s.masses[:, c + a:c + b + 1]
+    x[:, :k + 1] = s.masses[:, c:c + k + 1]
+    x[:, size - k:] = s.masses[:, c - k:c]
     return np.fft.rfft(x, axis=1)
 
 
-def _spectral_sum(s: _Stack, bounds, combine, reach: int = 0) -> _Stack:
-    """Row laws of sums of independent LLRs, computed in the Fourier domain.
+def _spectral_sum(s: _Stack, bounds, combine, reach=0) -> np.ndarray:
+    """Row masses of sums of independent LLRs, computed in the Fourier domain.
 
     ``bounds`` maps the rows' supports to the exact supports [lo, hi] of the
-    sums, ``combine(F, size)`` returns the spectra of the sums from the rows'
-    spectra F at FFT length size (it may overwrite F), and ``reach`` is the
-    farthest offset of any other summand.  The rows share one zero-padded
-    power-of-two length that holds every offset without wrapping.  After the
-    inverse transform, offsets outside a row's [lo, hi] are dropped (they
-    hold only rounding noise), rounding negatives are clipped, mass beyond
-    +-r_max is folded onto the boundary bins once, after the whole sum, and
-    each total is renormalized to 1 (for a Poisson sum this restores the
-    neglected tail, as a truncated mixture would).
+    sums, ``combine(F, size, rows)`` returns the spectra of the sums from the
+    spectra F of those rows at FFT length size (it may overwrite F), and
+    ``reach`` is the farthest offset of any other summand, per row.  Each row
+    takes the shortest power-of-two length that holds its offsets without
+    wrapping, and the rows of one length share one transform.  Only a row's
+    [lo, hi] is kept, rounding negatives are clipped, mass beyond +-r_max is
+    folded, in offset order, onto the boundary bins once, after the whole
+    sum, and each total is renormalized to 1 (for a Poisson sum this
+    restores the neglected tail, as a truncated mixture would).
     """
-    grid = s.grid
+    c = s.grid.center_index
     a, b = _support(s)
     lo, hi = bounds(a, b)
-    (a0, b0), (lo0, hi0) = _span(a, b), _span(lo, hi)
-    reach = max(reach, -lo0, hi0, -a0, b0)
-    size = 1 << (2 * reach + 1).bit_length()          # power of two >= 2 reach + 2
-    offsets = np.arange(lo0, hi0 + 1)
-    vals = np.fft.irfft(combine(_spectrum(s, a0, b0, size), size), size,
-                        axis=1)[:, offsets % size]
-    vals[(offsets < lo[:, None]) | (offsets > hi[:, None])] = 0.0
-    np.maximum(vals, 0.0, out=vals)
-    m = _row_bincount(np.clip(offsets + grid.center_index, 0, grid.n_bins - 1), vals, grid.n_bins)
-    return _Stack.checked(grid, m / m.sum(axis=1, keepdims=True))
+    reach = np.maximum(np.maximum(np.maximum(-lo, hi), np.maximum(-a, b)), reach).tolist()
+    sizes = [1 << (2 * r + 1).bit_length() for r in reach]      # powers of two >= 2 reach + 2
+    m = np.zeros(s.masses.shape)
+    for size in set(sizes):
+        rows = [i for i, z in enumerate(sizes) if z == size]
+        x = _spectrum(s if len(rows) == len(sizes) else s.take(rows), size)
+        for i, y in zip(rows, np.fft.irfft(combine(x, size, rows), size, axis=1)):
+            l, h = int(lo[i]), int(hi[i])
+            v = np.concatenate((y[l:], y[:h + 1])) if l < 0 <= h else y[l % size:h % size + 1]
+            np.maximum(v, 0.0, out=v)
+            m[i, c + max(l, -c):c + min(h, c) + 1] += v[max(l, -c) - l:min(h, c) - l + 1]
+            if l < -c:
+                m[i, 0] = np.cumsum(v[:-c - l + 1])[-1]
+            if h > c:
+                m[i, -1] = np.cumsum(v[c - l:])[-1]
+    return m / m.sum(axis=1, keepdims=True)
 
 
-def _shifted_sum(m: np.ndarray, w: np.ndarray, offsets) -> np.ndarray:
-    """Sum over j of the rows of masses m shifted by offsets[j] bins and
-    weighted by w[:, j], with mass beyond +-r_max folded onto the boundary bins."""
+def _shifted_sum(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over bins j of the rows of masses m shifted by bin j's offset and
+    weighted by w[:, j], with mass beyond +-r_max folded onto the boundary
+    bins, each total renormalized to 1."""
     n = m.shape[1]
     out = np.zeros(m.shape)
-    for d, wj in zip(offsets.tolist(), w.T[:, :, None]):
+    bins = np.flatnonzero(w.any(axis=0))
+    for d, wj in zip((bins - (n - 1) // 2).tolist(), w[:, bins].T[:, :, None]):
         if d >= 0:
             out[:, d:] += wj * m[:, :n - d]
             out[:, -1:] += wj * m[:, n - d:].sum(axis=1, keepdims=True)
         else:
             out[:, :d] += wj * m[:, -d:]
             out[:, :1] += wj * m[:, :-d].sum(axis=1, keepdims=True)
-    return out
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def _convolve(s: _Stack, other: _Stack, rows) -> _Stack:
     """Row i of s plus an independent draw from row rows[i] of other.
 
-    A sparse other (at most _SHIFT_ADD_BINS nonzero bins over the rows used,
-    as every BEC/BSC survey is) adds exactly, as weighted shifted copies of
-    s; a denser one goes through the spectral sum.
+    A row whose draw is sparse (at most _SHIFT_ADD_BINS nonzero bins, as
+    every BEC/BSC survey is) adds it exactly, as weighted shifted copies;
+    a denser draw goes through the spectral sum.
     """
     if not (s.is_finite and other.is_finite):
         raise ValueError("convolve requires finite LLR laws")
+    rows = np.asarray(rows)
     w = other.masses[rows]
-    bins = np.flatnonzero(w.any(axis=0))
-    if bins.size <= _SHIFT_ADD_BINS:
-        m = _shifted_sum(s.masses, w[:, bins], bins - s.grid.center_index)
-        return _Stack.checked(s.grid, m / m.sum(axis=1, keepdims=True))
+    if np.count_nonzero(w.any(axis=0)) <= _SHIFT_ADD_BINS:      # every row is sparse
+        return _Stack.checked(s.grid, _shifted_sum(s.masses, w))
+    sparse = np.count_nonzero(w, axis=1) <= _SHIFT_ADD_BINS
+    m = np.empty(s.masses.shape)
+    m[sparse] = _shifted_sum(s.masses[sparse], w[sparse])
+    rows = rows[~sparse]
     a, b = (x[rows] for x in _support(other))
-    a0, b0 = _span(a, b)
-    return _spectral_sum(s, lambda lo, hi: (lo + a, hi + b),
-                         lambda f, size: np.multiply(f, other.spectrum(size)[rows], out=f),
-                         reach=max(-a0, b0))
+    m[~sparse] = _spectral_sum(s.take(~sparse), lambda lo, hi: (lo + a, hi + b),
+                               lambda f, n, i: np.multiply(f, other.spectrum(n)[rows[i]], out=f),
+                               reach=np.maximum(-a, b))
+    return _Stack.checked(s.grid, m)
 
 
 def convolve(mu1: SymmetricLLRDistribution,
@@ -570,8 +575,8 @@ def convolve(mu1: SymmetricLLRDistribution,
 def _power(s: _Stack, count: int) -> _Stack:
     if count == 1:
         return s
-    return _spectral_sum(s, lambda lo, hi: (count * lo, count * hi),
-                         lambda f, _: np.power(f, count, out=f))
+    return _Stack.checked(s.grid, _spectral_sum(s, lambda lo, hi: (count * lo, count * hi),
+                                                lambda f, *_: np.power(f, count, out=f)))
 
 
 def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDistribution:
@@ -587,20 +592,29 @@ def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDist
     return _power(_Stack.of([mu]), count).row(0)
 
 
-def _poisson(s: _Stack, mean_count: float, tail_tol: float = 1e-12) -> _Stack:
-    if not s.is_finite:
-        raise ValueError("poisson_convolve requires a finite LLR law")
+@lru_cache(maxsize=32)
+def poisson_truncation(mean_count: float, tail_tol: float = 1e-12) -> int:
+    """Smallest B with P[Poisson(mean_count) > B] < tail_tol, which sizes poisson_convolve's
+    padding; past a mean of about 740 the terms underflow first (ValueError)."""
     pmf = cum = math.exp(-mean_count)
     b = 0
     while cum < 1.0 - tail_tol:
+        if pmf == 0.0:
+            raise ValueError(f"Poisson mean {mean_count:g} is too large to truncate "
+                             "(its probabilities underflow)")
         b += 1
-        if b > 100000:
-            raise RuntimeError("poisson truncation failed to terminate")
         pmf *= mean_count / b
         cum += pmf
-    return _spectral_sum(s, lambda lo, hi: (np.minimum(b * lo, 0), np.maximum(b * hi, 0)),
-                         lambda f, _: np.exp(np.multiply(mean_count, np.subtract(f, 1.0, out=f),
-                                                         out=f), out=f))
+    return b
+
+
+def _poisson(s: _Stack, mean_count: float, tail_tol: float = 1e-12) -> _Stack:
+    if not s.is_finite:
+        raise ValueError("poisson_convolve requires a finite LLR law")
+    b = poisson_truncation(mean_count, tail_tol)
+    return _Stack.checked(s.grid, _spectral_sum(
+        s, lambda lo, hi: (np.minimum(b * lo, 0), np.maximum(b * hi, 0)),
+        lambda f, *_: np.exp(np.multiply(mean_count, np.subtract(f, 1.0, out=f), out=f), out=f)))
 
 
 def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,

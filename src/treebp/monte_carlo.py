@@ -174,6 +174,9 @@ def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,
     x = model.d * (1.0 - reveal)
     if x == 1.0:
         return depth + 1
+    if x > 1.0 and (depth + 1) * math.log2(x) > 62:
+        raise ValueError(f"depth {depth} needs about {x:g}^{depth} nodes per tree, "
+                         "past the 2^62 limit")
     return int((x ** (depth + 1) - 1) / (x - 1)) + 1
 
 

@@ -149,12 +149,14 @@ ENGINES = ("treebp.monte_carlo", "treebp.sbm", "treebp.spin_sync", "treebp.thres
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ((), ENGINES),
+    ((), (*ENGINES, "multiprocessing")),
     (("de", "run", "--model", "regular:3", "--theta", "0.6", "--survey", "bec:0.5",
-      "--depth", "50"), ENGINES),
+      "--depth", "50"), (*ENGINES, "multiprocessing")),
+    (("sbm", "integral", "--a", "4", "--b", "1", "--eps-points", "5"),
+     ("treebp.monte_carlo", "treebp.spin_sync", "multiprocessing")),
     (("sbm", "exact", "--n", "5", "--a", "3", "--b", "1", "--graphs", "2", "--workers", "1"),
-     ("treebp.monte_carlo", "treebp.spin_sync")),
-], ids=["import", "de-run", "sbm-exact"])
+     ("treebp.monte_carlo", "treebp.spin_sync", "multiprocessing")),
+], ids=["import", "de-run", "sbm-integral", "sbm-exact"])
 def test_commands_import_only_their_engine(argv, absent):
     code = ("import contextlib, io, sys, treebp.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -202,6 +204,20 @@ def test_exact_oracle_output_is_pinned(capsys, argv, digest):
     # pinned from the graph-by-graph enumeration and the per-vertex
     # leave-one-out loop that the block kernels replaced
     code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("sbm", "integral", "--a", "4", "--b", "1"),
+     "2db257b7bd66fd0c9125fee7afc090a9bceb3694643da6c399f5ab8138642750"),
+    (("sbm", "integral", "--a", "9", "--b", "3"),
+     "7447e565d1581adf4daf13296653ac69252deffc9ac2f6a218d7e5e0c7686fc3"),
+])
+def test_sbm_integral_output_is_pinned(capsys, argv, digest):
+    # pinned from the sweep that stepped trivial and surveyed rows in
+    # separate stacks and gave the rows of a stack one FFT length
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -654,6 +670,37 @@ def test_infinite_grid_rmax_rejected(capsys):
                              "--survey", "bec:0.5", "--grid-rmax", "inf")
     assert code == 1 and out == ""
     assert err == "error: --grid-rmax must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv, start", [
+    (("de", "run", "--model", "poisson:800", "--theta", "0.01", "--survey", "bec:0.5"),
+     "error: --model: Poisson mean 800 is too large to truncate"),
+    (("de", "probe", "--model", "poisson:800", "--theta", "0.01", "--survey", "bec:0.5"),
+     "error: --model: Poisson mean 800 is too large to truncate"),
+    (("sbm", "integral", "--a", "1480", "--b", "1"),
+     "error: --a/--b/--eps-points: Poisson mean 740.5 is too large to truncate"),
+    (("sbm", "integral", "--a", "1", "--b", "100000"),
+     "error: --a/--b/--eps-points: Poisson mean 50000.5 is too large to truncate"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-rmax", "1e308"), "error: --grid-rmax must be at most 1400"),
+    (("mc", "wsm", "--model", "regular:2", "--theta", "0.5", "--survey", "bec:0.5",
+      "--depth", "100000", "--samples", "10"),
+     "error: --model/--survey/--depth/--samples/--boundary-llr: depth 100000 needs about"),
+], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth"])
+def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(start)
+    assert not recwarn.list
+
+
+def test_largest_grid_rmax_runs_without_warnings(capsys, recwarn):
+    # exp(r_max / 2) stays finite; 20001 bins keep the symmetry defect in bounds
+    code, out, err = run_cli(capsys, "de", "run", "--model", "regular:3", "--theta", "0.5",
+                             "--survey", "bec:0.5", "--grid-rmax", "1400",
+                             "--grid-bins", "20001", "--depth", "5")
+    assert code in (0, 2) and err == "" and json.loads(out)["results"]
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("argv", [

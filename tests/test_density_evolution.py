@@ -13,6 +13,7 @@ from treebp.density_evolution import (
     DEConfig,
     InitCondition,
     TreeModel,
+    _fixed_points,
     _stack_step,
     bp_fixed_point,
     run_pair,
@@ -294,6 +295,39 @@ def test_uniqueness_probe_high_snr_custom_inits():
          InitCondition.custom(DeltaDistribution.point(0.49))])
     assert probe.status == "unique"
     assert probe.max_pe_diff < 1e-3
+
+
+@pytest.mark.parametrize("model", [TreeModel.regular(3, 0.5), TreeModel.poisson(4, 0.7),
+                                   TreeModel.regular(5, 0.7)], ids=["r3", "p4", "r5"])
+@pytest.mark.parametrize("survey", ["bec:0.5", "bsc:0.2", "bec:0.95"])
+def test_probe_rows_equal_their_lone_runs(model, survey):
+    # each stacked row takes its own FFT length, so it gets the bits of a
+    # lone run whatever length the other row needs
+    spec = SurveySpec.parse(survey)
+    probe = uniqueness_probe(model, spec)
+    lone = [bp_fixed_point(model, spec, init)
+            for init in (InitCondition.perfect_leaves(), InitCondition.no_leaves())]
+    assert probe.limits == [fp.limit() for fp in lone]
+    assert probe.depths == [fp.depth for fp in lone]
+
+
+@pytest.mark.parametrize("include_root_survey", [True, False])
+def test_stacked_rows_equal_their_lone_runs(include_root_survey):
+    # more rows than the stack holds, so rows enter as others converge;
+    # trivial rows skip the survey sum, BEC and BSC rows add shifted copies
+    # and the 6-atom survey goes through the FFT, each row as it would alone
+    dense = SurveySpec.from_delta(DeltaDistribution([(0.02 * (i + 1), 1 / 6) for i in range(6)]))
+    surveys = [SurveySpec.trivial(), SurveySpec.bec(0.3), SurveySpec.bsc(0.1), dense,
+               SurveySpec.bec(0.8), SurveySpec.bsc(0.3)]
+    inits = [InitCondition.perfect_leaves(), InitCondition.no_leaves()]
+    rows = [(survey, init) for survey in surveys for init in inits]
+    np.random.default_rng(5).shuffle(rows)
+    model, cfg = TreeModel.regular(3, 0.6), DEConfig(max_depth=60,
+                                                      include_root_survey=include_root_survey)
+    stacked = _fixed_points(model, rows, cfg)
+    for fp, (survey, init) in zip(stacked, rows):
+        alone = bp_fixed_point(model, survey, init, cfg)
+        assert (fp.trace, fp.converged, fp.init) == (alone.trace, alone.converged, alone.init)
 
 
 def test_report_serialization_keys():

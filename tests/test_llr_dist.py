@@ -40,6 +40,7 @@ from treebp.llr_dist import (
     from_delta,
     info_measures,
     poisson_convolve,
+    poisson_truncation,
     power_convolve,
     resymmetrize,
     symmetry_defect,
@@ -232,8 +233,8 @@ def test_stack_checks_every_row():
 
 
 def test_stacked_sums_crop_each_row_to_its_own_support():
-    # rows of one stack share the longest row's FFT length; each row's sum
-    # must still vanish outside its own exact support, a unit row stay a unit
+    # rows of one stack need different FFT lengths; each row's sum must
+    # equal its one-row call bit for bit, a unit row stay a unit
     unit = SymmetricLLRDistribution.unit(GRID)
     laws = [unit, apply_edge_map(_point(2.0), 0.3),
             from_delta(delta_of(SurveySpec.bsc(0.01)), GRID)]
@@ -248,7 +249,7 @@ def test_stacked_sums_crop_each_row_to_its_own_support():
             want = alone(mu, nu).masses
             nz, nz_want = np.flatnonzero(row), np.flatnonzero(want)
             assert nz_want[0] <= nz[0] and nz[-1] <= nz_want[-1]
-            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-15)
+            assert np.array_equal(row, want)
 
 
 @pytest.mark.parametrize("rows", [[0, 1, 2], [0, 0], [1, 0, 1], [2, 2]])
@@ -428,6 +429,27 @@ def _direct_convolve(m1, m2):
     m[0] += full[:start].sum()
     m[-1] += full[start + n:].sum()
     return m
+
+
+def _truncation_loop(mean_count, tail_tol=1e-12):
+    """The truncation count as first computed, for means whose loop ends."""
+    pmf = cum = math.exp(-mean_count)
+    b = 0
+    while cum < 1.0 - tail_tol:
+        b += 1
+        pmf *= mean_count / b
+        cum += pmf
+    return b
+
+
+def test_poisson_truncation_keeps_every_count_and_fails_fast():
+    # 730-745.1 start from a subnormal e^-mean and still end; 720 and
+    # 740.5 spun 100,000 steps before raising a RuntimeError
+    for mean in [i / 2 for i in range(1, 1401)] + [730.0, 735.0, 740.0, 745.1]:
+        assert poisson_truncation(mean) == _truncation_loop(mean)
+    for mean in (720.0, 740.5, 800.0, 1e5, math.inf):
+        with pytest.raises(ValueError, match="too large to truncate"):
+            poisson_truncation(mean)
 
 
 def _direct_poisson(m, mean_count, tail_tol=1e-12):
