@@ -39,7 +39,7 @@ from dataclasses import fields, is_dataclass
 from . import __version__
 from .bms import SurveySpec, bhattacharyya, delta_of, is_trivial_survey
 from .density_evolution import DEConfig, TreeModel, run_pair, uniqueness_probe
-from .llr_dist import GridConfig, poisson_truncation
+from .llr_dist import GridConfig, SymmetryError, poisson_truncation
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +61,8 @@ class CliError(Exception):
 
 
 @contextmanager
-def _blame(flags: str):
-    """Re-raise library ValueError/OSError as a CliError naming flags.
+def _blame(flags: str, errors=(ValueError, OSError)):
+    """Re-raise library errors of the given kinds as a CliError naming flags.
 
     A message that starts with a field of _FIELD_FLAGS whose flag is among
     flags names that flag in place of the field ("--tol must lie in
@@ -70,7 +70,7 @@ def _blame(flags: str):
     """
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except errors as exc:
         text = str(exc)
         field = text.split(" ", 1)[0]
         flag = _FIELD_FLAGS.get(field)
@@ -208,7 +208,8 @@ def _cmd_de_run(args):
         }
         return results, EXIT_OK, None
     _check_truncation(model)
-    report = run_pair(model, survey, cfg)
+    with _blame("--grid-bins/--grid-rmax", SymmetryError):   # the grid too coarse to stay paired
+        report = run_pair(model, survey, cfg)
     if args.trace_csv:
         _write_csv("--trace-csv", args.trace_csv, (
             ["k", "Pe_leaves", "Pe_noleaves", "C_leaves", "C_noleaves",
@@ -229,7 +230,8 @@ def _cmd_de_probe(args):
     z = bhattacharyya(delta_of(survey))
     region = region_criterion(model.snr, z)
     _check_truncation(model)
-    probe = uniqueness_probe(model, survey, cfg=cfg)
+    with _blame("--grid-bins/--grid-rmax", SymmetryError):
+        probe = uniqueness_probe(model, survey, cfg=cfg)
     certified = region.criterion != "none"
     if certified and probe.status == "unique":
         verdict, code = "certified_unique", EXIT_OK

@@ -182,17 +182,17 @@ def _step_views(mu: SymmetricLLRDistribution, model: TreeModel,
     return agg, resymmetrize(convolve(agg, survey_dist))
 
 
-def _stack_step(mu: _Stack, model: TreeModel, surveys: _Stack | None,
-                rows) -> tuple[_Stack, _Stack]:
-    """_step_views on every row of a stack, row i's survey being row rows[i]
-    of surveys (None: trivial; surveys None: all trivial)."""
+def _stack_step(mu: _Stack, model: TreeModel, surveys) -> tuple[_Stack, _Stack]:
+    """_step_views on every row of a stack, row i's survey being the grid law
+    surveys[i] (None: trivial).  The survey rows are stacked anew at every
+    step, so nothing is kept from one step to the next."""
     child = _flip_mix(_edge_map(mu, model.theta), model.flip)
     agg = _resymmetrize(_power(child, int(model.d)) if model.kind == "regular"
                         else _poisson(child, model.d))
-    have = [] if surveys is None else [i for i, r in enumerate(rows) if r is not None]
+    have = [i for i, law in enumerate(surveys) if law is not None]
     if not have:
         return agg, agg
-    post = _resymmetrize(_convolve(agg.take(have), surveys, [rows[i] for i in have]))
+    post = _resymmetrize(_convolve(agg.take(have), _Stack.of([surveys[i] for i in have])))
     if len(have) == len(agg.masses):
         return agg, post
     m, inf = agg.masses.copy(), agg.inf.copy()
@@ -335,12 +335,12 @@ def _fixed_points(model: TreeModel, rows, cfg: DEConfig) -> list[FixedPointResul
     Rows enter, their laws built, weakest survey first (largest
     Bhattacharyya, 1 for a trivial survey; ties in input order), so the
     slowest start first.  A row that converges or reaches max_depth
-    leaves, and the next waiting row takes its place.  Every row gets the
-    bits of its lone run."""
+    leaves, with its survey law, and the next waiting row takes its place.
+    Every row gets the bits of its lone run."""
     grid = cfg.grid
     waiting = iter(sorted(range(len(rows)), key=lambda i: -bhattacharyya(delta_of(rows[i][0]))))
-    traces, converged, laws = [None] * len(rows), [False] * len(rows), {}
-    live, mu, slots = [], None, None
+    traces, converged = [None] * len(rows), [False] * len(rows)
+    live, surveys, mu = [], [], None
     # Without the root survey the trace holds pre-survey laws, and its first
     # step aggregates the initial law without the survey the later steps
     # add: from no leaves it repeats the unit law, which is no fixed point.
@@ -348,20 +348,16 @@ def _fixed_points(model: TreeModel, rows, cfg: DEConfig) -> list[FixedPointResul
     while True:
         new = list(islice(waiting, _STACK_ROWS - len(live)))
         if new:
-            laws.update((r, _survey_distribution(rows[r][0], grid)) for r in new)
+            surveys += [_survey_distribution(rows[r][0], grid) for r in new]
             start = _Stack.of([rows[r][1].initial_distribution(grid) for r in new])
             for r, im in zip(new, _info(start)):
                 traces[r] = [im]
             mu = start if not live else _Stack(grid, np.concatenate([mu.masses, start.masses]),
                                                np.concatenate([mu.inf, start.inf]))
-            live, slots = live + new, None
+            live += new
         if not live:
             break
-        if slots is None:                   # the survey stack of the live rows
-            used = [r for r in live if laws[r] is not None]
-            surveys = _Stack.of([laws[r] for r in used]) if used else None
-            slots = [used.index(r) if r in used else None for r in live]
-        pre, mu = _stack_step(mu, model, surveys, slots)
+        pre, mu = _stack_step(mu, model, surveys)
         keep = []
         for j, (r, cur) in enumerate(zip(live, _info(mu if cfg.include_root_survey else pre))):
             prev = traces[r][-1]
@@ -370,12 +366,10 @@ def _fixed_points(model: TreeModel, rows, cfg: DEConfig) -> list[FixedPointResul
                          abs(cur.bhattacharyya - prev.bhattacharyya),
                          abs(cur.capacity - prev.capacity))
             converged[r] = len(traces[r]) > first_judged and change < cfg.convergence_tol
-            if converged[r] or len(traces[r]) > cfg.max_depth:
-                del laws[r]
-            else:
+            if not (converged[r] or len(traces[r]) > cfg.max_depth):
                 keep.append(j)
         if len(keep) < len(live):
-            mu, live, slots = mu.take(keep), [live[j] for j in keep], None
+            mu, live, surveys = mu.take(keep), [live[j] for j in keep], [surveys[j] for j in keep]
     return [FixedPointResult(trace=trace, converged=done, init=init.describe(),
                              depth=len(trace) - 1)
             for trace, done, (_, init) in zip(traces, converged, rows)]

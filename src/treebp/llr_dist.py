@@ -54,7 +54,6 @@ __all__ = [
     "power_convolve",
     "poisson_convolve",
     "poisson_truncation",
-    "entropy",
     "info_measures",
     "resymmetrize",
 ]
@@ -168,15 +167,15 @@ class _Stack:
 
     Built from rows already checked (``of``, ``take``) or through ``checked``,
     which checks every row as SymmetricLLRDistribution does.  The masses are
-    frozen, so row spectra can be kept per FFT length; only a dense survey
-    stack, which enters an FFT sum at every step, fills that cache.
+    frozen because ``row`` hands out views of them, and a
+    SymmetricLLRDistribution must stay immutable.
     """
 
-    __slots__ = ("grid", "masses", "inf", "_spectra")
+    __slots__ = ("grid", "masses", "inf")
 
     def __init__(self, grid: GridConfig, masses: np.ndarray, inf: np.ndarray) -> None:
         masses.setflags(write=False)
-        self.grid, self.masses, self.inf, self._spectra = grid, masses, inf, {}
+        self.grid, self.masses, self.inf = grid, masses, inf
 
     @classmethod
     def checked(cls, grid: GridConfig, masses: np.ndarray, inf=None) -> "_Stack":
@@ -217,11 +216,6 @@ class _Stack:
                                               float(self.inf[i, 0]), float(self.inf[i, 1]))):
             object.__setattr__(mu, name, value)
         return mu
-
-    def spectrum(self, size: int) -> np.ndarray:
-        if size not in self._spectra:
-            self._spectra[size] = _spectrum(self, size)
-        return self._spectra[size]
 
 
 class SymmetricLLRDistribution:
@@ -355,20 +349,19 @@ def symmetry_defect(mu: SymmetricLLRDistribution) -> float:
     return float(_pairs(_Stack.of([mu]))[-1][0])
 
 
-def to_delta(mu: SymmetricLLRDistribution,
-             symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> DeltaDistribution:
+def to_delta(mu: SymmetricLLRDistribution) -> DeltaDistribution:
     """Crossover-mixture form of a symmetric LLR law.
 
     Paired bins at +-r merge into one atom at delta = 1/(1+e^r); a defect
-    beyond ``symmetry_tol`` raises SymmetryError.
+    beyond DEFAULT_SYMMETRY_TOL raises SymmetryError.
     """
-    delta, pair, center, inf, _ = _pairs(_Stack.of([mu]), symmetry_tol)
+    delta, pair, center, inf, _ = _pairs(_Stack.of([mu]), DEFAULT_SYMMETRY_TOL)
     return DeltaDistribution(zip(np.append(delta, (0.5, 0.0)),
                                  np.append(pair[0], (center[0], inf[0]))))
 
 
-def _resymmetrize(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> _Stack:
-    delta, pair, center, inf, _ = _pairs(s, symmetry_tol)
+def _resymmetrize(s: _Stack) -> _Stack:
+    delta, pair, center, inf, _ = _pairs(s, DEFAULT_SYMMETRY_TOL)
     c = s.grid.center_index
     m = np.empty(s.masses.shape)
     m[:, c + 1:] = (1.0 - delta) * pair
@@ -379,15 +372,14 @@ def _resymmetrize(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> _Sta
                           np.column_stack([inf / total, np.zeros(len(m))]))
 
 
-def resymmetrize(mu: SymmetricLLRDistribution,
-                 symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricLLRDistribution:
+def resymmetrize(mu: SymmetricLLRDistribution) -> SymmetricLLRDistribution:
     """Project onto the exactly paired cone by splitting each pair in place.
 
     The pair at +-r keeps its mass, divided as 1 - delta : delta; the
     center stays, both infinite atoms fold onto +inf, and the total is
     renormalized to 1 to absorb rounding drift of the convolutions.
     """
-    return _resymmetrize(_Stack.of([mu]), symmetry_tol).row(0)
+    return _resymmetrize(_Stack.of([mu])).row(0)
 
 
 # -- transforms ------------------------------------------------------------
@@ -535,26 +527,26 @@ def _shifted_sum(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _convolve(s: _Stack, other: _Stack, rows) -> _Stack:
-    """Row i of s plus an independent draw from row rows[i] of other.
+def _convolve(s: _Stack, other: _Stack) -> _Stack:
+    """Row i of s plus an independent draw from row i of other.
 
     A row whose draw is sparse (at most _SHIFT_ADD_BINS nonzero bins, as
     every BEC/BSC survey is) adds it exactly, as weighted shifted copies;
-    a denser draw goes through the spectral sum.
+    a denser draw goes through the spectral sum, its spectrum taken anew
+    at each call.
     """
     if not (s.is_finite and other.is_finite):
         raise ValueError("convolve requires finite LLR laws")
-    rows = np.asarray(rows)
-    w = other.masses[rows]
+    w = other.masses
     if np.count_nonzero(w.any(axis=0)) <= _SHIFT_ADD_BINS:      # every row is sparse
         return _Stack.checked(s.grid, _shifted_sum(s.masses, w))
     sparse = np.count_nonzero(w, axis=1) <= _SHIFT_ADD_BINS
     m = np.empty(s.masses.shape)
     m[sparse] = _shifted_sum(s.masses[sparse], w[sparse])
-    rows = rows[~sparse]
-    a, b = (x[rows] for x in _support(other))
+    dense = other.take(~sparse)
+    a, b = _support(dense)
     m[~sparse] = _spectral_sum(s.take(~sparse), lambda lo, hi: (lo + a, hi + b),
-                               lambda f, n, i: np.multiply(f, other.spectrum(n)[rows[i]], out=f),
+                               lambda f, n, i: np.multiply(f, _spectrum(dense.take(i), n), out=f),
                                reach=np.maximum(-a, b))
     return _Stack.checked(s.grid, m)
 
@@ -569,7 +561,7 @@ def convolve(mu1: SymmetricLLRDistribution,
     """
     if mu1.grid != mu2.grid:
         raise ValueError("grid mismatch")
-    return _convolve(_Stack.of([mu1]), _Stack.of([mu2]), [0]).row(0)
+    return _convolve(_Stack.of([mu1]), _Stack.of([mu2])).row(0)
 
 
 def _power(s: _Stack, count: int) -> _Stack:
@@ -637,8 +629,8 @@ def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
 
 # -- functionals -----------------------------------------------------------
 
-def _info(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> list[InfoMeasures]:
-    _, pair, center, inf, _ = _pairs(s, symmetry_tol)
+def _info(s: _Stack) -> list[InfoMeasures]:
+    _, pair, center, inf, _ = _pairs(s, DEFAULT_SYMMETRY_TOL)
     terms, half = _terms(s.grid)
     weights = np.column_stack([pair, center, inf])
     out = []
@@ -649,15 +641,8 @@ def _info(s: _Stack, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> list[InfoMea
     return out
 
 
-def info_measures(mu: SymmetricLLRDistribution,
-                  symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> InfoMeasures:
+def info_measures(mu: SymmetricLLRDistribution) -> InfoMeasures:
     """All channel functionals, read off the grid's bin pairs; potential_mean
     is the grid expectation E[exp(-R/2)] and equals the Bhattacharyya value
     exactly on re-symmetrized laws."""
-    return _info(_Stack.of([mu]), symmetry_tol)[0]
-
-
-def entropy(mu: SymmetricLLRDistribution,
-            symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> float:
-    """Conditional entropy of the broadcast bit given the observation, nats."""
-    return math.log(2.0) - info_measures(mu, symmetry_tol).capacity
+    return _info(_Stack.of([mu]))[0]

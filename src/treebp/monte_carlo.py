@@ -168,15 +168,17 @@ def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,
     """Expected nodes drawn per tree, sum_{j <= depth} (d (1 - reveal))^j,
     when each node is revealed, and so drawn without children, with
     probability reveal.  A root whose survey is excluded is never
-    revealed: it draws all d children, each the root of a surveyed tree."""
+    revealed: it draws all d children, each the root of a surveyed tree.
+    A tree of more than about 2^28 nodes (up to 16 GiB of arena) is
+    rejected, before anything is allocated."""
     if not include_root_survey and reveal > 0.0 and depth > 0:
         return 1 + int(model.d * _nodes_per_tree(model, depth - 1, reveal))
     x = model.d * (1.0 - reveal)
     if x == 1.0:
         return depth + 1
-    if x > 1.0 and (depth + 1) * math.log2(x) > 62:
+    if x > 1.0 and (depth + 1) * math.log2(x) > 28:
         raise ValueError(f"depth {depth} needs about {x:g}^{depth} nodes per tree, "
-                         "past the 2^62 limit")
+                         "past the 2^28 limit")
     return int((x ** (depth + 1) - 1) / (x - 1)) + 1
 
 

@@ -461,37 +461,26 @@ class TreeIntegralReport:
         self.status = "ok" if self.n_undecided == 0 else "undecided"
 
 
-def sbm_entropy_via_trees(a: float, b: float, eps_grid=33,
-                          config: DEConfig | None = None) -> TreeIntegralReport:
+def sbm_entropy_via_trees(a: float, b: float, eps_grid: int = 33) -> TreeIntegralReport:
     """Integrate the tree fixed-point root entropy over the erasure level.
 
-    eps_grid is either a point count for a uniform [0, 1] grid or an
-    explicit grid.  The root's own survey is excluded from the integrand;
-    leaves-observed initialization selects the lower fixed point.
+    eps_grid is the number of points of a uniform [0, 1] grid, each
+    integrand a leaves-observed bp_fixed_point (which selects the lower
+    fixed point) with the root's own survey excluded, to depth 400.
     """
     model = sbm_tree_model(a, b)
     snr = sbm_snr(a, b)
-    if isinstance(eps_grid, int):
-        if eps_grid < 3:
-            raise ValueError("need at least three quadrature points")
-        base = np.linspace(0.0, 1.0, eps_grid)
-    else:
-        base = np.asarray(sorted(float(e) for e in eps_grid))
-        if base.size < 3 or base[0] != 0.0 or base[-1] != 1.0:
-            raise ValueError("explicit grids must span [0, 1] with >= 3 points")
+    if eps_grid < 3:
+        raise ValueError("need at least three quadrature points")
+    base = np.linspace(0.0, 1.0, eps_grid)
 
     bounds = survey_strength_bounds()
     banded = 1.0 < snr < high_snr_threshold()
     split = bounds.z_bound
     eps = np.union1d(base, [split]) if banded else base
 
-    if config is None:
-        config = DEConfig(max_depth=400, include_root_survey=False)
-    elif config.include_root_survey:
-        raise ValueError("the integrand excludes the root survey")
-
     fps = _fixed_points(model, [(SurveySpec.bec(float(e)), InitCondition.perfect_leaves())
-                                for e in eps], config)
+                                for e in eps], DEConfig(max_depth=400, include_root_survey=False))
     values = np.array([math.log(2.0) - fp.limit().capacity for fp in fps])
     flagged = [not fp.converged for fp in fps]
 

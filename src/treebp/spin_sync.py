@@ -203,10 +203,8 @@ def _masked_entropy_sum(weights: np.ndarray, keys: np.ndarray, size: int) -> flo
 
 
 def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:
+    """Exact enumeration; mi_root_boundary checks the enumeration caps first."""
     nb, idx, edge_signs, root_local, d_mask, n_bnd, ne = _ball_tables(graph)
-    if (1 << nb) > MAX_ENUM_PATTERNS or (1 << ne) > MAX_ENUM_PATTERNS \
-            or (1 << (nb + ne)) > _MAX_ENUM_PRODUCT:
-        raise ValueError("observation space too large for exact enumeration")
     delta = (1.0 - theta) / 2.0
     size = 1 << nb
 
@@ -278,6 +276,8 @@ def mi_root_boundary(graph: SyncGraph, theta: float, epsilon: float,
     if exact is None:
         exact = can_exact
     if exact:
+        if not can_exact:
+            raise ValueError("observation space too large for exact enumeration")
         return _mi_exact(graph, theta, epsilon)
 
     if n_obs_samples < 2:

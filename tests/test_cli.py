@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treebp
-from treebp import cli
+from treebp import cli, llr_dist
+from treebp.bms import load_delta_csv
 from treebp.cli import main
+from treebp.llr_dist import GridConfig, from_delta
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,21 @@ def test_dense_custom_survey_output_is_pinned(capsys, tmp_path):
     assert doc["limit_noleaves"]["capacity"] == 0.43803072346142247
     digest = hashlib.sha256(out.replace(str(path), "dense.csv").encode()).hexdigest()
     assert digest == "a0d53a90f922802bed4e28932ebad0b6d981d13922a2359efdc5d25c09c42ea8"
+
+
+def test_dense_custom_survey_probe_is_pinned(capsys, tmp_path):
+    # six atoms give the survey law 24 nonzero bins, so both rows of the probe
+    # take their survey sums by FFT; pinned from the code that kept the survey
+    # spectra between steps
+    path = tmp_path / "six.csv"
+    path.write_text("delta,weight\n0.01,0.2\n0.05,0.1\n0.12,0.3\n0.2,0.15\n0.33,0.15\n0.45,0.1\n")
+    law = from_delta(load_delta_csv(path), GridConfig())
+    assert np.count_nonzero(law.masses) > llr_dist._SHIFT_ADD_BINS
+    code, out, _ = run_cli(capsys, "de", "probe", "--model", "poisson:4", "--theta", "0.7",
+                           "--survey", f"custom:@{path}")
+    assert code == 0
+    digest = hashlib.sha256(out.replace(str(path), "six.csv").encode()).hexdigest()
+    assert digest == "eeeb6d38ddec61b157a2e0ccc91e8a44d00096588f2ec9b7c853b97329bc2185"
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -686,7 +704,19 @@ def test_infinite_grid_rmax_rejected(capsys):
     (("mc", "wsm", "--model", "regular:2", "--theta", "0.5", "--survey", "bec:0.5",
       "--depth", "100000", "--samples", "10"),
      "error: --model/--survey/--depth/--samples/--boundary-llr: depth 100000 needs about"),
-], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth"])
+    # 2^41 nodes a tree: rejected before the arena is sized, whatever memory overcommit allows
+    (("mc", "wsm", "--model", "regular:2", "--theta", "0.5", "--survey", "bec:0.5",
+      "--depth", "40", "--samples", "10"),
+     "error: --model/--survey/--depth/--samples/--boundary-llr: depth 40 needs about"),
+    # a 1.4-nat step quantizes away more pairing mass than the symmetry tolerance
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-rmax", "1400", "--depth", "5"),
+     "error: --grid-bins/--grid-rmax: symmetry defect 0.0502 exceeds tolerance 0.05"),
+    (("de", "probe", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-rmax", "1400", "--depth", "5"),
+     "error: --grid-bins/--grid-rmax: symmetry defect 0.0502 exceeds tolerance 0.05"),
+], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth",
+        "wsm-arena", "de-run-symmetry", "de-probe-symmetry"])
 def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
