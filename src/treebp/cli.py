@@ -53,7 +53,7 @@ _NOT_CONFIG = frozenset({"func", "tool", "command", "out", "config", "workers", 
 
 # Library fields set by one flag each, so their errors can name the flag alone.
 _FIELD_FLAGS = {"max_depth": "--depth", "convergence_tol": "--tol", "r_max": "--grid-rmax",
-                "n_bins": "--grid-bins", "theta": "--theta", "h_values": "--h"}
+                "n_bins": "--grid-bins", "theta": "--theta", "h_values": "--h", "exact": "--exact"}
 
 
 class CliError(Exception):
@@ -277,8 +277,6 @@ def _cmd_thresholds_region(args):
           for i in range(args.x_steps)]
     ys = [args.y_min + i * (args.y_max - args.y_min) / max(args.y_steps - 1, 1)
           for i in range(args.y_steps)]
-    if args.family not in ("bec", "bms"):
-        raise CliError(f"--family: expected bec or bms, got {args.family!r}")
     with _blame("--x-min/--x-max/--y-min/--y-max"):
         points = bi_region_scan(xs, ys, family=args.family)
     table = (["x", "y", "bound_value", "in_region", "criterion"],
@@ -374,10 +372,8 @@ def _cmd_spin_sync_mi(args):
     from .spin_sync import SyncGraph, mi_root_boundary
     with _blame("--graph/--radius"):
         graph = SyncGraph.parse(args.graph, radius=args.radius)
-    exact = {"auto": None, "yes": True, "no": False}.get(args.exact)
-    if args.exact not in ("auto", "yes", "no"):
-        raise CliError(f"--exact: expected auto, yes, or no, got {args.exact!r}")
-    with _blame("--theta/--eps/--graph/--samples"):
+    exact = {"auto": None, "yes": True, "no": False}[args.exact]
+    with _blame("--theta/--eps/--samples/--exact"):
         res = mi_root_boundary(graph, args.theta, args.eps, exact=exact,
                                n_obs_samples=args.samples, seed=args.seed,
                                workers=args.workers)
@@ -463,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y-min", type=float, default=0.05, help="min survey parameter")
     p.add_argument("--y-max", type=float, default=0.95, help="max survey parameter")
     p.add_argument("--y-steps", type=int, default=10, help="survey grid points")
-    p.add_argument("--family", default="bec", help="survey family: bec or bms")
+    p.add_argument("--family", default="bec", choices=("bec", "bms"), help="survey family")
 
     mc = area("mc", "sampled-tree estimators")
     p = command(mc, "entropy", _cmd_mc_entropy, "root conditional entropy estimates",
@@ -513,7 +509,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, default=1, help="ball radius (>= 1)")
     p.add_argument("--samples", type=int, default=20_000,
                    help="observation samples when not exact (>= 2)")
-    p.add_argument("--exact", default="auto", help="auto | yes | no")
+    p.add_argument("--exact", default="auto", choices=("auto", "yes", "no"), help="exact mode")
     return top
 
 

@@ -229,23 +229,25 @@ class EvolutionReport:
     verdict: str
     converged: bool
     sequences_converged: bool
-    limit_leaves: InfoMeasures
-    limit_noleaves: InfoMeasures
+    limit_leaves: InfoMeasures = field(init=False)
+    limit_noleaves: InfoMeasures = field(init=False)
     final_gap: float = field(init=False)
 
     def __post_init__(self):
-        self.final_gap = self.records[-1].gap
+        last = self.records[-1]
+        self.limit_leaves, self.limit_noleaves = last.leaves, last.noleaves
+        self.final_gap = last.gap
 
     @property
     def undecided(self) -> bool:
         return self.verdict == "undecided"
 
-    def tail_gap_ratios(self, window: int = 4, floor: float = 1e-7) -> list[float]:
-        """Last few gap contraction ratios measured above the noise floor."""
+    def tail_gap_ratios(self) -> list[float]:
+        """Last four gap contraction ratios whose previous gap is at least 1e-7."""
         ratios = [r.gap_ratio for r in self.records
                   if np.isfinite(r.gap_ratio) and r.gap >= _RATIO_FLOOR and r.gap_ratio > 0
-                  and r.gap / max(r.gap_ratio, 1e-300) >= floor]
-        return ratios[-window:]
+                  and r.gap / max(r.gap_ratio, 1e-300) >= 1e-7]
+        return ratios[-4:]
 
 
 def _sequence_change(prev: InfoMeasures, cur: InfoMeasures) -> float:
@@ -308,8 +310,6 @@ def run_pair(model: TreeModel, survey: SurveySpec, cfg: DEConfig | None = None) 
         verdict=verdict,
         converged=converged,
         sequences_converged=seq_done,
-        limit_leaves=records[-1].leaves,
-        limit_noleaves=records[-1].noleaves,
     )
 
 
@@ -319,10 +319,6 @@ class FixedPointResult:
     converged: bool
     init: str
     depth: int
-
-    @property
-    def status(self) -> str:
-        return "converged" if self.converged else "undecided"
 
     def limit(self) -> InfoMeasures:
         return self.trace[-1]
@@ -411,11 +407,9 @@ def uniqueness_probe(model: TreeModel, survey: SurveySpec,
         raise ValueError("uniqueness probe needs at least two initial conditions")
     results = _fixed_points(model, [(survey, init) for init in inits], cfg)
     limits = [r.limit() for r in results]
-    max_pe = max_z = 0.0
-    for i, a in enumerate(limits):
-        for b in limits[i + 1:]:
-            max_pe = max(max_pe, abs(a.prob_error - b.prob_error))
-            max_z = max(max_z, abs(a.bhattacharyya - b.bhattacharyya))
+    pe = [im.prob_error for im in limits]
+    z = [im.bhattacharyya for im in limits]
+    max_pe, max_z = max(pe) - min(pe), max(z) - min(z)
     if not all(r.converged for r in results):
         status = "undecided"
     elif max(max_pe, max_z) > 10.0 * cfg.convergence_tol:

@@ -33,6 +33,7 @@ row, a stack gives the bits of a one-row call, whatever the other rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,6 +91,8 @@ class GridConfig:
             raise ValueError("r_max must be at most 1400")
         if self.n_bins < 3 or self.n_bins % 2 == 0:
             raise ValueError("n_bins must be odd and at least 3")
+        if self.step < sys.float_info.min:    # a subnormal step breaks the deposit's arithmetic
+            raise ValueError(f"grid step {self.step:.3g} is below the smallest normal float")
 
     @property
     def step(self) -> float:

@@ -121,25 +121,12 @@ class BoundaryCondition:
 
     @classmethod
     def parse(cls, text: str) -> "BoundaryCondition":
-        body = text.strip().lower()
-        if body == "perfect":
-            return cls.perfect()
-        if body == "none":
-            return cls.none()
-        if body.startswith("plus:"):
-            return cls.plus(float(body[5:]))
-        if body.startswith("minus:"):
-            return cls.minus(float(body[6:]))
-        if body == "plus":
-            return cls.plus()
-        if body == "minus":
-            return cls.minus()
+        kind, colon, value = text.strip().lower().partition(":")
+        if kind in ("plus", "minus"):
+            return cls(kind, float(value) if colon else LLR_MAX)
+        if kind in ("perfect", "none") and not colon:
+            return cls(kind)
         raise ValueError(f"cannot parse boundary condition {text!r}")
-
-    def describe(self) -> str:
-        if self.kind in ("plus", "minus"):
-            return f"{self.kind}:{self.value:g}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -379,12 +366,6 @@ def _parent_map(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(par[:-1], out=par[:-1])
 
 
-def _child_sums(par: np.ndarray, msg: np.ndarray, n: int) -> np.ndarray:
-    """Sum of the child messages of each of n parents, as floats even when
-    there are no children (bincount returns int64 on empty input)."""
-    return np.bincount(par, weights=msg, minlength=n).astype(np.float64, copy=False)
-
-
 # ---------------------------------------------------------------------------
 # Batched chunk engine
 
@@ -487,7 +468,8 @@ def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.nda
     par = levels.parents[j + 1]
     if par is None:
         return msg.reshape(-1, levels.d_children).sum(axis=1, out=_ARENA.empty(levels.sizes[j]))
-    return _child_sums(par, msg, levels.sizes[j])
+    # as floats even when there are no children (bincount returns int64 on empty input)
+    return np.bincount(par, weights=msg, minlength=levels.sizes[j]).astype(np.float64, copy=False)
 
 
 def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float,
@@ -632,31 +614,24 @@ def degradation_check(model: TreeModel, survey: SurveySpec, depth: int,
     dl, dt = deltas[0], deltas[1]
 
     edges = np.unique(np.quantile(dt, np.linspace(0.0, 1.0, n_bins + 1)))
-    if edges.size < 2:
-        assign = np.zeros(dt.size, dtype=np.int64)
-        n_eff = 1
-    else:
-        assign = np.searchsorted(edges[1:-1], dt, side="right")
-        n_eff = edges.size - 1
+    n_eff = max(edges.size - 1, 1)     # one bin when every delta_tilde is equal
+    assign = np.searchsorted(edges[1:-1], dt, side="right")
 
     bins: list[DegradationBin] = []
-    n_skipped = 0
     counts = np.bincount(assign, minlength=n_eff)
     sum_dl = np.bincount(assign, weights=dl, minlength=n_eff)
     sum_dl2 = np.bincount(assign, weights=dl * dl, minlength=n_eff)
     sum_dt = np.bincount(assign, weights=dt, minlength=n_eff)
-    for i in range(n_eff):
+    for i in np.flatnonzero(counts >= 2):
         n = int(counts[i])
-        if n < 2:
-            n_skipped += 1
-            continue
         mean = sum_dl[i] / n
         var = max(sum_dl2[i] / n - mean * mean, 0.0) * n / (n - 1)
         stderr = math.sqrt(var / n)
         center = sum_dt[i] / n
         bins.append(DegradationBin(center, mean, stderr, n,
                                    flagged=mean - center > 3.0 * stderr))
-    return DegradationReport(bins, sum(b.flagged for b in bins), n_skipped, n_samples, seed)
+    return DegradationReport(bins, sum(b.flagged for b in bins), n_eff - len(bins), n_samples,
+                             seed)
 
 
 # ---------------------------------------------------------------------------
@@ -857,16 +832,15 @@ class WSMReport:
     status: str = "ok"
 
 
-def _separation_level(model: TreeModel, survey: SurveySpec,
-                      n_points: int = 4000) -> tuple[float | None, float]:
-    """Largest-margin x > 0 with d*F(x) - survey_cost > x, if one exists."""
+def _separation_level(model: TreeModel, survey: SurveySpec) -> tuple[float | None, float]:
+    """Largest-margin x > 0 on a 4000-point grid with d*F(x) - survey_cost > x, if one exists."""
     dist = delta_of(survey)
     if len(dist) != 1 or not 0.0 < dist.deltas[0] < 0.5:
         raise ValueError("separation probe needs a BSC survey")
     eta = float(dist.deltas[0])
     cost = math.log1p(-eta) - math.log(eta)
     hi = model.d * edge_llr_map(math.inf, model.theta)
-    xs = np.linspace(hi / n_points, hi, n_points)
+    xs = np.linspace(hi / 4000, hi, 4000)
     margins = model.d * edge_llr_map(xs, model.theta) - cost - xs
     i = int(np.argmax(margins))
     if margins[i] <= 0.0:

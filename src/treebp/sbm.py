@@ -387,10 +387,14 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
     if n > MAX_SUBSET_N:
         raise ValueError(f"subset tables are capped at n = {MAX_SUBSET_N}")
     h_values = [float(h) for h in h_values]
-    if not h_values or not all(0.0 < h and 0.0 < epsilon - h and epsilon + h < 1.0
-                               for h in h_values):
+    # h alone first (epsilon +- h inside (0, 1) needs h < 1/2), so a bad epsilon is named
+    if not h_values or not all(0.0 < h < 0.5 for h in h_values):
         raise ValueError("h_values must be one or more steps h > 0 with epsilon +- h "
                          "inside (0, 1)")
+    if min(h_values) < 1e-75:    # the curvature fit divides by the sum of h^4
+        raise ValueError("h_values must be at least 1e-75 each, so that h^4 stays a normal float")
+    if not all(0.0 < epsilon - h and epsilon + h < 1.0 for h in h_values):
+        raise ValueError("epsilon +- h must lie inside (0, 1) for every step h")
     if n_graph_samples < 2:
         raise ValueError("need at least two graph samples")
 
@@ -487,11 +491,7 @@ def sbm_entropy_via_trees(a: float, b: float, eps_grid: int = 33) -> TreeIntegra
     integral = _trapezoid(values, eps)
     # Coarse pass: every other point of the requested grid, endpoints and
     # the split point kept, reusing the already-computed integrand values.
-    keep = {round(float(e), 15) for e in base[::2]}
-    keep.update((0.0, 1.0))
-    if banded:
-        keep.add(round(split, 15))
-    coarse_mask = np.array([round(float(e), 15) in keep for e in eps])
+    coarse_mask = (eps[:, None] == np.r_[base[::2], 1.0, split]).any(axis=1)
     integral_coarse = _trapezoid(values[coarse_mask], eps[coarse_mask])
 
     band = None

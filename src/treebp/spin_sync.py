@@ -44,7 +44,7 @@ _MAX_ENUM_PRODUCT = 1 << 22
 
 @dataclass(frozen=True)
 class SyncGraph:
-    """Finite graph with a designated root and observation radius."""
+    """Connected graph, a root, and a radius whose ball has at most MAX_BALL vertices."""
 
     n_vertices: int
     edges: tuple
@@ -64,8 +64,12 @@ class SyncGraph:
             raise ValueError("root out of range")
         if self.radius < 1:
             raise ValueError("radius must be at least 1")
-        if self._distances() is None:
+        dist = self._distances()
+        if dist is None:
             raise ValueError("graph must be connected")
+        nb = sum(d <= self.radius for d in dist)
+        if nb > MAX_BALL:
+            raise ValueError(f"ball has {nb} vertices; enumeration is capped at {MAX_BALL}")
 
     def _adjacency(self) -> list:
         adj = [[] for _ in range(self.n_vertices)]
@@ -129,18 +133,9 @@ class SyncGraph:
     def tree(cls, arity: int, depth: int, radius: int = 1) -> "SyncGraph":
         if arity < 1 or depth < 1:
             raise ValueError("tree needs arity and depth at least one")
-        edges = []
-        level = [0]
-        nxt = 1
-        for _ in range(depth):
-            new_level = []
-            for parent in level:
-                for _ in range(arity):
-                    edges.append((parent, nxt))
-                    new_level.append(nxt)
-                    nxt += 1
-            level = new_level
-        return cls(nxt, tuple(edges), 0, radius)
+        # nodes numbered breadth first: node j > 0 hangs below node (j - 1) // arity
+        n = sum(arity ** k for k in range(depth + 1))
+        return cls(n, tuple(((j - 1) // arity, j) for j in range(1, n)), 0, radius)
 
     @classmethod
     def parse(cls, text: str, radius: int = 1) -> "SyncGraph":
@@ -159,10 +154,6 @@ class SyncGraph:
         except ValueError as exc:
             raise ValueError(f"cannot parse graph spec {text!r}: {exc}") from None
         raise ValueError(f"cannot parse graph spec {text!r}")
-
-    def describe(self) -> str:
-        return (f"graph(n={self.n_vertices}, edges={len(self.edges)}, "
-                f"root={self.root}, radius={self.radius})")
 
 
 @dataclass(frozen=True)
@@ -183,18 +174,12 @@ def _ball_tables(graph: SyncGraph):
     inside, boundary, edges = graph.ball()
     index = {v: i for i, v in enumerate(inside)}
     nb = len(inside)
-    if nb > MAX_BALL:
-        raise ValueError(f"ball has {nb} vertices; enumeration is capped at {MAX_BALL}")
     idx = np.arange(1 << nb, dtype=np.int64)
-    spin_bits = [((idx >> i) & 1) * 2 - 1 for i in range(nb)]
-    edge_signs = np.empty((len(edges), 1 << nb), dtype=np.int8)
-    for e, (u, v) in enumerate(edges):
-        edge_signs[e] = spin_bits[index[u]] * spin_bits[index[v]]
-    root_local = index[graph.root]
-    boundary_mask = 0
-    for v in boundary:
-        boundary_mask |= 1 << index[v]
-    return nb, idx, edge_signs, root_local, boundary_mask, len(boundary), len(edges)
+    bits = (idx >> np.arange(nb)[:, None]).astype(np.int8) & 1   # the cast keeps the low bit
+    ends = np.array([[index[u], index[v]] for u, v in edges], dtype=np.intp).reshape(-1, 2)
+    edge_signs = 1 - 2 * (bits[ends[:, 0]] ^ bits[ends[:, 1]])   # spin product of each edge
+    boundary_mask = sum(1 << index[v] for v in boundary)
+    return nb, idx, edge_signs, index[graph.root], boundary_mask, len(boundary), len(edges)
 
 
 def _masked_entropy_sum(weights: np.ndarray, keys: np.ndarray, size: int) -> float:
@@ -202,9 +187,9 @@ def _masked_entropy_sum(weights: np.ndarray, keys: np.ndarray, size: int) -> flo
     return _entropy_of_masses(grouped)
 
 
-def _mi_exact(graph: SyncGraph, theta: float, epsilon: float) -> MIResult:
-    """Exact enumeration; mi_root_boundary checks the enumeration caps first."""
-    nb, idx, edge_signs, root_local, d_mask, n_bnd, ne = _ball_tables(graph)
+def _mi_exact(tables, theta: float, epsilon: float) -> MIResult:
+    """Exact enumeration over the ball tables; mi_root_boundary checks the caps first."""
+    nb, idx, edge_signs, root_local, d_mask, n_bnd, ne = tables
     delta = (1.0 - theta) / 2.0
     size = 1 << nb
 
@@ -267,7 +252,8 @@ def mi_root_boundary(graph: SyncGraph, theta: float, epsilon: float,
         raise ValueError("theta must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("erasure parameter must lie in [0, 1]")
-    nb, _, _, _, d_mask, n_bnd, ne = _ball_tables(graph)
+    tables = _ball_tables(graph)
+    nb, _, _, _, d_mask, n_bnd, ne = tables
     if epsilon == 0.0 or theta == 0.0 or d_mask == 0:
         return MIResult(0.0, 0.0, "exact", 0, nb, n_bnd, ne)
 
@@ -277,8 +263,9 @@ def mi_root_boundary(graph: SyncGraph, theta: float, epsilon: float,
         exact = can_exact
     if exact:
         if not can_exact:
-            raise ValueError("observation space too large for exact enumeration")
-        return _mi_exact(graph, theta, epsilon)
+            raise ValueError("exact is out of reach: the observation space is too large "
+                             "to enumerate")
+        return _mi_exact(tables, theta, epsilon)
 
     if n_obs_samples < 2:
         raise ValueError("n_obs_samples must be at least two")

@@ -240,6 +240,53 @@ def test_sbm_integral_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, code, check, digest", [
+    (("de", "probe", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--depth", "1"), 2,
+     lambda r: r["verdict"] == "conflict" and r["probe"]["status"] == "undecided",
+     "8343a114973fe84a5093de1180e56264c5844f80c91936814f0d187de8a86874"),
+    (("de", "probe", "--model", "regular:3", "--theta", "0.8", "--survey", "trivial"), 2,
+     lambda r: (r["verdict"] == "uncertified_multiple_candidates"
+                and r["probe"]["depths"] == [25, 1]
+                and round(r["probe"]["max_pe_diff"], 4) == 0.4459),
+     "b51d986c77b1a5dd4bf3689d480cc62f4cb453387fcea9297826940ab13b7a7b"),
+    (("mc", "wsm", "--model", "regular:2", "--theta", "0.8", "--survey", "bsc:0.1",
+      "--depth", "12", "--samples", "500", "--seed", "8", "--workers", "1"), 2,
+     lambda r: (r["status"] == "no_separation_found" and r["x_found"] is None
+                and round(r["margin"], 4) == -1.3611),
+     "b9b2e445971e5942b3ec4264b922cd692a249c218f7ecaed8acea5880da1a2a5"),
+    (("mc", "degradation", "--model", "poisson:2", "--theta", "0.5", "--survey", "bsc:0.3",
+      "--depth", "3", "--samples", "40", "--bins", "30", "--seed", "4", "--workers", "1"), 0,
+     lambda r: r["n_skipped"] == 15 and len(r["bins"]) == 9,
+     "e15b5fd47f7c37288a59696be855b78c726ba096461a7ac63dc18e0b3171df40"),
+    (("mc", "degradation", "--model", "poisson:2", "--theta", "0.5", "--survey", "bsc:0.3",
+      "--depth", "3", "--samples", "5", "--bins", "20", "--seed", "4", "--workers", "1"), 0,
+     lambda r: r["n_skipped"] == 20 and r["bins"] == [],
+     "dc21263bdb13eea5ee641bc2dbd3e08c9cfc306fd24811bac4910df613e5057c"),
+    (("mc", "entropy", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--depth", "4", "--samples", "2000", "--seed", "3", "--boundary", "minus",
+      "--workers", "1"), 0,
+     lambda r: r["entropy"]["n_samples"] == 2000,
+     "04dca0ae214566ec05dc6e5a7eaa6060e1ffee110dea83fca77d4b59a20037f9"),
+    (("spin-sync", "mi", "--graph", "tree:2:3", "--radius", "3", "--theta", "0.8",
+      "--eps", "0.9", "--samples", "300", "--workers", "1"), 0,
+     lambda r: r["method"] == "sampled" and r["n_samples"] == 300,
+     "ab6dd876e62b9cc4fa37f6b8e3182ad214f2000f987ce8173a3225dd6450c207"),
+    # banded, with an even point count: the coarse pass keeps 1.0 and the split
+    (("sbm", "integral", "--a", "9", "--b", "3", "--eps-points", "8"), 0,
+     lambda r: r["band"] is not None and len(r["eps_values"]) == 9,
+     "8faca7ec1cb1f8c3251f5532597d9253ddbbb0ac477347e5bd9d5866fd77d005"),
+], ids=["probe-conflict", "probe-multiple", "wsm-no-separation", "degradation-skips",
+        "degradation-all-skipped", "entropy-minus", "mi-sampled", "integral-even-banded"])
+def test_rarely_taken_branches_are_pinned(capsys, argv, code, check, digest):
+    # branches the rest of the suite never reaches, pinned from the code
+    # before their loops and prefix tests were folded away
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and err == ""
+    assert check(json.loads(out)["results"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_worker_count_does_not_change_output(capsys):
     argv = ("mc", "entropy", "--model", "regular:3", "--theta", "0.7",
             "--survey", "bec:0.6", "--depth", "3", "--samples", "2000",
@@ -715,8 +762,27 @@ def test_infinite_grid_rmax_rejected(capsys):
     (("de", "probe", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
       "--grid-rmax", "1400", "--depth", "5"),
      "error: --grid-bins/--grid-rmax: symmetry defect 0.0502 exceeds tolerance 0.05"),
+    # a subnormal grid step ended in "negative probability mass", naming no flag
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-rmax", "1e-308"),
+     "error: --grid-bins/--grid-rmax: grid step 1e-311 is below the smallest normal float"),
+    (("de", "probe", "--model", "regular:3", "--theta", "0.5", "--survey", "bec:0.5",
+      "--grid-rmax", "1e-308"),
+     "error: --grid-bins/--grid-rmax: grid step 1e-311 is below the smallest normal float"),
+    # h^2 underflowed to 0: a RuntimeWarning and a NaN curvature fit, exit 0
+    (("sbm", "derivative", "--n", "6", "--a", "4", "--b", "1", "--eps", "0.5",
+      "--graphs", "4", "--h", "1e-308"), "error: --h must be at least 1e-75 each"),
+    # an erasure level too close to 0 for the default step blamed --h alone
+    (("sbm", "derivative", "--n", "6", "--a", "4", "--b", "1", "--eps", "1e-308",
+      "--graphs", "4"), "error: --n/--a/--b/--eps/--h/--graphs: epsilon +- h must lie inside"),
+    (("spin-sync", "mi", "--graph", "grid:6x6", "--radius", "5", "--theta", "0.5",
+      "--eps", "0.5"), "error: --graph/--radius: "),
+    (("spin-sync", "mi", "--graph", "grid:4x4", "--radius", "3", "--theta", "0.5",
+      "--eps", "0.5", "--exact", "yes"), "error: --exact is out of reach: "),
 ], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth",
-        "wsm-arena", "de-run-symmetry", "de-probe-symmetry"])
+        "wsm-arena", "de-run-symmetry", "de-probe-symmetry", "de-run-tiny-rmax",
+        "de-probe-tiny-rmax", "derivative-tiny-h", "derivative-eps", "mi-ball-cap",
+        "mi-exact-cap"])
 def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
