@@ -6,12 +6,13 @@ index, and results are reduced in chunk order.  Estimates are therefore
 bit-identical for any worker count, including the serial path.  A chunk
 task may take its arrays from the per-process arena (_ARENA).
 EstimatorResult, the mean and stderr that the sampled estimators reduce
-their chunks to, lives here so that each engine can return it without
-importing another.
+their chunks to, lives here with _mean_result, the one rule that computes
+it, so that each engine can return it without importing another.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -29,6 +30,15 @@ class EstimatorResult:
     stderr: float
     n_samples: int
     seed: int
+
+
+def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
+    """Mean and stderr of the samples; equal samples read exactly, with stderr 0."""
+    n = values.size
+    if float(values.min()) == float(values.max()):
+        return EstimatorResult(float(values[0]), 0.0, n, seed)
+    sd = float(np.std(values, ddof=1))
+    return EstimatorResult(float(np.mean(values)), sd / math.sqrt(n), n, seed)
 
 
 def _chunk_plan(n_items: int, chunk_size: int) -> list[tuple[int, int]]:

@@ -44,7 +44,7 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from ._parallel import _ARENA, EstimatorResult, parallel_chunk_map
+from ._parallel import _ARENA, EstimatorResult, _mean_result, parallel_chunk_map
 from .bms import SurveySpec, binary_entropy, delta_of, is_trivial_survey
 from .density_evolution import TreeModel
 from .llr_dist import edge_llr_map
@@ -140,14 +140,6 @@ class PairedEntropyEstimate:
     leaves: EstimatorResult
     no_leaves: EstimatorResult
     diff: EstimatorResult
-
-
-def _mean_result(values: np.ndarray, seed: int) -> EstimatorResult:
-    n = values.size
-    if float(values.min()) == float(values.max()):
-        return EstimatorResult(float(values[0]), 0.0, n, seed)
-    sd = float(np.std(values, ddof=1))
-    return EstimatorResult(float(np.mean(values)), sd / math.sqrt(n), n, seed)
 
 
 def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,

@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import bms
-from ._parallel import _ARENA, EstimatorResult, parallel_chunk_map
+from ._parallel import _ARENA, EstimatorResult, _mean_result, parallel_chunk_map
 from .bms import SurveySpec, _lattice_bytes, _popcounts, _subset_entropies
 from .density_evolution import DEConfig, InitCondition, TreeModel, _fixed_points
 from .thresholds import high_snr_threshold, survey_strength_bounds
@@ -262,9 +262,7 @@ def exact_conditional_entropy(n: int, a: float, b: float, epsilon: float | None,
     chunk = max(1, min(256, 2_000_000 // (1 << n)))
     task = partial(_exact_entropy_chunk, n=n, a=a, b=b, epsilon=epsilon)
     vals = np.concatenate(parallel_chunk_map(task, n_graph_samples, chunk, seed, workers))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return EstimatorResult(mean, stderr, int(vals.size), seed)
+    return _mean_result(vals, seed)
 
 
 # ---------------------------------------------------------------------------

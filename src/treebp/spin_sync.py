@@ -1,4 +1,4 @@
-"""Root-versus-boundary information on small observation graphs.
+"""Root-versus-boundary information on the small balls of observation graphs.
 
 Uniform spins sit on the vertices, each edge reports the product of its
 endpoint spins through a symmetric flip channel, and each vertex survey
@@ -19,14 +19,13 @@ at four bincounts per sample.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
-from ._parallel import _ARENA, parallel_chunk_map
+from ._parallel import _ARENA, _mean_result, parallel_chunk_map
 from .bms import _entropy_of_masses, _lattice_bytes, _popcounts, _subset_entropies
 
 __all__ = [
@@ -44,116 +43,101 @@ _MAX_ENUM_PRODUCT = 1 << 22
 
 @dataclass(frozen=True)
 class SyncGraph:
-    """Connected graph, a root, and a radius whose ball has at most MAX_BALL vertices."""
+    """The radius ball around a root: all of a graph that the information reads.
 
-    n_vertices: int
+    vertices holds the ball's graph ids in ascending order, boundary those at
+    distance radius, and edges every graph edge between two ball vertices, in
+    the graph's own edge order.  Each family writes its ball down directly
+    and stops past MAX_BALL vertices, so a graph of any size costs its ball.
+    """
+
+    vertices: tuple
+    boundary: tuple
     edges: tuple
     root: int
     radius: int
 
-    def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-        if not 0 <= self.root < self.n_vertices:
-            raise ValueError("root out of range")
-        if self.radius < 1:
+    @classmethod
+    def _ball(cls, reach, owned, root: int, radius: int) -> "SyncGraph":
+        """reach yields the ball's (vertex, distance) pairs, ids ascending;
+        owned(v) lists the edges v opens in the graph's edge order, of which
+        those that leave the ball (or the graph) are dropped."""
+        if radius < 1:
             raise ValueError("radius must be at least 1")
-        dist = self._distances()
-        if dist is None:
-            raise ValueError("graph must be connected")
-        nb = sum(d <= self.radius for d in dist)
-        if nb > MAX_BALL:
-            raise ValueError(f"ball has {nb} vertices; enumeration is capped at {MAX_BALL}")
-
-    def _adjacency(self) -> list:
-        adj = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def _distances(self) -> list | None:
-        dist = [-1] * self.n_vertices
-        dist[self.root] = 0
-        queue = deque([self.root])
-        adj = self._adjacency()
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return None if any(d < 0 for d in dist) else dist
-
-    def ball(self) -> tuple:
-        """(ball vertices, boundary vertices, ball edges) at self.radius."""
-        dist = self._distances()
-        inside = [v for v in range(self.n_vertices) if dist[v] <= self.radius]
-        boundary = [v for v in inside if dist[v] == self.radius]
+        pairs = list(islice(reach, MAX_BALL + 1))
+        if len(pairs) > MAX_BALL:
+            raise ValueError(f"ball has more than {MAX_BALL} vertices; "
+                             f"enumeration is capped at {MAX_BALL}")
+        inside = tuple(v for v, _ in pairs)
         inset = set(inside)
-        edges = [(u, v) for u, v in self.edges if u in inset and v in inset]
-        return inside, boundary, edges
+        return cls(inside, tuple(v for v, d in pairs if d == radius),
+                   tuple(e for v in inside for e in owned(v) if inset.issuperset(e)),
+                   root, radius)
 
     @classmethod
     def path(cls, k: int, radius: int = 1) -> "SyncGraph":
         if k < 2:
             raise ValueError("path needs at least two vertices")
-        edges = tuple((i, i + 1) for i in range(k - 1))
-        return cls(k, edges, k // 2, radius)
+        root = k // 2
+        ids = range(max(0, root - radius), min(k, root + radius + 1))
+        return cls._ball(((v, abs(v - root)) for v in ids), lambda v: [(v, v + 1)],
+                         root, radius)
 
     @classmethod
     def cycle(cls, k: int, radius: int = 1) -> "SyncGraph":
         if k < 3:
             raise ValueError("cycle needs at least three vertices")
-        edges = tuple((i, (i + 1) % k) for i in range(k))
-        return cls(k, edges, 0, radius)
+        ids = chain(range(min(radius, k - 1) + 1), range(max(radius + 1, k - radius), k))
+        return cls._ball(((v, min(v, k - v)) for v in ids), lambda v: [(v, (v + 1) % k)],
+                         0, radius)
 
     @classmethod
     def grid(cls, rows: int, cols: int, radius: int = 1) -> "SyncGraph":
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise ValueError("grid needs at least two vertices")
-        def vid(r, c):
-            return r * cols + c
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((vid(r, c), vid(r, c + 1)))
-                if r + 1 < rows:
-                    edges.append((vid(r, c), vid(r + 1, c)))
-        return cls(rows * cols, tuple(edges), vid(rows // 2, cols // 2), radius)
+        r0, c0 = rows // 2, cols // 2
+
+        def reach():
+            # row major; every row within the radius holds column c0
+            for r in range(max(0, r0 - radius), min(rows, r0 + radius + 1)):
+                span = radius - abs(r - r0)
+                for c in range(max(0, c0 - span), min(cols, c0 + span + 1)):
+                    yield r * cols + c, abs(r - r0) + abs(c - c0)
+
+        def owned(v):
+            # the right edge, unless v ends its row, then the down edge
+            return [(v, v + 1), (v, v + cols)] if (v + 1) % cols else [(v, v + cols)]
+
+        return cls._ball(reach(), owned, r0 * cols + c0, radius)
 
     @classmethod
     def tree(cls, arity: int, depth: int, radius: int = 1) -> "SyncGraph":
         if arity < 1 or depth < 1:
             raise ValueError("tree needs arity and depth at least one")
-        # nodes numbered breadth first: node j > 0 hangs below node (j - 1) // arity
-        n = sum(arity ** k for k in range(depth + 1))
-        return cls(n, tuple(((j - 1) // arity, j) for j in range(1, n)), 0, radius)
+
+        def reach():
+            # nodes numbered breadth first: node j > 0 hangs below node (j - 1) // arity
+            start, width = 0, 1
+            for level in range(min(radius, depth) + 1):
+                for v in range(start, start + width):
+                    yield v, level
+                start, width = start + width, width * arity
+
+        return cls._ball(reach(), lambda j: [((j - 1) // arity, j)] if j else [], 0, radius)
 
     @classmethod
     def parse(cls, text: str, radius: int = 1) -> "SyncGraph":
         """'path:9', 'cycle:8', 'grid:3x4', 'tree:2:3'."""
-        parts = text.strip().lower().split(":")
+        family, _, sizes = text.strip().lower().partition(":")
+        build, count = {"path": (cls.path, 1), "cycle": (cls.cycle, 1),
+                        "grid": (cls.grid, 2), "tree": (cls.tree, 2)}.get(family, (None, 0))
         try:
-            if parts[0] == "path" and len(parts) == 2:
-                return cls.path(int(parts[1]), radius)
-            if parts[0] == "cycle" and len(parts) == 2:
-                return cls.cycle(int(parts[1]), radius)
-            if parts[0] == "grid" and len(parts) == 2:
-                r, c = parts[1].split("x")
-                return cls.grid(int(r), int(c), radius)
-            if parts[0] == "tree" and len(parts) == 3:
-                return cls.tree(int(parts[1]), int(parts[2]), radius)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse graph spec {text!r}: {exc}") from None
-        raise ValueError(f"cannot parse graph spec {text!r}")
+            args = [int(x) for x in sizes.split("x" if family == "grid" else ":")]
+        except ValueError:
+            args = []
+        if build is None or len(args) != count:
+            raise ValueError(f"cannot parse graph spec {text!r}")
+        return build(*args, radius)
 
 
 @dataclass(frozen=True)
@@ -171,15 +155,15 @@ class MIResult:
 
 def _ball_tables(graph: SyncGraph):
     """Local indexing, sign columns per ball edge, root/boundary masks."""
-    inside, boundary, edges = graph.ball()
-    index = {v: i for i, v in enumerate(inside)}
-    nb = len(inside)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    nb = len(index)
     idx = np.arange(1 << nb, dtype=np.int64)
     bits = (idx >> np.arange(nb)[:, None]).astype(np.int8) & 1   # the cast keeps the low bit
-    ends = np.array([[index[u], index[v]] for u, v in edges], dtype=np.intp).reshape(-1, 2)
+    ends = np.array([[index[u], index[v]] for u, v in graph.edges], dtype=np.intp).reshape(-1, 2)
     edge_signs = 1 - 2 * (bits[ends[:, 0]] ^ bits[ends[:, 1]])   # spin product of each edge
-    boundary_mask = sum(1 << index[v] for v in boundary)
-    return nb, idx, edge_signs, index[graph.root], boundary_mask, len(boundary), len(edges)
+    boundary_mask = sum(1 << index[v] for v in graph.boundary)
+    return (nb, idx, edge_signs, index[graph.root], boundary_mask, len(graph.boundary),
+            len(graph.edges))
 
 
 def _masked_entropy_sum(weights: np.ndarray, keys: np.ndarray, size: int) -> float:
@@ -271,6 +255,5 @@ def mi_root_boundary(graph: SyncGraph, theta: float, epsilon: float,
         raise ValueError("n_obs_samples must be at least two")
     task = partial(_mi_sample_chunk, graph=graph, theta=theta, epsilon=epsilon)
     vals = np.concatenate(parallel_chunk_map(task, n_obs_samples, 512, seed, workers))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return MIResult(mean, stderr, "sampled", int(vals.size), nb, n_bnd, ne)
+    est = _mean_result(vals, seed)
+    return MIResult(est.estimate, est.stderr, "sampled", est.n_samples, nb, n_bnd, ne)

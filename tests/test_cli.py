@@ -272,12 +272,30 @@ def test_sbm_integral_output_is_pinned(capsys, argv, digest):
       "--eps", "0.9", "--samples", "300", "--workers", "1"), 0,
      lambda r: r["method"] == "sampled" and r["n_samples"] == 300,
      "ab6dd876e62b9cc4fa37f6b8e3182ad214f2000f987ce8173a3225dd6450c207"),
+    # balls strictly inside their graphs, one a family, pinned before the graph held only its ball
+    (("spin-sync", "mi", "--graph", "path:11", "--radius", "3", "--theta", "0.8", "--eps", "0.9"), 0,
+     lambda r: r["method"] == "exact" and (r["ball_size"], r["n_edges"]) == (7, 6),
+     "0338d5286fdf934af3931d95e4ffe50220749a07dfe005457dc19d03e47b41da"),
+    (("spin-sync", "mi", "--graph", "cycle:10", "--radius", "2", "--theta", "0.8", "--eps", "0.9"),
+     0, lambda r: r["method"] == "exact" and (r["ball_size"], r["n_edges"]) == (5, 4),
+     "1cf61ffcf17b4d25cace008f9a723c7ff449fae5810a9a521d453c215b30443b"),
+    (("spin-sync", "mi", "--graph", "grid:5x5", "--radius", "1", "--theta", "0.8", "--eps", "0.9"),
+     0, lambda r: r["method"] == "exact" and (r["ball_size"], r["boundary_size"]) == (5, 4),
+     "90cad626ca4f700c86855d3713483a63aec1ef290118c5cf31de6cd43e3afb35"),
+    (("spin-sync", "mi", "--graph", "tree:2:4", "--radius", "2", "--theta", "0.8", "--eps", "0.9"),
+     0, lambda r: r["method"] == "exact" and (r["ball_size"], r["boundary_size"]) == (7, 4),
+     "555cd6c6efd4de5d0f5ef5f6a9a465f848b37c69f1c68c6f02b36e1e6c705286"),
+    (("spin-sync", "mi", "--graph", "grid:5x5", "--radius", "2", "--theta", "0.8", "--eps", "0.9",
+      "--samples", "300", "--workers", "1"), 0,
+     lambda r: r["method"] == "sampled" and (r["ball_size"], r["n_edges"]) == (13, 16),
+     "b92e912fddde89a0eb9cd67c36f05a7ca8dfb5af5bad7575e20211cb418ee24a"),
     # banded, with an even point count: the coarse pass keeps 1.0 and the split
     (("sbm", "integral", "--a", "9", "--b", "3", "--eps-points", "8"), 0,
      lambda r: r["band"] is not None and len(r["eps_values"]) == 9,
      "8faca7ec1cb1f8c3251f5532597d9253ddbbb0ac477347e5bd9d5866fd77d005"),
 ], ids=["probe-conflict", "probe-multiple", "wsm-no-separation", "degradation-skips",
-        "degradation-all-skipped", "entropy-minus", "mi-sampled", "integral-even-banded"])
+        "degradation-all-skipped", "entropy-minus", "mi-sampled", "mi-path-ball", "mi-cycle-ball",
+        "mi-grid-ball", "mi-tree-ball", "mi-grid-ball-sampled", "integral-even-banded"])
 def test_rarely_taken_branches_are_pinned(capsys, argv, code, check, digest):
     # branches the rest of the suite never reaches, pinned from the code
     # before their loops and prefix tests were folded away
@@ -779,10 +797,16 @@ def test_infinite_grid_rmax_rejected(capsys):
       "--eps", "0.5"), "error: --graph/--radius: "),
     (("spin-sync", "mi", "--graph", "grid:4x4", "--radius", "3", "--theta", "0.5",
       "--eps", "0.5", "--exact", "yes"), "error: --exact is out of reach: "),
+    # graph errors read as themselves, not as a spec that failed to parse
+    (("spin-sync", "mi", "--graph", "grid:6x6", "--radius", "5", "--theta", "0.5",
+      "--eps", "0.5"),
+     "error: --graph/--radius: ball has more than 20 vertices; enumeration is capped at 20"),
+    (("spin-sync", "mi", "--graph", "path:1", "--theta", "0.5", "--eps", "0.5"),
+     "error: --graph/--radius: path needs at least two vertices"),
 ], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth",
         "wsm-arena", "de-run-symmetry", "de-probe-symmetry", "de-run-tiny-rmax",
         "de-probe-tiny-rmax", "derivative-tiny-h", "derivative-eps", "mi-ball-cap",
-        "mi-exact-cap"])
+        "mi-exact-cap", "mi-ball-size", "mi-path-size"])
 def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

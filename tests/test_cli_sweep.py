@@ -51,6 +51,10 @@ GRAPH_CASES = [
     (["--graph", "grid:6x6", "--radius", "5", "--theta", "0.5", "--eps", "0.5"], "--radius"),
     (["--graph", "grid:4x4", "--radius", "3", "--theta", "0.5", "--eps", "0.5",
       "--exact", "yes"], "--exact"),
+    # huge but valid graphs: only the ball is built, so these end at once
+    (["--graph", "tree:2:22", "--radius", "22", "--theta", "0.5", "--eps", "0.5"], "--radius"),
+    (["--graph", "grid:100000x100000", "--radius", "100000", "--theta", "0.5", "--eps", "0.5"],
+     "--radius"),
 ]
 
 
@@ -114,6 +118,6 @@ def test_one_odd_flag_value_is_json_or_a_one_line_error(command):
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("argv, flag", GRAPH_CASES, ids=["ball-cap", "exact-cap"])
+@pytest.mark.parametrize("argv, flag", GRAPH_CASES, ids=["ball-cap", "exact-cap", "huge-tree", "huge-grid"])
 def test_graphs_out_of_reach_name_their_flag(argv, flag):
     assert _judge(["spin-sync", "mi", *argv], flag) is None

@@ -133,6 +133,14 @@ def test_equal_intensities_give_uniform_posterior():
     assert res.stderr == pytest.approx(0.0, abs=1e-15)
 
 
+def test_identical_graphs_read_their_own_value():
+    # no edges and no survey: all 200 graphs are alike, so the mean is the
+    # per-graph value exactly and the stderr is exactly zero
+    res = exact_conditional_entropy(6, 0.0, 0.0, None, 200)
+    assert res.estimate == exact_conditional_entropy(6, 0.0, 0.0, None, 1).estimate
+    assert res.stderr == 0.0 and res.n_samples == 200
+
+
 def test_full_reveal_pins_everything():
     res = exact_conditional_entropy(6, 4.0, 1.0, 0.0, 4, seed=3)
     assert res.estimate == pytest.approx(0.0, abs=1e-12)

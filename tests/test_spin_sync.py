@@ -13,7 +13,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def _brute_mi(graph, theta, epsilon):
     # direct KL form over (observations, root, boundary), pure dicts + fsum
-    inside, boundary, edges = graph.ball()
+    inside, boundary, edges = graph.vertices, graph.boundary, graph.edges
     delta = (1.0 - theta) / 2.0
     n = len(inside)
     pos = {v: i for i, v in enumerate(inside)}
@@ -44,40 +44,110 @@ def _brute_mi(graph, theta, epsilon):
     return total
 
 
+def _whole_graph(spec):
+    # the family's whole graph: vertex count, edges in the family's order, root
+    family, *sizes = spec.replace("x", ":").split(":")
+    a, b = (int(x) for x in (sizes + ["0"])[:2])
+    if family == "path":
+        return a, [(i, i + 1) for i in range(a - 1)], a // 2
+    if family == "cycle":
+        return a, [(i, (i + 1) % a) for i in range(a)], 0
+    if family == "grid":
+        edges = []
+        for r in range(a):
+            for c in range(b):
+                if c + 1 < b:
+                    edges.append((r * b + c, r * b + c + 1))
+                if r + 1 < a:
+                    edges.append((r * b + c, (r + 1) * b + c))
+        return a * b, edges, (a // 2) * b + b // 2
+    n = sum(a ** k for k in range(b + 1))
+    return n, [((j - 1) // a, j) for j in range(1, n)], 0
+
+
+def _searched_ball(spec, radius):
+    # breadth-first search over the whole graph, then the induced edges
+    n, edges, root = _whole_graph(spec)
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist, queue = {root: 0}, [root]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist and dist[u] < radius:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    inside = sorted(dist)
+    return (tuple(inside), tuple(v for v in inside if dist[v] == radius),
+            tuple((u, v) for u, v in edges if u in dist and v in dist))
+
+
 def test_parse_families():
     path = SyncGraph.parse("path:9")
-    assert path.n_vertices == 9 and len(path.edges) == 8 and path.root == 4
+    assert (path.vertices, path.boundary, path.edges, path.root, path.radius) == \
+        ((3, 4, 5), (3, 5), ((3, 4), (4, 5)), 4, 1)
     cyc = SyncGraph.parse("cycle:8")
-    assert cyc.n_vertices == 8 and len(cyc.edges) == 8
+    assert (cyc.vertices, cyc.boundary, cyc.edges, cyc.root) == \
+        ((0, 1, 7), (1, 7), ((0, 1), (7, 0)), 0)
     grid = SyncGraph.parse("grid:3x4")
-    assert grid.n_vertices == 12 and len(grid.edges) == 17 and grid.root == 6
-    tree = SyncGraph.parse("tree:2:3")
-    assert tree.n_vertices == 15 and len(tree.edges) == 14 and tree.root == 0
-    for bad in ("path:1", "blob:3", "grid:3", "tree:2", "cycle:two"):
-        with pytest.raises(ValueError):
+    assert (grid.vertices, grid.boundary, grid.edges, grid.root) == \
+        ((2, 5, 6, 7, 10), (2, 5, 7, 10), ((2, 6), (5, 6), (6, 7), (6, 10)), 6)
+    tree = SyncGraph.parse(" Tree:2:3 ", radius=2)
+    assert (tree.vertices, tree.boundary, tree.edges, tree.root) == \
+        (tuple(range(7)), (3, 4, 5, 6), ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)), 0)
+    for bad in ("blob:3", "grid:3", "grid:3:4", "tree:2", "tree:2x3", "cycle:two", "path:9:1",
+                "path", ""):
+        with pytest.raises(ValueError, match="cannot parse graph spec"):
+            SyncGraph.parse(bad)
+    # a well-formed spec of an invalid graph reads as itself
+    for bad, message in (("path:1", "path needs at least two vertices"),
+                         ("cycle:2", "cycle needs at least three vertices"),
+                         ("grid:1x1", "grid needs at least two vertices"),
+                         ("tree:0:3", "tree needs arity and depth at least one")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SyncGraph.parse(bad)
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        SyncGraph(3, ((0, 1), (1, 2)), 0, 0)          # radius
-    with pytest.raises(ValueError):
-        SyncGraph(3, ((0, 1), (1, 2)), 5, 1)          # root range
-    with pytest.raises(ValueError):
-        SyncGraph(3, ((0, 1), (1, 0), (1, 2)), 0, 1)  # duplicate edge
-    with pytest.raises(ValueError):
-        SyncGraph(3, ((0, 0), (1, 2)), 0, 1)          # self loop
-    with pytest.raises(ValueError):
-        SyncGraph(4, ((0, 1), (2, 3)), 0, 1)          # disconnected
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        SyncGraph.path(3, radius=0)
 
 
 def test_ball_extraction():
-    inside, boundary, edges = SyncGraph.path(9, radius=2).ball()
-    assert sorted(inside) == [2, 3, 4, 5, 6]
-    assert sorted(boundary) == [2, 6]
-    assert len(edges) == 4
-    inside, boundary, edges = SyncGraph.grid(3, 4).ball()
-    assert len(inside) == 5 and len(boundary) == 4 and len(edges) == 4
+    g = SyncGraph.path(9, radius=2)
+    assert (g.vertices, g.boundary, len(g.edges)) == ((2, 3, 4, 5, 6), (2, 6), 4)
+    g = SyncGraph.grid(3, 4)
+    assert len(g.vertices) == 5 and len(g.boundary) == 4 and len(g.edges) == 4
+    # an odd cycle's ball wraps onto itself: the edge between its two boundary vertices stays
+    g = SyncGraph.cycle(5, radius=2)
+    assert (g.vertices, g.boundary, g.edges) == \
+        ((0, 1, 2, 3, 4), (2, 3), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    # each family writes down the same ball a search of its whole graph finds
+    specs = ([f"path:{k}" for k in range(2, 12)] + [f"cycle:{k}" for k in range(3, 12)]
+             + [f"grid:{r}x{c}" for r in range(1, 6) for c in range(1, 6) if r * c > 1]
+             + [f"tree:{a}:{d}" for a in range(1, 4) for d in range(1, 4)])
+    checked = 0
+    for spec in specs:
+        for radius in range(1, 6):
+            want = _searched_ball(spec, radius)
+            if len(want[0]) > MAX_BALL:
+                with pytest.raises(ValueError, match=f"more than {MAX_BALL} vertices"):
+                    SyncGraph.parse(spec, radius)
+                continue
+            g = SyncGraph.parse(spec, radius)
+            assert (g.vertices, g.boundary, g.edges) == want, (spec, radius)
+            checked += 1
+    assert checked > 250
+
+
+def test_information_reads_only_the_ball():
+    # a huge graph costs its ball, and equal balls give equal results, field for field
+    for big, small, radius in (("tree:2:22", "tree:2:2", 2), ("path:100000001", "path:9", 4),
+                               ("cycle:100000000", "cycle:8", 3)):
+        got = mi_root_boundary(SyncGraph.parse(big, radius), 0.8, 0.7)
+        assert got.method == "exact" and got.boundary_size > 0
+        assert got == mi_root_boundary(SyncGraph.parse(small, radius), 0.8, 0.7)
 
 
 def test_exact_zero_shortcuts():
