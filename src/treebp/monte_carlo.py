@@ -11,25 +11,28 @@ Estimators are chunked: each chunk of samples draws from an RNG stream
 derived from the master seed and the chunk index, and chunk results are
 reduced in order, so outputs are bit-identical for any worker count.
 
-The batched sampler never materializes leaves.  It draws every node as
-one code from the product law of its edge flip, survey atom and sign, and
-one statistic of its children: the child count on Poisson levels above the
+The batched sampler never materializes leaves.  It draws every node as one
+code from the product law of its edge flip, survey atom and sign, and one
+statistic of its children: the child count on Poisson levels above the
 deepest, the boundary's leaf statistic at the deepest level k-1.  A code
 takes one uniform, read off a guide table.  A node's spin is its parent's
 times its code's +-1 int8 spin, so every product with a spin is exact, and
 its survey LLR is that spin times the code's signed magnitude.  The
-deepest level's LLRs and messages are read off exact per-law tables.  The
-sampler also stops expanding below survey-revealed nodes.  A node whose
-survey draw falls on the noiseless atom (delta = 0) knows its spin, so by
-the Markov property of the broadcast its subtree tells its ancestors
-nothing more: the sampler draws no children for it, and the upward pass
-gives it the LLR spin * LLR_MAX (density evolution's reveal is
-+-infinity).  A revealed root settles its whole tree.  The root is never
-pruned when its own survey is excluded.  Surveys without a noiseless atom
-prune nothing and draw exactly what the full tree draws.  The
-boundary-sensitivity probe keeps every node, since it averages over
-whole levels.  A chunk's level arrays are views of one byte block per
-process (_parallel._Arena), reused by every chunk.
+deepest level's LLRs and messages are read off exact per-law tables.  A
+chunk stores levels 0..k-2; the root estimators fold the deepest level as
+it is drawn, block by block, into per-parent sums of its messages, so no
+array ever holds the whole level.  The sampler also stops expanding below
+survey-revealed nodes.  A node whose survey draw falls on the noiseless
+atom (delta = 0) knows its spin, so by the Markov property of the
+broadcast its subtree tells its ancestors nothing more: the sampler draws
+no children for it, and the upward pass gives it the LLR spin * LLR_MAX
+(density evolution's reveal is +-infinity).  A revealed root settles its
+whole tree.  The root is never pruned when its own survey is excluded.
+Surveys without a noiseless atom prune nothing and draw exactly what the
+full tree draws.  The boundary-sensitivity probe keeps every node, and
+stores the deepest level whole, since it averages over whole levels.  A
+chunk's level arrays are views of one byte block per process
+(_parallel._Arena), reused by every chunk.
 
 Every estimator, majority_stats and majority_closed_forms included, takes
 the tree as a TreeModel.
@@ -38,7 +41,6 @@ the tree as a TreeModel.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
@@ -78,11 +80,11 @@ _TABLE_FLOOR = 2.0 ** -60
 # Inverse-CDF lookups go through a guide table of this many equal bins of [0, 1).
 _GUIDE_SIZE = 1 << 12
 
-# The deepest level draws its uniforms in blocks of this many.
+# The deepest level is drawn, and folded, in blocks of about this many rows.
 _DRAW_BLOCK = 1 << 16
 
-# Arena bytes reserved per node of a chunk's coded levels, with room to spare:
-# untouched pages of the block cost no memory.
+# Arena bytes reserved per node of the levels a chunk stores, with room to
+# spare: untouched pages of the block cost no memory.
 _ARENA_NODE_BYTES = 64
 
 
@@ -148,8 +150,11 @@ def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,
     when each node is revealed, and so drawn without children, with
     probability reveal.  A root whose survey is excluded is never
     revealed: it draws all d children, each the root of a surveyed tree.
-    A tree of more than about 2^28 nodes (up to 16 GiB of arena) is
-    rejected, before anything is allocated."""
+    A depth with x^(depth+1) > 2^28, x = d (1 - reveal), is rejected
+    before anything is allocated; at large x that is about 2^28 nodes.  A
+    chunk's arena holds 64 B per node of the levels it stores
+    (_arena_bytes): at x = 2, up to 8 GiB for the probe's one-tree chunk
+    and 4 GiB for the root estimators'."""
     if not include_root_survey and reveal > 0.0 and depth > 0:
         return 1 + int(model.d * _nodes_per_tree(model, depth - 1, reveal))
     x = model.d * (1.0 - reveal)
@@ -168,10 +173,16 @@ def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0,
 
 
 def _arena_bytes(model: TreeModel, depth: int, trees: int, reveal: float = 0.0,
-                 include_root_survey: bool = True) -> int:
-    """Arena reservation for a chunk of trees: its coded levels 0..depth-1."""
-    nodes = _nodes_per_tree(model, max(depth - 1, 0), reveal, include_root_survey)
-    return trees * nodes * _ARENA_NODE_BYTES
+                 include_root_survey: bool = True, folded: bool = False) -> int:
+    """Arena reservation for a chunk of trees: the levels it stores.  With a
+    stored deepest level those are levels 0..depth-1; with a folded one,
+    levels 0..depth-2 (the roots at depth 1, for their sums) and one draw
+    block of the deepest level."""
+    if not folded:
+        return trees * _nodes_per_tree(model, max(depth - 1, 0), reveal,
+                                       include_root_survey) * _ARENA_NODE_BYTES
+    nodes = trees * _nodes_per_tree(model, max(depth - 2, 0), reveal, include_root_survey)
+    return (nodes + _DRAW_BLOCK) * _ARENA_NODE_BYTES
 
 
 def _reveal_weight(survey: SurveySpec) -> float:
@@ -343,15 +354,26 @@ def _spread(values: np.ndarray, par: np.ndarray | None, d: int | None,
     return out
 
 
-def _parent_map(counts: np.ndarray) -> np.ndarray:
-    """np.repeat(np.arange(counts.size), counts), built in the arena.
+def _sum_per_parent(values: np.ndarray, par: np.ndarray | None, d: int | None,
+                    out: np.ndarray) -> np.ndarray:
+    """Sum of each parent's children's values, into out; par and d as in
+    _spread.  Each sum adds its children in row order, so a run of whole
+    parents sums to the same floats alone as within its level."""
+    if par is None:
+        return values.reshape(-1, d).sum(axis=1, out=out)
+    out[:] = np.bincount(par, weights=values, minlength=out.size)   # int64 if childless
+    return out
 
-    counts is overwritten by its running sum, whose i-th entry is the first
-    row of parent i+1.  One parent boundary is scattered onto each such row
-    (rows past the end land in a sink entry), and a running sum of the
-    boundaries numbers every row with its parent.
+
+def _parent_map(ends: np.ndarray) -> np.ndarray:
+    """The parent of each row 0..ends[-1]-1, built in the arena, from the
+    parents' running child counts ends: np.repeat(np.arange(ends.size),
+    np.diff(ends, prepend=0)).
+
+    ends[i] is the first row of parent i+1.  One parent boundary is
+    scattered onto each such row (rows past the end land in a sink entry),
+    and a running sum of the boundaries numbers every row with its parent.
     """
-    ends = np.cumsum(counts, out=counts)
     par = _ARENA.empty((int(ends[-1]) if ends.size else 0) + 1, np.intp)
     par.fill(0)
     np.add.at(par, ends, 1)
@@ -366,14 +388,23 @@ def _parent_map(counts: np.ndarray) -> np.ndarray:
 class _ChunkLevels:
     """One chunk of trees, concatenated per level, leaves kept implicit.
 
-    Levels run 0..depth-1, and every node is one code of its level's law.
-    surveys[j] holds the survey LLRs of level j < depth-1 (None without a
-    survey).  parents[j] maps level j to its parents' rows one level up.  It
-    is None on regular levels whose parents are all open: the i-th parent's
+    Levels run 0..depth-1, every node is one code of its level's law, and
+    sizes[j] counts level j's nodes.  The chunk stores levels 0..depth-2:
+    surveys[j] holds the survey LLRs of level j (None without a survey),
+    and parents[j] maps level j to its parents' rows one level up.  It is
+    None on regular levels whose parents are all open: the i-th parent's
     children are then the contiguous block of d entries i*d..i*d+d-1.  A
-    closed parent has no children.  The deepest level keeps its law and
-    codes, and parent_spins holds its parents' spins (at depth 1 a virtual
-    + parent per root).
+    closed parent has no children.
+
+    The deepest level k-1 is drawn last, block by block (_draw_deepest),
+    and each block is folded as it is drawn.  law is its code law,
+    parent_spins its parents' spins (at depth 1 a virtual + parent per
+    root), and ends its parents' running child counts, None when each
+    parent has deepest_d contiguous children.  The root estimators keep
+    only sums: per boundary, each parent's sum of its children's messages
+    (at depth 1 the roots' LLRs).  The boundary-sensitivity probe reads
+    every deepest node, so it keeps the level whole: its codes, and its
+    parent map as parents[depth-1].
     """
 
     sizes: list[int]
@@ -381,31 +412,24 @@ class _ChunkLevels:
     surveys: list[np.ndarray | None]
     d_children: int | None
     law: _NodeCodes
-    codes: np.ndarray
     parent_spins: np.ndarray
+    ends: np.ndarray | None
+    codes: np.ndarray | None = None
+    sums: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def deepest_d(self) -> int | None:
+        """Children per deepest parent when ends is None: 1 at depth 1."""
+        return self.d_children if len(self.sizes) > 1 else 1
 
     def n_leaves(self) -> float:
         per_code = np.bincount(self.codes, minlength=self.law.children.size)
         return float(per_code @ self.law.children)
 
-    def deepest(self, table: np.ndarray) -> np.ndarray:
-        """Per-node values of a (parent spin, code) table at the deepest level."""
-        n = self.codes.size
-        out = _ARENA.empty(n)
-        with _ARENA.scratch():
-            ps = self.parent_spins
-            if len(self.sizes) > 1:
-                ps = _spread(ps, self.parents[-1], self.d_children, _ARENA.empty(n, np.int8))
-            flat = np.greater(ps, 0, out=_ARENA.empty(n, np.intp))    # the parent spin's row
-            flat *= table.shape[1]
-            flat += self.codes
-            table.take(flat, out=out, mode="clip")
-        return out
-
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
                          n_trees: int, stat: str | None, include_root_survey: bool,
-                         prune: bool) -> _ChunkLevels:
+                         prune: bool, boundaries: tuple = ()) -> _ChunkLevels:
     """Draw a chunk top-down, one code per node, each from one uniform.
 
     A node's spin is its parent's times its code's spin, and its survey LLR
@@ -414,7 +438,9 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     none.  With prune, revealed nodes are closed, the root only when its
     survey counts; without, every node is open.  The deepest codes carry
     the leaf statistic stat: None, "net" (the leaves' net spin sum) or
-    "count".  At depth 1 the deepest level is the root.
+    "count".  At depth 1 the deepest level is the root.  With boundaries
+    the deepest level is folded into their sums as it is drawn; without,
+    it is stored whole.
     """
     regular = model.kind == "regular"
     d_int = int(model.d) if regular else None
@@ -422,20 +448,16 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     sizes: list[int] = []
     parents: list[np.ndarray | None] = []
     surveys: list[np.ndarray | None] = []
-    sp, par, n = np.ones(n_trees, np.int8), None, n_trees      # a virtual + parent per root
+    sp, ends, n = np.ones(n_trees, np.int8), None, n_trees     # a virtual + parent per root
     for j in range(depth):
-        deepest = j == depth - 1
         law = _NodeCodes.of(model, surveyed if j > 0 or include_root_survey else None, j == 0,
-                            stat if deepest else None if regular else "count", prune)
-        codes = _ARENA.empty(n, np.intp)
+                            stat if j == depth - 1 else None if regular else "count", prune)
         sizes.append(n)
-        parents.append(par)
-        if deepest:         # the same stream as one draw, without n uniforms at once
-            u = _ARENA.empty(min(n, _DRAW_BLOCK))
-            for lo in range(0, n, _DRAW_BLOCK):
-                block = rng.random(out=u[:min(_DRAW_BLOCK, n - lo)])
-                law(block, out=codes[lo:lo + block.size])
+        if j == depth - 1:
             break
+        par = None if ends is None else _parent_map(ends)
+        parents.append(par)
+        codes = _ARENA.empty(n, np.intp)
         u = rng.random(out=_ARENA.empty(n))
         law(u, out=codes)
         spins = law.spin.take(codes, out=_ARENA.empty(n, np.int8), mode="clip")
@@ -448,53 +470,147 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
             surveys.append(law.w.take(codes, out=u, mode="clip"))
             u *= sp
         if regular and not law.closed.any():
-            par = None
-        else:   # the codes are spent too: their child counts go over them
-            par = _parent_map(law.children.take(codes, out=codes, mode="clip"))
-        n = n * d_int if par is None else par.size
-    return _ChunkLevels(sizes, parents, surveys, d_int, law, codes, sp)
-
-
-def _aggregate_children(msg: np.ndarray, levels: _ChunkLevels, j: int) -> np.ndarray:
-    """Sum child messages at level j+1 onto their level-j parents."""
-    par = levels.parents[j + 1]
-    if par is None:
-        return msg.reshape(-1, levels.d_children).sum(axis=1, out=_ARENA.empty(levels.sizes[j]))
-    # as floats even when there are no children (bincount returns int64 on empty input)
-    return np.bincount(par, weights=msg, minlength=levels.sizes[j]).astype(np.float64, copy=False)
-
-
-def _upward_levels(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float,
-                   deepest: bool = False):
-    """Upward pass from the coded deepest level to the root.
-
-    Yields the saturated LLRs of each level, root last, from depth k-2 on,
-    or from the deepest level k-1 with ``deepest`` (always at depth 1, where
-    the root is that level).  The deepest messages are code table entries
-    summed per parent.  Perfect and none tables are odd in the parent spin,
-    so their + row is summed and multiplied by the parent's spin, which
-    spares a spin gather per node.  A closed node has no children, so it
-    keeps its survey value spin * LLR_MAX.
-    """
-    llr, msg = levels.law.tables(boundary)
-    k = len(levels.sizes)
-    if deepest or k == 1:
-        yield levels.deepest(llr)
-    if k == 1:
-        return
-    if boundary.kind in ("perfect", "none"):
-        plus_row = msg[1].take(levels.codes, out=_ARENA.empty(levels.codes.size), mode="clip")
-        r = _aggregate_children(plus_row, levels, k - 2)
-        r *= levels.parent_spins
+            ends, n = None, n * d_int
+        else:   # the codes are spent too: their child counts, then running sums, go over them
+            ends = np.cumsum(law.children.take(codes, out=codes, mode="clip"), out=codes)
+            n = int(ends[-1]) if n else 0
+    levels = _ChunkLevels(sizes, parents, surveys, d_int, law, sp, ends)
+    if boundaries:
+        _fold_deepest(rng, levels, boundaries)
     else:
-        r = _aggregate_children(levels.deepest(msg), levels, k - 2)
+        _store_deepest(rng, levels)
+    return levels
+
+
+def _draw_deepest(rng, levels: _ChunkLevels, fold) -> None:
+    """Draw the deepest level block by block, handing each block to
+    fold(lo, hi, plo, phi, codes, par).
+
+    A block is rows lo..hi-1, the children of the run of whole parents
+    plo..phi-1: at most _DRAW_BLOCK parents whose children end within
+    _DRAW_BLOCK rows of lo, or one parent with more children.  Its
+    uniforms are drawn in stream order, so its codes are those of one draw
+    of the whole level.  par maps its rows to their parents, counted from
+    plo; it is None when each parent has deepest_d contiguous children.
+    The block's arrays are arena scratch, freed when the block ends.
+    """
+    law, ends, d = levels.law, levels.ends, levels.deepest_d
+    n_parents = levels.parent_spins.size
+    lo = plo = 0
+    while plo < n_parents:
+        if ends is None:
+            phi = min(n_parents, plo + max(1, _DRAW_BLOCK // d))
+            hi = phi * d
+        else:
+            phi = min(plo + _DRAW_BLOCK,
+                      int(np.searchsorted(ends, lo + _DRAW_BLOCK, side="right")))
+            phi = max(phi, plo + 1)
+            hi = int(ends[phi - 1])
+        with _ARENA.scratch():
+            codes = law(rng.random(out=_ARENA.empty(hi - lo)), out=_ARENA.empty(hi - lo, np.intp))
+            par = None if ends is None else _parent_map(
+                np.subtract(ends[plo:phi], lo, out=_ARENA.empty(phi - plo, np.intp)))
+            fold(lo, hi, plo, phi, codes, par)
+        lo, plo = hi, phi
+
+
+def _store_deepest(rng, levels: _ChunkLevels) -> None:
+    """Draw the deepest level into levels.codes and its parent map."""
+    n = levels.sizes[-1]
+    codes = levels.codes = _ARENA.empty(n, np.intp)
+    par = None if levels.ends is None else _ARENA.empty(n, np.intp)
+    levels.parents.append(par)
+
+    def store(lo, hi, plo, phi, block_codes, block_par):
+        codes[lo:hi] = block_codes
+        if par is not None:
+            np.add(block_par, plo, out=par[lo:hi])
+
+    _draw_deepest(rng, levels, store)
+
+
+def _table_entries(table: np.ndarray, codes: np.ndarray, spins: np.ndarray,
+                   par: np.ndarray | None, d: int | None, out: np.ndarray) -> np.ndarray:
+    """Each node's entry of a (parent spin, code) table, into out; spins
+    are the parents' spins, and par and d place the nodes as in _spread."""
+    with _ARENA.scratch():
+        ps = _spread(spins, par, d, _ARENA.empty(codes.size, np.int8))
+        flat = np.greater(ps, 0, out=_ARENA.empty(codes.size, np.intp))    # the spin's row
+        flat *= table.shape[1]
+        flat += codes
+        table.take(flat, out=out, mode="clip")
+    return out
+
+
+def _table_sums(boundary: BoundaryCondition, table: np.ndarray, codes: np.ndarray,
+                spins: np.ndarray, par: np.ndarray | None, d: int | None,
+                out: np.ndarray) -> np.ndarray:
+    """Each parent's sum of its children's table entries, into out.
+
+    Perfect and none tables are odd in the parent spin, so their + row is
+    summed and multiplied by the parent's spin, which spares a spin gather
+    per node.
+    """
+    odd = boundary.kind in ("perfect", "none")
+    with _ARENA.scratch():
+        w = _ARENA.empty(codes.size)
+        if odd:
+            table[1].take(codes, out=w, mode="clip")
+        else:
+            _table_entries(table, codes, spins, par, d, w)
+        _sum_per_parent(w, par, d, out)
+    if odd:
+        out *= spins
+    return out
+
+
+def _fold_deepest(rng, levels: _ChunkLevels, boundaries) -> None:
+    """Draw the deepest level and fold it into levels.sums, one per boundary:
+    each parent's sum of its children's messages, or at depth 1 each
+    root's LLR (its virtual parent's one child).  A parent's children all
+    sit in one block, so every sum adds the same terms in the same order
+    as over the stored level."""
+    msg = 1 if len(levels.sizes) > 1 else 0         # tables() gives (llr, msg)
+    tables = [levels.law.tables(b)[msg] for b in boundaries]
+    spins, d = levels.parent_spins, levels.deepest_d
+    levels.sums = [_ARENA.empty(spins.size) for _ in boundaries]
+
+    def fold(lo, hi, plo, phi, codes, par):
+        for boundary, table, sums in zip(boundaries, tables, levels.sums):
+            _table_sums(boundary, table, codes, spins[plo:phi], par, d, sums[plo:phi])
+
+    _draw_deepest(rng, levels, fold)
+
+
+def _upward_levels(r: np.ndarray, levels: _ChunkLevels, theta: float):
+    """Upward pass to the root from r, the level-(k-2) sums of the deepest
+    messages, which it adds to in place.
+
+    Yields the saturated LLRs of levels k-2, ..., 0, root last: each level
+    adds its survey LLRs to its child sums and clips.  A closed node has no
+    children, so it keeps its survey value spin * LLR_MAX.
+    """
+    k = len(levels.sizes)
     for j in range(k - 2, -1, -1):
         if j < k - 2:
-            r = _aggregate_children(edge_llr_map(r, theta, out=_ARENA.empty(r.size)), levels, j)
+            msg = edge_llr_map(r, theta, out=_ARENA.empty(r.size))
+            r = _sum_per_parent(msg, levels.parents[j + 1], levels.d_children,
+                                _ARENA.empty(levels.sizes[j]))
         if levels.surveys[j] is not None:
             r += levels.surveys[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)
         yield r
+
+
+def _stored_upward(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float):
+    """Upward pass from a stored deepest level: yields the saturated LLRs of
+    levels k-1, ..., 0, root last."""
+    llr, msg = levels.law.tables(boundary)
+    spins, par, d = levels.parent_spins, levels.parents[-1], levels.deepest_d
+    yield _table_entries(llr, levels.codes, spins, par, d, _ARENA.empty(levels.codes.size))
+    if len(levels.sizes) > 1:
+        r = _table_sums(boundary, msg, levels.codes, spins, par, d, _ARENA.empty(spins.size))
+        yield from _upward_levels(r, levels, theta)
 
 
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
@@ -509,10 +625,12 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
     out = np.empty((len(boundaries), count))
     with _ARENA.chunk(arena_bytes):
         levels = _sample_chunk_levels(rng, model, survey, depth, count, stat,
-                                      include_root_survey, prune=True)
-        for i, boundary in enumerate(boundaries):
+                                      include_root_survey, prune=True, boundaries=boundaries)
+        for i, sums in enumerate(levels.sums):
             with _ARENA.scratch():
-                r = deque(_upward_levels(boundary, levels, model.theta), maxlen=1)[0]
+                r = sums                    # at depth 1 the sums are the roots' LLRs
+                for r in _upward_levels(sums, levels, model.theta):     # the root's come last
+                    pass
                 out[i] = 1.0 / (1.0 + np.exp(np.abs(r)))
     return out
 
@@ -527,7 +645,8 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
     chunk = _chunk_trees(model, depth, reveal, include_root_survey)
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
                    boundaries=tuple(boundaries), include_root_survey=include_root_survey,
-                   arena_bytes=_arena_bytes(model, depth, chunk, reveal, include_root_survey))
+                   arena_bytes=_arena_bytes(model, depth, chunk, reveal, include_root_survey,
+                                            folded=True))
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     return np.concatenate(parts, axis=1)
 
@@ -760,7 +879,7 @@ def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
                                       include_root_survey, prune=False)
         stats[depth] = (levels.n_leaves(), 2.0 * magnitude, 0.0)
         # the two passes are interleaved, so their arrays stay taken until the chunk ends
-        up_plus, up_minus = (_upward_levels(b, levels, model.theta, True)
+        up_plus, up_minus = (_stored_upward(b, levels, model.theta)
                              for b in (BoundaryCondition.plus(magnitude),
                                        BoundaryCondition.minus(magnitude)))
         for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
@@ -789,8 +908,8 @@ def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_
     with _ARENA.chunk(arena_bytes):
         levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
                                       include_root_survey, prune=False)
-        mins[depth - 1::-1] = [r.min() for r in _upward_levels(
-            BoundaryCondition.plus(magnitude), levels, model.theta, True)]
+        mins[depth - 1::-1] = [r.min() for r in _stored_upward(
+            BoundaryCondition.plus(magnitude), levels, model.theta)]
     return mins
 
 

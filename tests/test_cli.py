@@ -306,8 +306,13 @@ def test_rarely_taken_branches_are_pinned(capsys, argv, code, check, digest):
 
 
 def test_worker_count_does_not_change_output(capsys):
-    argv = ("mc", "entropy", "--model", "regular:3", "--theta", "0.7",
-            "--survey", "bec:0.6", "--depth", "3", "--samples", "2000",
+    # 732 trees a chunk, so four chunks for the two workers to split
+    from treebp.density_evolution import TreeModel
+    from treebp.monte_carlo import _chunk_trees
+
+    assert _chunk_trees(TreeModel.poisson(4.0, 0.8), 6) == 732
+    argv = ("mc", "entropy", "--model", "poisson:4", "--theta", "0.8",
+            "--survey", "bsc:0.2", "--depth", "6", "--samples", "2500",
             "--seed", "3")
     _, base, _ = run_cli(capsys, *argv)
     _, multi, _ = run_cli(capsys, *argv, "--workers", "2")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from treebp.bms import DeltaDistribution, SurveySpec, binary_entropy, delta_of
-from treebp import monte_carlo
+from treebp import _parallel, monte_carlo
 from treebp.density_evolution import TreeModel
 from treebp.llr_dist import edge_llr_map
 from treebp.monte_carlo import (
@@ -25,6 +25,7 @@ from treebp.monte_carlo import (
     _reveal_weight,
     _root_deltas_chunk,
     _sample_chunk_levels,
+    _upward_levels,
     degradation_check,
     estimate_entropy,
     estimate_entropy_pair,
@@ -640,6 +641,15 @@ def test_chunk_plan_budgets_the_nodes_drawn():
             assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
 
 
+# Boundary sets whose root estimators fold the deepest level, each with the
+# leaf statistic its deepest codes carry (the rule of _root_deltas_chunk).
+_FOLDS = [("net", (BoundaryCondition.perfect(), BoundaryCondition.none())),
+          ("net", (BoundaryCondition.perfect(),)),
+          (None, (BoundaryCondition.none(),)),
+          ("count", (BoundaryCondition.plus(2.5),)),
+          ("count", (BoundaryCondition.minus(2.5),))]
+
+
 class _CountingUniforms:
     """Stands in for a Generator that has only random(n=None, out=None);
     counts the draws, out.size of them when out is given."""
@@ -658,16 +668,130 @@ class _CountingUniforms:
                          ids=["regular", "poisson"])
 def test_sampler_draws_one_uniform_per_node(model, survey):
     for prune, root, depth in product((True, False), (True, False), range(1, 5)):
-        for stat in ("net", "count", None):
-            rng = _CountingUniforms(depth)
-            levels = _sample_chunk_levels(rng, model, survey, depth, 40, stat, root, prune)
-            assert len(levels.sizes) == depth
-            assert rng.drawn == sum(levels.sizes)
+        for stat, folded in _FOLDS:
+            for boundaries in ((), folded):     # the deepest level stored, then folded
+                rng = _CountingUniforms(depth)
+                levels = _sample_chunk_levels(rng, model, survey, depth, 40, stat, root, prune,
+                                              boundaries)
+                assert len(levels.sizes) == depth
+                assert rng.drawn == sum(levels.sizes)
     for boundary in (BoundaryCondition.perfect(), BoundaryCondition.plus()):
         rng = _CountingUniforms(0)
         out = _root_deltas_chunk(rng, 40, model=model, survey=survey, depth=0,
                                  boundaries=(boundary,), include_root_survey=True)
         assert rng.drawn == 0 and out.shape == (1, 40)
+
+
+def _stored_sums(levels, boundary: BoundaryCondition) -> np.ndarray:
+    """A stored deepest level's per-parent sums, as the upward pass took them
+    before the fold: every node's own entry of the full table, summed over
+    the whole level by one reshape or bincount."""
+    llr, msg = levels.law.tables(boundary)
+    table = msg if len(levels.sizes) > 1 else llr         # at depth 1 the roots' LLRs
+    spins, par = levels.parent_spins, levels.parents[-1]
+    d = levels.sizes[-1] // spins.size if par is None else None
+    rows = np.repeat(np.arange(spins.size), d) if par is None else par
+    values = table[(spins[rows] > 0).astype(np.intp), levels.codes]
+    if par is None:
+        return values.reshape(-1, d).sum(axis=1)
+    # as floats even when there are no children (bincount returns int64 on empty input)
+    return np.bincount(par, weights=values, minlength=spins.size).astype(np.float64, copy=False)
+
+
+def _check_fold(model, survey, depth, n_trees, root, seed=0):
+    """Each boundary set's folded sums, and the root estimates taken from
+    them, equal the stored computation on the same chunk, bit for bit."""
+    for stat, boundaries in _FOLDS:
+        stored = _sample_chunk_levels(np.random.default_rng(seed), model, survey, depth,
+                                      n_trees, stat, root, True)
+        folded = _sample_chunk_levels(np.random.default_rng(seed), model, survey, depth,
+                                      n_trees, stat, root, True, boundaries)
+        assert folded.sizes == stored.sizes
+        out = _root_deltas_chunk(np.random.default_rng(seed), n_trees, model=model,
+                                 survey=survey, depth=depth, boundaries=boundaries,
+                                 include_root_survey=root)
+        for boundary, sums, deltas in zip(boundaries, folded.sums, out):
+            r = _stored_sums(stored, boundary)
+            assert np.array_equal(sums, r)
+            for r in _upward_levels(r, stored, model.theta):     # the root's LLRs come last
+                pass
+            assert np.array_equal(deltas, 1.0 / (1.0 + np.exp(np.abs(r))))
+
+
+@pytest.mark.parametrize("survey", [SurveySpec.trivial(), SurveySpec.bsc(0.2), _THREE_ATOMS,
+                                    SurveySpec.bec(0.5)], ids=["trivial", "bsc", "atoms", "bec"])
+@pytest.mark.parametrize("model", [TreeModel.regular(3, 0.7), TreeModel.poisson(3.0, 0.7)],
+                         ids=["regular", "poisson"])
+@pytest.mark.parametrize("block", [5, monte_carlo._DRAW_BLOCK], ids=["block5", "block"])
+def test_folded_deepest_level_equals_the_stored_one(monkeypatch, model, survey, block):
+    # regular trees are open under trivial and bsc surveys and have closed
+    # nodes under the pruning ones; a block of 5 rows cuts every level
+    monkeypatch.setattr(monte_carlo, "_DRAW_BLOCK", block)
+    for root, depth in product((True, False), (1, 2, 3)):
+        _check_fold(model, survey, depth, 60, root)
+
+
+def test_fold_meets_every_block_edge(monkeypatch):
+    blocks, empty = [], []      # each block's rows and its parents' child counts
+    draw = monte_carlo._draw_deepest
+
+    def recorded(rng, levels, fold):
+        empty.append(levels.sizes[-1] == 0)
+        counts = None if levels.ends is None else np.diff(levels.ends, prepend=0)
+
+        def record(lo, hi, plo, phi, codes, par):
+            blocks.append((hi - lo, None if counts is None else counts[plo:phi]))
+            fold(lo, hi, plo, phi, codes, par)
+
+        draw(rng, levels, record)
+
+    monkeypatch.setattr(monte_carlo, "_draw_deepest", recorded)
+    # 70,000 children per parent, past the real block of 65,536 rows
+    _check_fold(TreeModel.poisson(70000.0, 0.99), SurveySpec.bsc(0.2), 2, 2, True)
+    _check_fold(TreeModel.poisson(70000.0, 0.99), SurveySpec.bec(0.5), 2, 4, True, seed=1)
+    assert any(counts.size == 1 and counts[0] > 65536 for _, counts in blocks)
+    monkeypatch.setattr(monte_carlo, "_DRAW_BLOCK", 4)
+    for model, survey, depth, n_trees in [
+            (TreeModel.poisson(3.0, 0.7), SurveySpec.bsc(0.2), 3, 40),
+            (TreeModel.regular(3, 0.7), SurveySpec.bec(0.5), 3, 40),
+            (TreeModel.regular(5, 0.7), SurveySpec.trivial(), 2, 10),
+            (TreeModel.poisson(3.0, 0.7), SurveySpec.bec(0.02), 3, 3),
+            (TreeModel.poisson(0.05, 0.7), SurveySpec.trivial(), 2, 3)]:
+        for root in (True, False):
+            _check_fold(model, survey, depth, n_trees, root)
+    cut = [(rows, counts) for rows, counts in blocks if counts is not None]
+    assert any(counts.size == 1 and counts[0] > 4 for _, counts in cut)    # a parent past a block
+    assert any(rows == 4 for rows, _ in cut)    # a block that ends on a parent's last child
+    assert any(counts[0] == 0 for _, counts in cut)     # a childless parent at either edge
+    assert any(counts[-1] == 0 for _, counts in cut)
+    assert any(empty)                                   # a deepest level with no nodes
+
+
+def test_folded_chunks_stay_inside_a_smaller_arena(monkeypatch):
+    # the stored deepest level (codes, parent map and one pass's + row)
+    # took the arena to 26.9 MB on this call; folded, it reads 11.9 MB
+    seen = {"top": 0, "heap": 0}
+    empty = _parallel._Arena.empty
+
+    def watched(self, n, dtype=np.float64):
+        out = empty(self, n, dtype)
+        seen["top"] = max(seen["top"], self.top)
+        seen["heap"] += out.base is None
+        return out
+
+    monkeypatch.setattr(_parallel._Arena, "empty", watched)
+    monkeypatch.setattr(monte_carlo._ARENA, "block", np.empty(0, np.uint8))  # just the reservation
+    model, survey = TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2)
+    assert 400 > 2 * _chunk_trees(model, 7)                 # three chunks
+    estimate_entropy_pair(model, survey, 7, 400, workers=1)
+    assert seen["top"] < 14e6 and seen["heap"] == 0
+    # the probe stores its deepest level, in both of its regimes
+    for model, survey in ((TreeModel.poisson(3.0, 0.3), survey),
+                          (TreeModel.regular(3, 0.5), SurveySpec.bsc(0.49))):
+        monkeypatch.setattr(monte_carlo._ARENA, "block", np.empty(0, np.uint8))
+        seen.update(top=0, heap=0)
+        wsm_probe(model, survey, 6, 400, workers=1)
+        assert seen["top"] > 0 and seen["heap"] == 0
 
 
 @pytest.mark.parametrize("counts", [
@@ -678,7 +802,7 @@ def test_sampler_draws_one_uniform_per_node(model, survey):
 def test_parent_map_matches_repeat(counts):
     counts = np.asarray(counts, dtype=np.intp)
     want = np.repeat(np.arange(counts.size), counts)
-    got = _parent_map(counts.copy())
+    got = _parent_map(np.cumsum(counts))
     assert got.dtype == np.intp and np.array_equal(got, want)
 
 
