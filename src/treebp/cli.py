@@ -295,12 +295,12 @@ def _cmd_mc_entropy(args):
     common = dict(seed=args.seed, include_root_survey=args.include_root_survey,
                   workers=args.workers)
     if args.boundary == "pair":
-        with _blame("--depth/--samples"):
+        with _blame("--model", OverflowError), _blame("--depth/--samples"):
             pair = estimate_entropy_pair(model, survey, args.depth, args.samples, **common)
         return pair, EXIT_OK, None
     with _blame("--boundary"):
         boundary = BoundaryCondition.parse(args.boundary)
-    with _blame("--depth/--samples"):
+    with _blame("--model", OverflowError), _blame("--depth/--samples"):
         res = estimate_entropy(model, survey, args.depth, boundary, args.samples, **common)
     return {"entropy": res}, EXIT_OK, None
 
@@ -329,7 +329,7 @@ def _cmd_mc_degradation(args):
     from .monte_carlo import degradation_check
     survey = _parse_survey(args.survey)
     model = _parse_model(args.model, args.theta)
-    with _blame("--depth/--samples/--bins"):
+    with _blame("--model", OverflowError), _blame("--depth/--samples/--bins"):
         report = degradation_check(model, survey, args.depth, args.samples,
                                    n_bins=args.bins, seed=args.seed, workers=args.workers)
     return report, EXIT_OK, None

@@ -150,20 +150,21 @@ def _nodes_per_tree(model: TreeModel, depth: int, reveal: float,
     when each node is revealed, and so drawn without children, with
     probability reveal.  A root whose survey is excluded is never
     revealed: it draws all d children, each the root of a surveyed tree.
-    A depth with x^(depth+1) > 2^28, x = d (1 - reveal), is rejected
-    before anything is allocated; at large x that is about 2^28 nodes.  A
-    chunk's arena holds 64 B per node of the levels it stores
-    (_arena_bytes): at x = 2, up to 8 GiB for the probe's one-tree chunk
-    and 4 GiB for the root estimators'."""
-    if not include_root_survey and reveal > 0.0 and depth > 0:
-        return 1 + int(model.d * _nodes_per_tree(model, depth - 1, reveal))
+    A count past 2^28 is rejected before anything is allocated, so a
+    chunk's arena, 64 B per node of the levels it stores (_arena_bytes),
+    stays within 16 GiB."""
     x = model.d * (1.0 - reveal)
-    if x == 1.0:
-        return depth + 1
-    if x > 1.0 and (depth + 1) * math.log2(x) > 28:
-        raise ValueError(f"depth {depth} needs about {x:g}^{depth} nodes per tree, "
-                         "past the 2^28 limit")
-    return int((x ** (depth + 1) - 1) / (x - 1)) + 1
+    try:
+        if not include_root_survey and reveal > 0.0 and depth > 0:
+            nodes = 1 + int(model.d * _nodes_per_tree(model, depth - 1, reveal))
+        else:
+            nodes = depth + 1 if x == 1.0 else int((x ** (depth + 1) - 1) / (x - 1)) + 1
+    except OverflowError:                   # x^(depth+1) past the float range
+        nodes = math.inf
+    if nodes > 2 ** 28:
+        size = f"{nodes:.3g}" if nodes < math.inf else f"{x:g}^{depth}"
+        raise ValueError(f"depth {depth} needs about {size} nodes per tree, past the 2^28 limit")
+    return nodes
 
 
 def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0,
@@ -249,8 +250,11 @@ def _leaf_law(model: TreeModel, stat: str | None):
     flip = model.flip
     if stat == "net" and model.kind == "regular":
         d = int(model.d)
-        return d - 2 * np.arange(d + 1), np.array(
-            [math.comb(d, i) * flip ** i * (1.0 - flip) ** (d - i) for i in range(d + 1)])
+        try:
+            return d - 2 * np.arange(d + 1), np.array(
+                [math.comb(d, i) * flip ** i * (1.0 - flip) ** (d - i) for i in range(d + 1)])
+        except OverflowError:   # from degree 1030 some binomial coefficient passes 2^1024
+            raise OverflowError(f"regular degree {d} is past 1029, the float limit") from None
     if stat is None or model.kind == "regular":
         return np.zeros(1, dtype=np.int64), np.ones(1)
     if stat == "count":

@@ -1,8 +1,8 @@
 """Two-community block model oracles and the tree-side entropy integral.
 
-Small instances are solved exactly by enumerating all 2^n label vectors,
-for a block of graphs at once: the cut edges of every labeling are counted
-by doubling over vertices in exact integers, and the single-graph
+Small instances are solved exactly by enumerating the label vectors a
+survey allows, for a block of graphs at once: their cut edges are counted by
+doubling over the erased vertices in exact integers, and the single-graph
 functions are one-row calls of the block kernel.  The per-vertex survey
 (reveal with probability 1 - epsilon) is handled two ways: sampled
 realizations for Monte Carlo estimates, and exact marginalization through
@@ -158,31 +158,40 @@ def _count_log(count: np.ndarray, logp: float) -> np.ndarray:
     return count * logp
 
 
-def _block_loglik(adjs: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
-    """Unnormalized log-posterior over all 2^n label vectors of G graphs, (G, 2^n).
+def _block_loglik(adjs: np.ndarray, n: int, a: float, b: float, revealed: np.ndarray,
+                  plus: np.ndarray) -> np.ndarray:
+    """Unnormalized log-posterior of G graphs, (G, 2^k), at the labelings that
+    agree with their surveys, given as (G, n) masks of the revealed and the
+    revealed +1 vertices; every row erases k vertices (none revealed: 2^n).
 
-    Bit j of the vector index set means vertex j has label +1.  The cut
-    (disagreeing) edges are counted by doubling over vertices in exact
-    integers: setting vertex k on a labeling x < 2^k adds
-    deg(k) - 2 popcount(x & N(k)) cut edges, N(k) the neighbour bitmask.
-    Non-edges contribute their exact (1 - a/n) / (1 - b/n) factors.
+    Bit j of a labeling set means vertex j is +1; entry s sets the erased
+    vertices of the bits of s, so entries run in increasing labeling order.
+    Cut (disagreeing) edges are exact integers: the revealed labeling's
+    count, then doubling over the erased vertices only, as setting v on a
+    labeling x adds deg(v) - 2 popcount(x & N(v)), N(v) the neighbour
+    bitmask.  Non-edges contribute their exact (1 - a/n) / (1 - b/n) factors.
     """
     if n > MAX_EXACT_N:
         raise ValueError(f"exact enumeration is capped at n = {MAX_EXACT_N}")
     adjs = adjs.astype(np.int64)
     deg = adjs.sum(axis=2)
-    nbrs = adjs @ (1 << np.arange(n))
     pc = _popcounts(n)
-    diff_edges = np.zeros((len(adjs), 1 << n), dtype=np.int64)
-    for k in range(n):
-        lo = 1 << k
-        diff_edges[:, lo:2 * lo] = (diff_edges[:, :lo] + deg[:, k, None]
-                                    - 2 * pc[np.arange(lo) & nbrs[:, k, None]])
+    erased = np.nonzero(~revealed)[1].reshape(len(adjs), -1)
+    k = erased.shape[1]
+    shown = (adjs @ plus[..., None])[..., 0]        # +1 revealed neighbours
+    g = np.arange(len(adjs))[:, None]
+    gain = (deg - 2 * shown)[g, erased]             # x's revealed part, then its erased bits
+    erased_nbrs = adjs[g[..., None], erased[..., None], erased[:, None]] @ (1 << np.arange(k))
+    diff_edges = np.empty((len(adjs), 1 << k), dtype=np.int64)
+    diff_edges[:, 0] = (plus * (deg - shown)).sum(axis=1)  # the revealed labeling cuts
+    for i in range(k):
+        lo = 1 << i
+        step = np.add(diff_edges[:, :lo], gain[:, i, None], out=diff_edges[:, lo:2 * lo])
+        step -= 2 * pc[np.arange(lo) & erased_nbrs[:, i, None]]
     n_pairs = n * (n - 1) // 2
     same_edges = deg.sum(axis=1, keepdims=True) // 2 - diff_edges
-    row = 2 * pc - n                             # sum over vertices of x_i
-    q_all = (row * row - n) // 2                 # sum over all pairs of x_i x_j
-    same_pairs = (n_pairs + q_all) // 2
+    ones = plus.sum(axis=1, keepdims=True) + pc[:1 << k]     # labels +1
+    same_pairs = n_pairs - ones * (n - ones)
 
     # the four terms are added in place, in order, to hold few block-sized arrays
     pa, pb = a / n, b / n
@@ -193,20 +202,18 @@ def _block_loglik(adjs: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
     return ll
 
 
-def _mask_surveys(ll: np.ndarray, surveys: list) -> np.ndarray:
-    """-inf at the labelings of row g that contradict surveys[g]'s revealed values."""
-    bits = 1 << np.arange(surveys[0].revealed.size)
-    shown = np.array([[s.revealed @ bits] for s in surveys])
-    need = np.array([[(s.values > 0) @ bits] for s in surveys])
-    return np.where((np.arange(ll.shape[1]) & shown) == need, ll, -math.inf)
-
-
 def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> np.ndarray:
-    """_block_loglik's one row; labelings that contradict a revealed survey value get -inf."""
-    ll = _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b)
-    if survey is not None:
-        ll = _mask_surveys(ll, [survey])
-    return ll[0]
+    """_block_loglik's one row, at the labelings that agree with the survey's
+    revealed values among all 2^n; the others get -inf."""
+    revealed = np.zeros(inst.n, dtype=bool) if survey is None else survey.revealed
+    plus = revealed if survey is None else survey.values > 0
+    ll = _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b, revealed[None], plus[None])
+    if survey is None:
+        return ll[0]
+    bits = 1 << np.arange(inst.n)
+    row = np.full(1 << inst.n, -math.inf)
+    row[(np.arange(row.size) & (revealed @ bits)) == plus @ bits] = ll[0]
+    return row
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -227,25 +234,29 @@ def _entropy_from_loglik(ll: np.ndarray) -> float:
 
 def exact_entropy_for_instance(inst: SBMInstance,
                                survey: SurveyRealization | None = None) -> float:
-    """H(X | G, Y=y) in nats for one instance, by full enumeration."""
+    """H(X | G, Y=y) in nats for one instance, by enumeration."""
     return _entropy_from_loglik(label_loglik(inst, survey))
 
 
 def _exact_entropy_chunk(rng, count, *, n, a, b, epsilon):
-    insts, surveys = [], []
-    for _ in range(count):                          # graph, then its survey
-        insts.append(_sample_sbm_rng(n, a, b, rng))
+    adjs = np.empty((count, n, n), dtype=bool)
+    revealed, plus = np.zeros((2, count, n), dtype=bool)
+    for t in range(count):                          # graph, then its survey
+        inst = _sample_sbm_rng(n, a, b, rng)
+        adjs[t] = inst.adjacency
         if epsilon is not None:
-            surveys.append(_sample_survey_rng(insts[-1], epsilon, rng))
-    adjs = np.stack([g.adjacency for g in insts])
-    block = max(1, bms._LATTICE_FLOATS >> (n + 3))  # at most eight 2^n temporaries a graph
-    out = []
-    for s in range(0, count, block):
-        ll = _block_loglik(adjs[s:s + block], n, a, b)
-        if surveys:
-            ll = _mask_surveys(ll, surveys[s:s + block])
-        out += [_entropy_from_loglik(row) / n for row in ll]
-    return np.array(out)
+            survey = _sample_survey_rng(inst, epsilon, rng)
+            revealed[t], plus[t] = survey.revealed, survey.values > 0
+    erased = n - revealed.sum(axis=1)
+    out = np.empty(count)
+    for k in np.flatnonzero(np.bincount(erased)):   # np.unique imports numpy.ma (0.5 MB)
+        group = np.flatnonzero(erased == k)
+        block = max(1, bms._LATTICE_FLOATS >> (k + 3))  # at most eight 2^k temporaries a graph
+        for s in range(0, group.size, block):
+            part = group[s:s + block]
+            ll = _block_loglik(adjs[part], n, a, b, revealed[part], plus[part])
+            out[part] = [_entropy_from_loglik(row) / n for row in ll]
+    return out
 
 
 def exact_conditional_entropy(n: int, a: float, b: float, epsilon: float | None,
@@ -283,13 +294,19 @@ def _grouped_by_popcount(table: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(_popcounts(n), weights=table, minlength=n + 1)
 
 
+@lru_cache(maxsize=32)
+def _erasure_weights(eps_values: tuple, k: int) -> np.ndarray:
+    """Read-only table: row m holds (1 - e)^m e^(k - m) for each e of eps_values."""
+    weights = np.array([[(1.0 - e) ** m * e ** (k - m) for e in eps_values] for m in range(k + 1)])
+    weights.setflags(write=False)
+    return weights
+
+
 def _erasure_sums(by_count: np.ndarray, eps_values) -> np.ndarray:
     """Row i: sum over m <= k of (1 - e)^m e^(k - m) by_count[..., m], e = eps_values[i],
     k the last index of by_count, added in m order like a scalar loop."""
-    k = by_count.shape[-1] - 1
     acc = 0.0
-    for m in range(k + 1):
-        weights = np.array([(1.0 - e) ** m * e ** (k - m) for e in eps_values])
+    for m, weights in enumerate(_erasure_weights(tuple(eps_values), by_count.shape[-1] - 1)):
         acc = acc + np.multiply.outer(weights, by_count[..., m])
     return acc
 

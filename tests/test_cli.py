@@ -808,10 +808,14 @@ def test_infinite_grid_rmax_rejected(capsys):
      "error: --graph/--radius: ball has more than 20 vertices; enumeration is capped at 20"),
     (("spin-sync", "mi", "--graph", "path:1", "--theta", "0.5", "--eps", "0.5"),
      "error: --graph/--radius: path needs at least two vertices"),
+    # a binomial coefficient of the leaf law overflowed the float in a traceback
+    (("mc", "entropy", "--model", "regular:1100", "--theta", "0.01", "--survey", "bsc:0.2",
+      "--depth", "1", "--samples", "10"),
+     "error: --model: regular degree 1100 is past 1029"),
 ], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth",
         "wsm-arena", "de-run-symmetry", "de-probe-symmetry", "de-run-tiny-rmax",
         "de-probe-tiny-rmax", "derivative-tiny-h", "derivative-eps", "mi-ball-cap",
-        "mi-exact-cap", "mi-ball-size", "mi-path-size"])
+        "mi-exact-cap", "mi-ball-size", "mi-path-size", "mc-leaf-law-degree"])
 def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

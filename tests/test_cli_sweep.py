@@ -57,6 +57,15 @@ GRAPH_CASES = [
      "--radius"),
 ]
 
+# Extreme but valid trees for every command with --model: a degree past the
+# float binomial, a Poisson mean past truncation, and x = d (1 - reveal) = 1.02
+# (bec:0.51 reveals 0.49), whose depth-900 tree would be 2.8e9 nodes.
+MODEL_CASES = [
+    ["--model", "regular:1100", "--theta", "0.01", "--survey", "bsc:0.2", "--depth", "1"],
+    ["--model", "poisson:800", "--theta", "0.01", "--survey", "bsc:0.2", "--depth", "1"],
+    ["--model", "regular:2", "--theta", "0.5", "--survey", "bec:0.51", "--depth", "900"],
+]
+
 
 def _value_flags(command) -> list[str]:
     """Every flag of the command that takes a value, from the parser itself."""
@@ -78,8 +87,9 @@ def _with(base: list[str], flag: str, value: str) -> list[str]:
     return argv + [f"{flag}={value}"]
 
 
-def _judge(argv: list[str], flag: str) -> str | None:
-    """None when the call keeps the contract, else what went wrong."""
+def _judge(argv: list[str], *flags: str) -> str | None:
+    """None when the call keeps the contract, else what went wrong; an error
+    must name one of flags."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -101,8 +111,8 @@ def _judge(argv: list[str], flag: str) -> str | None:
         return f"exit {code}"
     if out or err.count("\n") != 1 or not err.startswith("error: ") or "Traceback" in err:
         return f"not a one-line error: {err!r}"
-    if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", err):
-        return f"error does not name {flag}: {err!r}"
+    if not any(re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", err) for f in flags):
+        return f"error does not name {'/'.join(flags)}: {err!r}"
     return None
 
 
@@ -121,3 +131,21 @@ def test_one_odd_flag_value_is_json_or_a_one_line_error(command):
 @pytest.mark.parametrize("argv, flag", GRAPH_CASES, ids=["ball-cap", "exact-cap", "huge-tree", "huge-grid"])
 def test_graphs_out_of_reach_name_their_flag(argv, flag):
     assert _judge(["spin-sync", "mi", *argv], flag) is None
+
+
+@pytest.mark.parametrize("case", MODEL_CASES,
+                         ids=["regular-1100", "poisson-800", "regular-2-deep"])
+def test_extreme_models_are_json_or_name_model_or_depth(case):
+    failures = []
+    for command, base in BASE.items():
+        flags = _value_flags(command)
+        if "--model" not in flags:
+            continue
+        argv = list(base)
+        for flag, value in zip(case[::2], case[1::2]):
+            if flag in flags:
+                argv = _with(argv, flag, value)
+        problem = _judge([*command, *argv], "--model", "--depth")
+        if problem:
+            failures.append(f"{' '.join([*command, *argv])}: {problem}")
+    assert not failures, "\n".join(failures)

@@ -641,6 +641,27 @@ def test_chunk_plan_budgets_the_nodes_drawn():
             assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
 
 
+def test_tree_size_guard_bounds_the_expected_node_count():
+    # x = d (1 - reveal) = 1.02: x^(depth+1) stays under 2^28 up to depth 979,
+    # yet sum_j x^j passes 2^28 from depth 782 (2.8e9 nodes at depth 900)
+    model = TreeModel.regular(2, 0.5)
+    assert _nodes_per_tree(model, 781, 0.49) == 265_646_587
+    for depth in (782, 900, 979):
+        with pytest.raises(ValueError, match=rf"^depth {depth} needs about .* past the 2\^28"):
+            _nodes_per_tree(model, depth, 0.49)
+    # x = 1 counts depth + 1 nodes, and x = 2 keeps its limit of depth 27
+    assert _nodes_per_tree(model, 2 ** 28 - 1, 0.5) == 2 ** 28
+    with pytest.raises(ValueError, match="^depth 268435456 needs about 2.68e"):
+        _nodes_per_tree(model, 2 ** 28, 0.5)
+    assert _nodes_per_tree(model, 27, 0.0) == 2 ** 28
+    with pytest.raises(ValueError, match=r"^depth 100000 needs about 2\^100000 nodes"):
+        _nodes_per_tree(model, 100_000, 0.0)
+    # an excluded root survey bounds the whole tree, not only its subtrees
+    assert _nodes_per_tree(model, 27, 1e-9) < 2 ** 28
+    with pytest.raises(ValueError, match="^depth 28 needs about 5.37e"):
+        _nodes_per_tree(model, 28, 1e-9, include_root_survey=False)
+
+
 # Boundary sets whose root estimators fold the deepest level, each with the
 # leaf statistic its deepest codes carry (the rule of _root_deltas_chunk).
 _FOLDS = [("net", (BoundaryCondition.perfect(), BoundaryCondition.none())),

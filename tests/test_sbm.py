@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treebp import bms, sbm
@@ -18,6 +18,7 @@ from treebp.sbm import (
     MAX_EXACT_N,
     MAX_SUBSET_N,
     SBMInstance,
+    SurveyRealization,
     derivative_identity_scan,
     exact_conditional_entropy,
     exact_entropy_for_instance,
@@ -167,6 +168,8 @@ def test_exact_cap_enforced():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), rows=st.integers(1, 5),
        zero_frac=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=10, rows=1, zero_frac=0.3, seed=10)
+@example(n=12, rows=3, zero_frac=0.0, seed=12)
 def test_subset_lattice_matches_bincount_oracle(n, rows, zero_frac, seed):
     rng = np.random.default_rng(seed)
     masses = rng.random((rows, 1 << n))
@@ -261,11 +264,37 @@ def test_block_loglik_rows_match_one_row_calls(graphs):
     # the graphs of a case share n, a and b; a = 0, b = 0 and a or b = n
     # give -inf factors (probability 0) on edges or non-edges
     n, a, b = graphs[0].n, graphs[0].a, graphs[0].b
-    block = sbm._block_loglik(np.stack([g.adjacency for g in graphs]), n, a, b)
+    none = np.zeros((len(graphs), n), dtype=bool)
+    block = sbm._block_loglik(np.stack([g.adjacency for g in graphs]), n, a, b, none, none)
     assert block.shape == (len(graphs), 1 << n)
     for row, g in zip(block, graphs):
         assert np.array_equal(row, label_loglik(g))
         assert np.array_equal(row, _matrix_form_loglik(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10),
+       ab=st.sampled_from([(4.0, 1.0), (3.0, 0.0), ("n", 1.0), (0.0, "n")]),
+       shown=st.sampled_from(["none", "all", "one erased", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_restricted_enumeration_matches_full_enumeration(n, ab, shown, seed):
+    # b = 0, a = n and a = 0, b = n give -inf labelings that agree with the survey
+    rng = np.random.default_rng(seed)
+    a, b = (float(n) if x == "n" else x for x in ab)
+    inst = sbm._sample_sbm_rng(n, a, b, rng)
+    revealed = {"none": np.zeros(n, dtype=bool), "all": np.ones(n, dtype=bool),
+                "one erased": np.arange(n) != rng.integers(n),
+                "random": rng.random(n) < 0.5}[shown]
+    survey = SurveyRealization(0.5, revealed, np.where(revealed, inst.labels, 0).astype(np.int8))
+    plus = survey.values > 0
+    restricted = sbm._block_loglik(inst.adjacency[None], n, a, b, revealed[None], plus[None])[0]
+    full = label_loglik(inst)
+    agree = (np.arange(1 << n) & (revealed @ (1 << np.arange(n)))) == plus @ (1 << np.arange(n))
+    masked = np.where(agree, full, -math.inf)
+    assert np.array_equal(restricted[restricted > -math.inf], full[agree & (full > -math.inf)])
+    assert np.array_equal(restricted, full[agree])
+    assert np.array_equal(label_loglik(inst, survey), masked)
+    assert sbm._entropy_from_loglik(restricted) == sbm._entropy_from_loglik(masked)
 
 
 @pytest.mark.parametrize("n, epsilon, count, block_floats", [
