@@ -19,9 +19,9 @@ takes one uniform, read off a guide table.  A node's spin is its parent's
 times its code's +-1 int8 spin, so every product with a spin is exact, and
 its survey LLR is that spin times the code's signed magnitude.  The
 deepest level's LLRs and messages are read off exact per-law tables.  A
-chunk stores levels 0..k-2; the root estimators fold the deepest level as
-it is drawn, block by block, into per-parent sums of its messages, so no
-array ever holds the whole level.  The sampler also stops expanding below
+chunk stores levels 0..k-2; the deepest level is folded as it is drawn,
+block by block, into per-parent sums of its messages, so no array ever
+holds the whole level.  The sampler also stops expanding below
 survey-revealed nodes.  A node whose survey draw falls on the noiseless
 atom (delta = 0) knows its spin, so by the Markov property of the
 broadcast its subtree tells its ancestors nothing more: the sampler draws
@@ -30,9 +30,10 @@ no children for it, and the upward pass gives it the LLR spin * LLR_MAX
 whole tree.  The root is never pruned when its own survey is excluded.
 Surveys without a noiseless atom prune nothing and draw exactly what the
 full tree draws.  The boundary-sensitivity probe keeps every node, and
-stores the deepest level whole, since it averages over whole levels.  A
-chunk's level arrays are views of one byte block per process
-(_parallel._Arena), reused by every chunk.
+reads each deepest block's LLRs as it is folded: its per-level statistics
+(moments of the gap, minima) merge block by block.  A chunk's level arrays
+are views of one byte block per process (_parallel._Arena), reused by
+every chunk.
 
 Every estimator, majority_stats and majority_closed_forms included, takes
 the tree as a TreeModel.
@@ -174,14 +175,10 @@ def _chunk_trees(model: TreeModel, depth: int, reveal: float = 0.0,
 
 
 def _arena_bytes(model: TreeModel, depth: int, trees: int, reveal: float = 0.0,
-                 include_root_survey: bool = True, folded: bool = False) -> int:
-    """Arena reservation for a chunk of trees: the levels it stores.  With a
-    stored deepest level those are levels 0..depth-1; with a folded one,
-    levels 0..depth-2 (the roots at depth 1, for their sums) and one draw
-    block of the deepest level."""
-    if not folded:
-        return trees * _nodes_per_tree(model, max(depth - 1, 0), reveal,
-                                       include_root_survey) * _ARENA_NODE_BYTES
+                 include_root_survey: bool = True) -> int:
+    """Arena reservation for a chunk of trees: the levels it stores, 0..depth-2
+    (the roots at depth 1, for their sums), and one draw block of the
+    deepest level."""
     nodes = trees * _nodes_per_tree(model, max(depth - 2, 0), reveal, include_root_survey)
     return (nodes + _DRAW_BLOCK) * _ARENA_NODE_BYTES
 
@@ -401,14 +398,12 @@ class _ChunkLevels:
     closed parent has no children.
 
     The deepest level k-1 is drawn last, block by block (_draw_deepest),
-    and each block is folded as it is drawn.  law is its code law,
-    parent_spins its parents' spins (at depth 1 a virtual + parent per
-    root), and ends its parents' running child counts, None when each
-    parent has deepest_d contiguous children.  The root estimators keep
+    and each block is folded as it is drawn (_fold_deepest).  law is its
+    code law, parent_spins its parents' spins (at depth 1 a virtual +
+    parent per root), and ends its parents' running child counts, None
+    when each parent has deepest_d contiguous children.  The fold keeps
     only sums: per boundary, each parent's sum of its children's messages
-    (at depth 1 the roots' LLRs).  The boundary-sensitivity probe reads
-    every deepest node, so it keeps the level whole: its codes, and its
-    parent map as parents[depth-1].
+    (at depth 1 the roots' LLRs).
     """
 
     sizes: list[int]
@@ -418,7 +413,6 @@ class _ChunkLevels:
     law: _NodeCodes
     parent_spins: np.ndarray
     ends: np.ndarray | None
-    codes: np.ndarray | None = None
     sums: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -426,15 +420,12 @@ class _ChunkLevels:
         """Children per deepest parent when ends is None: 1 at depth 1."""
         return self.d_children if len(self.sizes) > 1 else 1
 
-    def n_leaves(self) -> float:
-        per_code = np.bincount(self.codes, minlength=self.law.children.size)
-        return float(per_code @ self.law.children)
-
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
                          n_trees: int, stat: str | None, include_root_survey: bool,
-                         prune: bool, boundaries: tuple = ()) -> _ChunkLevels:
-    """Draw a chunk top-down, one code per node, each from one uniform.
+                         prune: bool) -> _ChunkLevels:
+    """Draw a chunk top-down, one code per node, each from one uniform, and
+    stop at the deepest level, which _fold_deepest draws.
 
     A node's spin is its parent's times its code's spin, and its survey LLR
     is that spin times the code's w.  Open nodes have children, d each on
@@ -442,9 +433,7 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     none.  With prune, revealed nodes are closed, the root only when its
     survey counts; without, every node is open.  The deepest codes carry
     the leaf statistic stat: None, "net" (the leaves' net spin sum) or
-    "count".  At depth 1 the deepest level is the root.  With boundaries
-    the deepest level is folded into their sums as it is drawn; without,
-    it is stored whole.
+    "count".  At depth 1 the deepest level is the root.
     """
     regular = model.kind == "regular"
     d_int = int(model.d) if regular else None
@@ -478,12 +467,7 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
         else:   # the codes are spent too: their child counts, then running sums, go over them
             ends = np.cumsum(law.children.take(codes, out=codes, mode="clip"), out=codes)
             n = int(ends[-1]) if n else 0
-    levels = _ChunkLevels(sizes, parents, surveys, d_int, law, sp, ends)
-    if boundaries:
-        _fold_deepest(rng, levels, boundaries)
-    else:
-        _store_deepest(rng, levels)
-    return levels
+    return _ChunkLevels(sizes, parents, surveys, d_int, law, sp, ends)
 
 
 def _draw_deepest(rng, levels: _ChunkLevels, fold) -> None:
@@ -516,21 +500,6 @@ def _draw_deepest(rng, levels: _ChunkLevels, fold) -> None:
                 np.subtract(ends[plo:phi], lo, out=_ARENA.empty(phi - plo, np.intp)))
             fold(lo, hi, plo, phi, codes, par)
         lo, plo = hi, phi
-
-
-def _store_deepest(rng, levels: _ChunkLevels) -> None:
-    """Draw the deepest level into levels.codes and its parent map."""
-    n = levels.sizes[-1]
-    codes = levels.codes = _ARENA.empty(n, np.intp)
-    par = None if levels.ends is None else _ARENA.empty(n, np.intp)
-    levels.parents.append(par)
-
-    def store(lo, hi, plo, phi, block_codes, block_par):
-        codes[lo:hi] = block_codes
-        if par is not None:
-            np.add(block_par, plo, out=par[lo:hi])
-
-    _draw_deepest(rng, levels, store)
 
 
 def _table_entries(table: np.ndarray, codes: np.ndarray, spins: np.ndarray,
@@ -568,20 +537,24 @@ def _table_sums(boundary: BoundaryCondition, table: np.ndarray, codes: np.ndarra
     return out
 
 
-def _fold_deepest(rng, levels: _ChunkLevels, boundaries) -> None:
+def _fold_deepest(rng, levels: _ChunkLevels, boundaries, read=None) -> None:
     """Draw the deepest level and fold it into levels.sums, one per boundary:
     each parent's sum of its children's messages, or at depth 1 each
     root's LLR (its virtual parent's one child).  A parent's children all
     sit in one block, so every sum adds the same terms in the same order
-    as over the stored level."""
-    msg = 1 if len(levels.sizes) > 1 else 0         # tables() gives (llr, msg)
-    tables = [levels.law.tables(b)[msg] for b in boundaries]
+    as over the whole level.  read(codes, llrs), if given, sees each
+    block's codes and its nodes' LLRs, one array per boundary."""
+    msg = 1 if len(levels.sizes) > 1 else 0
+    tables = [levels.law.tables(b) for b in boundaries]     # (llr, msg) each
     spins, d = levels.parent_spins, levels.deepest_d
     levels.sums = [_ARENA.empty(spins.size) for _ in boundaries]
 
     def fold(lo, hi, plo, phi, codes, par):
         for boundary, table, sums in zip(boundaries, tables, levels.sums):
-            _table_sums(boundary, table, codes, spins[plo:phi], par, d, sums[plo:phi])
+            _table_sums(boundary, table[msg], codes, spins[plo:phi], par, d, sums[plo:phi])
+        if read is not None:
+            read(codes, [_table_entries(table[0], codes, spins[plo:phi], par, d,
+                                        _ARENA.empty(codes.size)) for table in tables])
 
     _draw_deepest(rng, levels, fold)
 
@@ -606,17 +579,6 @@ def _upward_levels(r: np.ndarray, levels: _ChunkLevels, theta: float):
         yield r
 
 
-def _stored_upward(boundary: BoundaryCondition, levels: _ChunkLevels, theta: float):
-    """Upward pass from a stored deepest level: yields the saturated LLRs of
-    levels k-1, ..., 0, root last."""
-    llr, msg = levels.law.tables(boundary)
-    spins, par, d = levels.parent_spins, levels.parents[-1], levels.deepest_d
-    yield _table_entries(llr, levels.codes, spins, par, d, _ARENA.empty(levels.codes.size))
-    if len(levels.sizes) > 1:
-        r = _table_sums(boundary, msg, levels.codes, spins, par, d, _ARENA.empty(spins.size))
-        yield from _upward_levels(r, levels, theta)
-
-
 def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
                        include_root_survey, arena_bytes=0):
     if depth == 0:              # the root entropy sees only |r|: no spins needed
@@ -629,7 +591,8 @@ def _root_deltas_chunk(rng, count, *, model, survey, depth, boundaries,
     out = np.empty((len(boundaries), count))
     with _ARENA.chunk(arena_bytes):
         levels = _sample_chunk_levels(rng, model, survey, depth, count, stat,
-                                      include_root_survey, prune=True, boundaries=boundaries)
+                                      include_root_survey, prune=True)
+        _fold_deepest(rng, levels, boundaries)
         for i, sums in enumerate(levels.sums):
             with _ARENA.scratch():
                 r = sums                    # at depth 1 the sums are the roots' LLRs
@@ -649,8 +612,7 @@ def _collect_root_deltas(model, survey, depth, boundaries, n_samples, seed,
     chunk = _chunk_trees(model, depth, reveal, include_root_survey)
     task = partial(_root_deltas_chunk, model=model, survey=survey, depth=depth,
                    boundaries=tuple(boundaries), include_root_survey=include_root_survey,
-                   arena_bytes=_arena_bytes(model, depth, chunk, reveal, include_root_survey,
-                                            folded=True))
+                   arena_bytes=_arena_bytes(model, depth, chunk, reveal, include_root_survey))
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     return np.concatenate(parts, axis=1)
 
@@ -875,24 +837,14 @@ def majority_stats(model: TreeModel, eta: float, depth: int, n_samples: int,
 # Weak spatial mixing probe
 
 
-def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey,
-                   arena_bytes=0):
-    stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
-    with _ARENA.chunk(arena_bytes):
-        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
-                                      include_root_survey, prune=False)
-        stats[depth] = (levels.n_leaves(), 2.0 * magnitude, 0.0)
-        # the two passes are interleaved, so their arrays stay taken until the chunk ends
-        up_plus, up_minus = (_stored_upward(b, levels, model.theta)
-                             for b in (BoundaryCondition.plus(magnitude),
-                                       BoundaryCondition.minus(magnitude)))
-        for j, rp, rm in zip(range(depth - 1, -1, -1), up_plus, up_minus):
-            g = np.subtract(rp, rm, out=_ARENA.empty(rp.size))
-            np.abs(g, out=g)
-            mean = g.mean() if g.size else 0.0
-            g -= mean
-            stats[j] = (g.size, mean, np.dot(g, g))
-    return stats
+def _gap_moments(rp: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """(count, mean, sum of squared deviations) of |rp - rm|."""
+    with _ARENA.scratch():
+        g = np.subtract(rp, rm, out=_ARENA.empty(rp.size))
+        np.abs(g, out=g)
+        mean = g.mean() if g.size else 0.0
+        g -= mean
+        return np.array([g.size, mean, np.dot(g, g)])
 
 
 def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -902,18 +854,43 @@ def _merge_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = na + nb
     w = nb / np.maximum(n, 1.0)
     delta = mb - ma
-    return np.stack([n, ma + delta * w, sa + sb + delta * delta * na * w], axis=1)
+    return np.stack([n, ma + delta * w, sa + sb + delta * delta * na * w], axis=-1)
 
 
-def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, include_root_survey,
-                   arena_bytes=0):
+def _wsm_gap_chunk(rng, count, *, model, survey, depth, magnitude, arena_bytes=0):
+    stats = np.zeros((depth + 1, 3))          # per level: count, mean, sum of squared deviations
+    stats[depth, 1] = 2.0 * magnitude         # the leaves; read counts them block by block
+
+    def read(codes, llrs):
+        stats[depth, 0] += np.bincount(codes, minlength=children.size) @ children
+        stats[depth - 1] = _merge_moments(stats[depth - 1], _gap_moments(*llrs))
+
+    with _ARENA.chunk(arena_bytes):
+        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count", True,
+                                      prune=False)
+        children = levels.law.children
+        _fold_deepest(rng, levels, (BoundaryCondition.plus(magnitude),
+                                    BoundaryCondition.minus(magnitude)), read)
+        # the two passes are interleaved, so their arrays stay taken until the chunk ends
+        up_plus, up_minus = (_upward_levels(sums, levels, model.theta) for sums in levels.sums)
+        for j, rp, rm in zip(range(depth - 2, -1, -1), up_plus, up_minus):
+            stats[j] = _gap_moments(rp, rm)
+    return stats
+
+
+def _wsm_min_chunk(rng, count, *, model, survey, depth, magnitude, arena_bytes=0):
     mins = np.full(depth + 1, math.inf)
     mins[depth] = magnitude
+
+    def read(codes, llrs):
+        mins[depth - 1] = llrs[0].min(initial=mins[depth - 1])
+
     with _ARENA.chunk(arena_bytes):
-        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count",
-                                      include_root_survey, prune=False)
-        mins[depth - 1::-1] = [r.min() for r in _stored_upward(
-            BoundaryCondition.plus(magnitude), levels, model.theta)]
+        levels = _sample_chunk_levels(rng, model, survey, depth, count, "count", True,
+                                      prune=False)
+        _fold_deepest(rng, levels, (BoundaryCondition.plus(magnitude),), read)
+        mins[:depth - 1] = [r.min() for r in _upward_levels(levels.sums[0], levels,
+                                                              model.theta)][::-1]
     return mins
 
 
@@ -965,7 +942,6 @@ def _separation_level(model: TreeModel, survey: SurveySpec) -> tuple[float | Non
 
 def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
               seed: int = 0, boundary_magnitude: float = LLR_MAX,
-              include_root_survey: bool = True,
               workers: int | None = None) -> WSMReport:
     """Probe boundary sensitivity; regime chosen by the sign of d*theta - 1."""
     if depth < 1:
@@ -980,8 +956,7 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
 
     if dtheta <= 1.0:
         task = partial(_wsm_gap_chunk, model=model, survey=survey, depth=depth,
-                       magnitude=boundary_magnitude,
-                       include_root_survey=include_root_survey, arena_bytes=arena_bytes)
+                       magnitude=boundary_magnitude, arena_bytes=arena_bytes)
         parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
         stats = reduce(_merge_moments, parts)
         gaps, stderrs = [], []
@@ -1007,8 +982,7 @@ def wsm_probe(model: TreeModel, survey: SurveySpec, depth: int, n_samples: int,
                          x_found=None, margin=margin, persists=False,
                          status="no_separation_found")
     task = partial(_wsm_min_chunk, model=model, survey=survey, depth=depth,
-                   magnitude=boundary_magnitude,
-                   include_root_survey=include_root_survey, arena_bytes=arena_bytes)
+                   magnitude=boundary_magnitude, arena_bytes=arena_bytes)
     parts = parallel_chunk_map(task, n_samples, chunk, seed, workers)
     mins = np.full(depth + 1, math.inf)
     for p in parts:

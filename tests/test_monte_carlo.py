@@ -18,6 +18,7 @@ from treebp.monte_carlo import (
     LLR_MAX,
     BoundaryCondition,
     _chunk_trees,
+    _fold_deepest,
     _leaf_law,
     _NodeCodes,
     _nodes_per_tree,
@@ -26,6 +27,8 @@ from treebp.monte_carlo import (
     _root_deltas_chunk,
     _sample_chunk_levels,
     _upward_levels,
+    _wsm_gap_chunk,
+    _wsm_min_chunk,
     degradation_check,
     estimate_entropy,
     estimate_entropy_pair,
@@ -595,23 +598,27 @@ def test_clipped_finite_survey_is_not_pruned():
     # bsc:1e-15 has magnitude 34.5, which clips to LLR_MAX, yet it is a noisy
     # atom: every node keeps its children
     model, n_trees, depth = TreeModel.regular(3, 0.7), 50, 4
-    levels = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bsc(1e-15),
-                                  depth, n_trees, "net", True, prune=True)
+    rng = np.random.default_rng(0)
+    levels = _sample_chunk_levels(rng, model, SurveySpec.bsc(1e-15), depth, n_trees, "net",
+                                  True, prune=True)
+    codes, par = _store_deepest(rng, levels)
     assert levels.sizes == [n_trees * 3 ** j for j in range(depth)]
-    assert all(par is None for par in levels.parents)
-    assert levels.n_leaves() == n_trees * 3 ** depth
+    assert all(par is None for par in levels.parents + [par])
+    assert _leaf_count(levels, codes) == n_trees * 3 ** depth
     assert np.all(np.abs(levels.surveys[1]) == LLR_MAX)
 
     # an erasure survey reads 0 on open nodes and spin * LLR_MAX on revealed
     # ones, which get no children
-    erasure = _sample_chunk_levels(np.random.default_rng(0), model, SurveySpec.bec(0.5),
-                                   depth, n_trees, "net", True, prune=True)
+    rng = np.random.default_rng(0)
+    erasure = _sample_chunk_levels(rng, model, SurveySpec.bec(0.5), depth, n_trees, "net",
+                                   True, prune=True)
+    parents = erasure.parents + [_store_deepest(rng, erasure)[1]]
     assert erasure.sizes[0] == n_trees
     for j in range(depth - 1):
         is_open = erasure.surveys[j] == 0.0
         assert np.all(np.abs(erasure.surveys[j][~is_open]) == LLR_MAX)
         assert erasure.sizes[j + 1] == 3 * np.count_nonzero(is_open)
-        assert np.array_equal(erasure.parents[j + 1], np.repeat(np.flatnonzero(is_open), 3))
+        assert np.array_equal(parents[j + 1], np.repeat(np.flatnonzero(is_open), 3))
     assert erasure.sizes[-1] < n_trees * 3 ** (depth - 1)
 
 
@@ -632,12 +639,14 @@ def test_chunk_plan_budgets_the_nodes_drawn():
     # the deepest codes, plus the leaves those codes stand for
     for tree in (model, TreeModel.poisson(4.0, 0.8)):
         for root in (True, False):
-            levels = _sample_chunk_levels(np.random.default_rng(0), tree, SurveySpec.bec(0.5),
-                                          6, 4000, "count", root, prune=True)
-            assert levels.codes.size == levels.sizes[-1]
+            rng = np.random.default_rng(0)
+            levels = _sample_chunk_levels(rng, tree, SurveySpec.bec(0.5), 6, 4000, "count",
+                                          root, prune=True)
+            codes, _ = _store_deepest(rng, levels)
+            assert codes.size == levels.sizes[-1]
             drawn = sum(levels.sizes) / 4000
             assert drawn == pytest.approx(_nodes_per_tree(tree, 5, 0.5, root), rel=0.05)
-            drawn = (sum(levels.sizes) + levels.n_leaves()) / 4000
+            drawn = (sum(levels.sizes) + _leaf_count(levels, codes)) / 4000
             assert drawn == pytest.approx(_nodes_per_tree(tree, 6, 0.5, root), rel=0.05)
 
 
@@ -690,10 +699,10 @@ class _CountingUniforms:
 def test_sampler_draws_one_uniform_per_node(model, survey):
     for prune, root, depth in product((True, False), (True, False), range(1, 5)):
         for stat, folded in _FOLDS:
-            for boundaries in ((), folded):     # the deepest level stored, then folded
+            for boundaries in ((), folded):     # the deepest level drawn alone, then folded
                 rng = _CountingUniforms(depth)
-                levels = _sample_chunk_levels(rng, model, survey, depth, 40, stat, root, prune,
-                                              boundaries)
+                levels = _sample_chunk_levels(rng, model, survey, depth, 40, stat, root, prune)
+                _fold_deepest(rng, levels, boundaries)
                 assert len(levels.sizes) == depth
                 assert rng.drawn == sum(levels.sizes)
     for boundary in (BoundaryCondition.perfect(), BoundaryCondition.plus()):
@@ -703,36 +712,64 @@ def test_sampler_draws_one_uniform_per_node(model, survey):
         assert rng.drawn == 0 and out.shape == (1, 40)
 
 
-def _stored_sums(levels, boundary: BoundaryCondition) -> np.ndarray:
+def _store_deepest(rng, levels) -> tuple[np.ndarray, np.ndarray | None]:
+    """The deepest level drawn whole, the oracle of the fold: each node's
+    code and its parent's row (None when each parent has deepest_d
+    contiguous children), from the blocks of monte_carlo._draw_deepest."""
+    n = levels.sizes[-1]
+    codes = np.empty(n, np.intp)
+    par = None if levels.ends is None else np.empty(n, np.intp)
+
+    def store(lo, hi, plo, phi, block_codes, block_par):
+        codes[lo:hi] = block_codes
+        if par is not None:
+            np.add(block_par, plo, out=par[lo:hi])
+
+    monte_carlo._draw_deepest(rng, levels, store)
+    return codes, par
+
+
+def _leaf_count(levels, codes: np.ndarray) -> int:
+    """The leaves below a stored deepest level: its nodes' children."""
+    return int(levels.law.children[codes].sum())
+
+
+def _stored_entries(levels, codes, par, table: np.ndarray) -> np.ndarray:
+    """Each stored deepest node's entry of a (parent spin, code) table."""
+    spins = levels.parent_spins
+    rows = np.repeat(np.arange(spins.size), levels.deepest_d) if par is None else par
+    return table[(spins[rows] > 0).astype(np.intp), codes]
+
+
+def _stored_sums(levels, codes, par, boundary: BoundaryCondition) -> np.ndarray:
     """A stored deepest level's per-parent sums, as the upward pass took them
     before the fold: every node's own entry of the full table, summed over
     the whole level by one reshape or bincount."""
     llr, msg = levels.law.tables(boundary)
-    table = msg if len(levels.sizes) > 1 else llr         # at depth 1 the roots' LLRs
-    spins, par = levels.parent_spins, levels.parents[-1]
-    d = levels.sizes[-1] // spins.size if par is None else None
-    rows = np.repeat(np.arange(spins.size), d) if par is None else par
-    values = table[(spins[rows] > 0).astype(np.intp), levels.codes]
-    if par is None:
-        return values.reshape(-1, d).sum(axis=1)
+    values = _stored_entries(levels, codes, par, msg if len(levels.sizes) > 1 else llr)
+    if par is None:                                     # at depth 1 the roots' LLRs
+        return values.reshape(-1, levels.deepest_d).sum(axis=1)
     # as floats even when there are no children (bincount returns int64 on empty input)
-    return np.bincount(par, weights=values, minlength=spins.size).astype(np.float64, copy=False)
+    return np.bincount(par, weights=values,
+                       minlength=levels.parent_spins.size).astype(np.float64, copy=False)
 
 
 def _check_fold(model, survey, depth, n_trees, root, seed=0):
     """Each boundary set's folded sums, and the root estimates taken from
     them, equal the stored computation on the same chunk, bit for bit."""
     for stat, boundaries in _FOLDS:
-        stored = _sample_chunk_levels(np.random.default_rng(seed), model, survey, depth,
-                                      n_trees, stat, root, True)
-        folded = _sample_chunk_levels(np.random.default_rng(seed), model, survey, depth,
-                                      n_trees, stat, root, True, boundaries)
+        rng = np.random.default_rng(seed)
+        stored = _sample_chunk_levels(rng, model, survey, depth, n_trees, stat, root, True)
+        codes, par = _store_deepest(rng, stored)
+        rng = np.random.default_rng(seed)
+        folded = _sample_chunk_levels(rng, model, survey, depth, n_trees, stat, root, True)
+        _fold_deepest(rng, folded, boundaries)
         assert folded.sizes == stored.sizes
         out = _root_deltas_chunk(np.random.default_rng(seed), n_trees, model=model,
                                  survey=survey, depth=depth, boundaries=boundaries,
                                  include_root_survey=root)
         for boundary, sums, deltas in zip(boundaries, folded.sums, out):
-            r = _stored_sums(stored, boundary)
+            r = _stored_sums(stored, codes, par, boundary)
             assert np.array_equal(sums, r)
             for r in _upward_levels(r, stored, model.theta):     # the root's LLRs come last
                 pass
@@ -788,6 +825,53 @@ def test_fold_meets_every_block_edge(monkeypatch):
     assert any(empty)                                   # a deepest level with no nodes
 
 
+def _stored_probe(model, survey, depth, n_trees, magnitude, seed):
+    """A probe chunk's statistics taken from its whole stored deepest level,
+    as _wsm_gap_chunk and _wsm_min_chunk took them before the fold: per
+    level (count, mean, M2) of the gap |r+ - r-| over the whole level, and
+    the plus boundary's minimum."""
+    rng = np.random.default_rng(seed)
+    levels = _sample_chunk_levels(rng, model, survey, depth, n_trees, "count", True, False)
+    codes, par = _store_deepest(rng, levels)
+    stats, mins = np.zeros((depth + 1, 3)), np.full(depth + 1, math.inf)
+    stats[depth], mins[depth] = (_leaf_count(levels, codes), 2.0 * magnitude, 0.0), magnitude
+    passes = []
+    for boundary in (BoundaryCondition.plus(magnitude), BoundaryCondition.minus(magnitude)):
+        deepest = _stored_entries(levels, codes, par, levels.law.tables(boundary)[0])
+        upper = (_upward_levels(_stored_sums(levels, codes, par, boundary), levels, model.theta)
+                 if depth > 1 else ())
+        passes.append([deepest, *upper])                            # levels depth-1, ..., 0
+    for j, rp, rm in zip(range(depth - 1, -1, -1), *passes):
+        g = np.abs(rp - rm)
+        mean = g.mean() if g.size else 0.0
+        g -= mean
+        stats[j], mins[j] = (g.size, mean, np.dot(g, g)), rp.min()
+    return stats, mins
+
+
+@pytest.mark.parametrize("survey", [SurveySpec.trivial(), SurveySpec.bsc(0.2),
+                                    SurveySpec.bec(0.5)], ids=["trivial", "bsc", "bec"])
+@pytest.mark.parametrize("model", [TreeModel.regular(3, 0.3), TreeModel.poisson(3.0, 0.3)],
+                         ids=["regular", "poisson"])
+@pytest.mark.parametrize("block", [5, monte_carlo._DRAW_BLOCK], ids=["block5", "block"])
+def test_probe_reads_the_folded_level_as_the_stored_one(monkeypatch, model, survey, block):
+    # counts, leaf counts, minima and every level above the deepest are the
+    # stored level's to the bit; the deepest level's moments merge block by
+    # block, which moves its mean and M2 by rounding only
+    monkeypatch.setattr(monte_carlo, "_DRAW_BLOCK", block)
+    for depth in (1, 2, 3):
+        want, want_mins = _stored_probe(model, survey, depth, 60, 2.5, seed=depth)
+        task = dict(model=model, survey=survey, depth=depth, magnitude=2.5)
+        got = _wsm_gap_chunk(np.random.default_rng(depth), 60, **task)
+        assert np.array_equal(_wsm_min_chunk(np.random.default_rng(depth), 60, **task), want_mins)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        above = [j for j in range(depth + 1) if j != depth - 1]
+        assert np.array_equal(got[above], want[above])
+        n, mean, m2 = want[depth - 1]
+        assert got[depth - 1, 1] == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert abs(got[depth - 1, 2] - m2) <= 1e-14 * (m2 + n * mean * mean)
+
+
 def test_folded_chunks_stay_inside_a_smaller_arena(monkeypatch):
     # the stored deepest level (codes, parent map and one pass's + row)
     # took the arena to 26.9 MB on this call; folded, it reads 11.9 MB
@@ -806,13 +890,15 @@ def test_folded_chunks_stay_inside_a_smaller_arena(monkeypatch):
     assert 400 > 2 * _chunk_trees(model, 7)                 # three chunks
     estimate_entropy_pair(model, survey, 7, 400, workers=1)
     assert seen["top"] < 14e6 and seen["heap"] == 0
-    # the probe stores its deepest level, in both of its regimes
-    for model, survey in ((TreeModel.poisson(3.0, 0.3), survey),
-                          (TreeModel.regular(3, 0.5), SurveySpec.bsc(0.49))):
+    # the probe folds its deepest level too, in both of its regimes: with the
+    # level stored whole these calls took the arena to 21.2 and 13.0 MB;
+    # folded, they read 8.5 and 5.6 MB
+    for model, survey, bound in ((TreeModel.poisson(3.0, 0.3), survey, 10e6),
+                                 (TreeModel.regular(3, 0.5), SurveySpec.bsc(0.49), 7e6)):
         monkeypatch.setattr(monte_carlo._ARENA, "block", np.empty(0, np.uint8))
         seen.update(top=0, heap=0)
-        wsm_probe(model, survey, 6, 400, workers=1)
-        assert seen["top"] > 0 and seen["heap"] == 0
+        wsm_probe(model, survey, 7, 400, workers=1)
+        assert seen["top"] < bound and seen["heap"] == 0
 
 
 @pytest.mark.parametrize("counts", [
@@ -1055,6 +1141,18 @@ def test_wsm_separation_invariant_under_worker_count():
     n = 2 * _chunk_trees(model, depth) + 100          # three chunks
     one, two = (wsm_probe(model, survey, depth, n, seed=7, workers=w) for w in (1, 2))
     assert one.regime == "separation" and one.status == "ok"
+    assert one == two
+
+
+def test_wsm_contraction_invariant_under_worker_count():
+    # three chunks, of 4,096, 4,096 and 2,048 trees, whose deepest levels
+    # span several draw blocks each
+    model, survey, depth = TreeModel.poisson(2.0, 0.4), SurveySpec.bsc(0.2), 7
+    chunk = _chunk_trees(model, depth)
+    assert chunk // 2 * 2 ** (depth - 1) > monte_carlo._DRAW_BLOCK       # expected rows
+    n = 2 * chunk + chunk // 2
+    one, two = (wsm_probe(model, survey, depth, n, seed=8, workers=w) for w in (1, 2))
+    assert one.regime == "contraction"
     assert one == two
 
 
