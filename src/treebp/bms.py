@@ -76,53 +76,61 @@ def _lattice_rows(n_bits: int, rows: int) -> int:
 
 def _lattice_bytes(n_bits: int, rows: int = 1) -> int:
     """Arena bytes _subset_entropies takes for rows mass rows, alignment included."""
-    return 8 * (2 * _lattice_rows(n_bits, rows) + 1) * 3 ** n_bits + 128
+    return 16 * (2 * _lattice_rows(n_bits, rows) + (rows > 1)) * 3 ** (n_bits - 1) + 128
 
 
 def _subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
     """Entry S: sum over rows of the entropy of the marginal keeping the bits of S.
 
-    masses is (rows, 2**n_bits) or (2**n_bits,); bit j of S is bit j of the
-    mass index.  The up pass, the 3^n subset-sum transform, splits the leading
-    bit axis (bit n-1 first) into slots [bit 0, bit 1, summed out] ahead of
-    the slots made, (rows, R, 3, 3^i), writing runs of 3^i cells; the down
-    pass folds the row-summed -t log t back, trailing slot (bit n-1) first,
-    slot 2 = bit not in S, 0 + 1 = in S, each bit behind the bits folded,
-    (F, 2, P), ending in bitmask order.  Layout aside, each sum adds its
-    terms in that bit order.  The lattice pair and the multi-row sum come
-    from _ARENA (the heap outside a chunk), freed on return; the table is not.
+    masses is (rows, 2**n_bits) or (2**n_bits,), n_bits >= 1, each row its own
+    reverse; bit j of S is bit j of the mass index.  Each bit's slots run [bit 0,
+    summed out, bit 1], so flipping every bit reverses the lattice, and the up
+    pass, the 3^n subset-sum transform, builds the bit 0 = 0 third A alone: it
+    splits the leading bit axis (bit n-1 first) into slots ahead of the slots made,
+    (rows, R, 3, 3^i), writing runs of 3^i cells; bit 0 summed out is A + A
+    reversed.  The down pass folds the row-summed -t log t of both thirds back,
+    trailing slot (bit n-1) first, slot 1 = bit not in S, 0 + 2 = in S, (F, 2, P),
+    and doubles A's fold for bit 0 in S.  Each sum adds its terms in bit order, a
+    mirror cell's in swapped order, as the full lattice does.  The lattice pair and
+    the multi-row sum come from _ARENA (the heap outside a chunk), freed on return.
     """
     rows = np.asarray(masses, dtype=float).reshape(-1, 1 << n_bits)
-    cells = 3 ** n_bits
+    if n_bits < 1 or not np.array_equal(rows, rows[:, ::-1]):
+        raise ValueError("the subset lattice needs n_bits >= 1 and rows equal to their reverse")
+    half = 3 ** (n_bits - 1)
     block = _lattice_rows(n_bits, len(rows))
     with _ARENA.scratch():
-        acc = _ARENA.empty(cells) if len(rows) > 1 else None
+        acc = _ARENA.empty(2 * half).reshape(2, half) if len(rows) > 1 else None
         # the passes alternate between the two rows of the pair
-        lattice = _ARENA.empty(2 * block * cells).reshape(2, -1)
+        lattice = _ARENA.empty(4 * block * half).reshape(2, -1)
         for start in range(0, len(rows), block):
-            t = rows[start:start + block]
-            for i in range(n_bits):
+            t = rows[start:start + block, 0::2]
+            pair_rows = lattice[:, :2 * half * len(t)].reshape(2, len(t), 2, half)
+            for i in range(n_bits - 1):        # the last pass writes A at pair_rows[n % 2, :, 0]
                 pair = t.reshape(len(t), 2, -1, 3 ** i)
-                up = lattice[i % 2, :3 * pair[:, 0].size].reshape(len(t), -1, 3, 3 ** i)
+                up = pair_rows[i % 2, :, 0, :3 * pair[0, 0].size].reshape(len(t), -1, 3, 3 ** i)
                 up[:, :, 0] = pair[:, 0]
-                up[:, :, 1] = pair[:, 1]
-                np.add(pair[:, 0], pair[:, 1], out=up[:, :, 2])
+                np.add(pair[:, 0], pair[:, 1], out=up[:, :, 1])
+                up[:, :, 2] = pair[:, 1]
                 t = up.reshape(len(t), -1)
-            ent = lattice[n_bits % 2, :t.size].reshape(t.shape)
+            halves = pair_rows[n_bits % 2]
+            halves[:, 0] = t                   # a no-op but at n_bits = 1
+            np.add(t, t[:, ::-1], out=halves[:, 1])
+            ent = pair_rows[(n_bits + 1) % 2]
             with np.errstate(divide="ignore", invalid="ignore"):   # an unmasked log is faster
-                ent = np.multiply(np.log(t, out=ent), t, out=ent)
-            ent[t == 0.0] = 0.0             # 0 log 0 = 0 where the log left nan
+                ent = np.multiply(np.log(halves, out=ent), halves, out=ent)
+            ent[halves == 0.0] = 0.0        # 0 log 0 = 0 where the log left nan
             if start:
                 ent[0] += acc   # axis-0 sums add rows in order: any block size agrees
             h = ent[0] if acc is None else ent.sum(axis=0, out=acc)
-        h = np.negative(h, out=h)
-        for i in range(n_bits):
-            trio = h.reshape(1 << i, -1, 3)
-            down = lattice[(n_bits + 1 + i) % 2, :2 * trio[..., 0].size].reshape(1 << i, 2, -1)
-            down[:, 0] = trio[..., 2]
-            np.add(trio[..., 0], trio[..., 1], out=down[:, 1])
+        h = np.negative(h, out=h).reshape(-1)
+        for i in range(n_bits - 1):
+            trio = h.reshape(2 << i, -1, 3)
+            down = lattice[(n_bits + i) % 2, :2 * trio[..., 0].size].reshape(2 << i, 2, -1)
+            down[:, 0] = trio[..., 1]
+            np.add(trio[..., 0], trio[..., 2], out=down[:, 1])
             h = down.reshape(-1)
-        return h.copy()
+        return np.stack([h[h.size // 2:], h[:h.size // 2] * 2.0], axis=1).ravel()
 
 
 class DeltaDistribution:

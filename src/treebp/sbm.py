@@ -371,7 +371,9 @@ class DerivativeReport:
     entropy (which matches the derivative only on ensemble average);
     diff_sum compares against the vertex sum, which the derivative equals
     exactly per graph, so diff_sum is pure O(h^2) curvature.  curvature_fit
-    is the least-squares h^2 coefficient of mean_diff_sum.
+    is the least-squares h^2 coefficient of mean_diff_sum.  Both verdicts allow
+    rounding: the two entropies are at most n log 2, each off by about its ulp,
+    so their difference over 2h is off by about n log 2 2^-52 / h.
     """
 
     n: int
@@ -386,8 +388,8 @@ class DerivativeReport:
     mean_diff_sum: list[float]
     stderr_diff_sum: list[float]
     curvature_fit: float
-    identity_ok: list[bool]      # |mean_diff_first| <= |C| h^2 + 3 stderr
-    scaling_ok: list[bool]       # |mean_diff_sum - C h^2| <= 3 stderr
+    identity_ok: list[bool]      # |mean_diff_first| <= |C| h^2 + 3 stderr + rounding
+    scaling_ok: list[bool]       # |mean_diff_sum - C h^2| <= 3 stderr + rounding
     ok: bool = field(init=False)
 
     def __post_init__(self):
@@ -427,10 +429,9 @@ def derivative_identity_scan(n: int, a: float, b: float, epsilon: float,
 
     h2 = np.array(h_values) ** 2
     fit = float(np.dot(mean_sum, h2) / np.dot(h2, h2))
-    identity_ok = [bool(abs(mean_first[i]) <= abs(fit) * h2[i] + 3.0 * se_first[i])
-                   for i in range(len(h_values))]
-    scaling_ok = [bool(abs(mean_sum[i] - fit * h2[i]) <= 3.0 * se_sum[i])
-                  for i in range(len(h_values))]
+    rounding = n * math.log(2.0) * 2.0 ** -52 / np.array(h_values)
+    identity_ok = (np.abs(mean_first) <= abs(fit) * h2 + 3.0 * se_first + rounding).tolist()
+    scaling_ok = (np.abs(mean_sum - fit * h2) <= 3.0 * se_sum + rounding).tolist()
     return DerivativeReport(
         n=n, a=a, b=b, epsilon=epsilon, h_values=h_values, n_graphs=n_graphs,
         seed=seed,

@@ -2,7 +2,8 @@
 
 Each shares no code path with the enumeration it checks: a pure-Python
 linear-domain enumeration of every labeling, and the zero-erasure
-single-vertex entropy read off per-pair posterior odds.  Also the
+single-vertex entropy read off per-pair posterior odds.  Also the full
+3^n subset lattice, the bit-for-bit reference of the half lattice, and the
 per-vertex leave-one-out entropy, one vertex at a time, as the reference
 for the all-vertex terms of the derivative scan, and two trend reports:
 exact finite-n entropies next to the tree integral and next to the two
@@ -17,8 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from treebp._parallel import parallel_chunk_map
-from treebp.bms import SurveySpec, _popcounts
+from treebp._parallel import _ARENA, parallel_chunk_map
+from treebp.bms import SurveySpec, _lattice_rows, _popcounts
 from treebp.density_evolution import DEConfig, run_pair
 from treebp.sbm import (
     MAX_SUBSET_N,
@@ -33,6 +34,55 @@ from treebp.sbm import (
     sbm_tree_model,
     subset_entropy_table,
 )
+
+
+def full_lattice_subset_entropies(masses: np.ndarray, n_bits: int) -> np.ndarray:
+    """Entry S: sum over rows of the entropy of the marginal keeping the bits of S.
+
+    masses is (rows, 2**n_bits) or (2**n_bits,); bit j of S is bit j of the
+    mass index.  The up pass, the 3^n subset-sum transform, splits the leading
+    bit axis (bit n-1 first) into slots [bit 0, bit 1, summed out] ahead of
+    the slots made, (rows, R, 3, 3^i), writing runs of 3^i cells; the down
+    pass folds the row-summed -t log t back, trailing slot (bit n-1) first,
+    slot 2 = bit not in S, 0 + 1 = in S, each bit behind the bits folded,
+    (F, 2, P), ending in bitmask order.  Layout aside, each sum adds its
+    terms in that bit order.  The lattice pair and the multi-row sum come
+    from _ARENA (the heap outside a chunk), freed on return; the table is not.
+
+    This is the full 3^n lattice that bms._subset_entropies builds half of:
+    it takes any rows, and the half lattice must equal it bit for bit.
+    """
+    rows = np.asarray(masses, dtype=float).reshape(-1, 1 << n_bits)
+    cells = 3 ** n_bits
+    block = _lattice_rows(n_bits, len(rows))
+    with _ARENA.scratch():
+        acc = _ARENA.empty(cells) if len(rows) > 1 else None
+        # the passes alternate between the two rows of the pair
+        lattice = _ARENA.empty(2 * block * cells).reshape(2, -1)
+        for start in range(0, len(rows), block):
+            t = rows[start:start + block]
+            for i in range(n_bits):
+                pair = t.reshape(len(t), 2, -1, 3 ** i)
+                up = lattice[i % 2, :3 * pair[:, 0].size].reshape(len(t), -1, 3, 3 ** i)
+                up[:, :, 0] = pair[:, 0]
+                up[:, :, 1] = pair[:, 1]
+                np.add(pair[:, 0], pair[:, 1], out=up[:, :, 2])
+                t = up.reshape(len(t), -1)
+            ent = lattice[n_bits % 2, :t.size].reshape(t.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):   # an unmasked log is faster
+                ent = np.multiply(np.log(t, out=ent), t, out=ent)
+            ent[t == 0.0] = 0.0             # 0 log 0 = 0 where the log left nan
+            if start:
+                ent[0] += acc   # axis-0 sums add rows in order: any block size agrees
+            h = ent[0] if acc is None else ent.sum(axis=0, out=acc)
+        h = np.negative(h, out=h)
+        for i in range(n_bits):
+            trio = h.reshape(1 << i, -1, 3)
+            down = lattice[(n_bits + 1 + i) % 2, :2 * trio[..., 0].size].reshape(1 << i, 2, -1)
+            down[:, 0] = trio[..., 2]
+            np.add(trio[..., 0], trio[..., 1], out=down[:, 1])
+            h = down.reshape(-1)
+        return h.copy()
 
 
 def reference_conditional_entropy(inst: SBMInstance,

@@ -226,6 +226,22 @@ def test_exact_oracle_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "1", "--a", "1", "--b", "0", "--h", "0.1", "--graphs", "4"),
+    ("--n", "3", "--a", "3", "--b", "0", "--h", "0.1,0.05", "--graphs", "6"),
+])
+def test_derivative_verdicts_allow_rounding_when_every_graph_agrees(capsys, argv):
+    # at n = 1 H is eps log 2, and at n = 3 with a = 3, b = 0 every graph gives
+    # the same difference: stderr 0 leaves the verdicts to rounding alone
+    code, doc = run_json(capsys, "sbm", "derivative", *argv, "--eps", "0.5", "--workers", "1")
+    res = doc["results"]
+    steps = len(res["h_values"])
+    assert code == 0
+    assert res["stderr_diff_first"] == res["stderr_diff_sum"] == [0.0] * steps
+    assert res["identity_ok"] == res["scaling_ok"] == [True] * steps
+    assert res["ok"] is True
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("sbm", "integral", "--a", "4", "--b", "1"),
      "2db257b7bd66fd0c9125fee7afc090a9bceb3694643da6c399f5ab8138642750"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treebp import bms, sbm
+from treebp import bms, sbm, spin_sync
 from treebp._parallel import _ARENA
 from treebp.bms import SurveySpec, _entropy_of_masses, _lattice_bytes, _subset_entropies
 from treebp.density_evolution import DEConfig, InitCondition, bp_fixed_point
@@ -31,9 +31,11 @@ from treebp.sbm import (
     subset_entropy_table,
     survey_averaged_entropy,
 )
+from treebp.spin_sync import SyncGraph, mi_root_boundary
 from treebp.thresholds import survey_strength_bounds
 
 from _sbm_oracle import (
+    full_lattice_subset_entropies,
     leave_one_out_entropy,
     oracle_vs_integral,
     reference_conditional_entropy,
@@ -175,6 +177,7 @@ def test_subset_lattice_matches_bincount_oracle(n, rows, zero_frac, seed):
     masses = rng.random((rows, 1 << n))
     masses[rng.random(masses.shape) < zero_frac] = 0.0
     masses.flat[rng.integers(masses.size)] = 1.0
+    masses = masses + masses[:, ::-1]     # the lattice takes flip-symmetric rows
     masses /= masses.sum()
     table = _subset_entropies(masses, n)
     assert np.abs(table - _bincount_subset_entropies(masses, n)).max() <= 1e-13
@@ -187,6 +190,7 @@ def test_subset_lattice_matches_bincount_oracle(n, rows, zero_frac, seed):
 
 def test_subset_lattice_in_an_arena_chunk_returns_a_heap_table():
     masses = np.random.default_rng(4).random(1 << 9)
+    masses = masses + masses[::-1]
     masses /= masses.sum()
     heap = _subset_entropies(masses, 9)
     with _ARENA.chunk(_lattice_bytes(9)):
@@ -196,6 +200,75 @@ def test_subset_lattice_in_an_arena_chunk_returns_a_heap_table():
             assert _ARENA.top == top
             assert not np.shares_memory(table, _ARENA.block)
             assert np.array_equal(table, heap)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_SUBSET_N + 1))
+def test_half_lattice_equals_the_full_lattice_on_block_model_posteriors(n):
+    # a survey-free posterior reads cut counts only, so it is flip-symmetric;
+    # a = n (or b = n) with a zero intensity leaves labelings of zero mass
+    zero_mass = False
+    for a, b in sorted({(min(5, n), min(1, n)), (n, 0), (0, n), (min(3, n), 0)}):
+        for seed in range(2):
+            ll = label_loglik(sample_sbm(n, a, b, seed=seed))
+            masses = np.exp(ll - ll.max())
+            masses /= masses.sum()
+            zero_mass |= bool((masses == 0.0).any())
+            assert np.array_equal(_subset_entropies(masses, n),
+                                  full_lattice_subset_entropies(masses, n))
+    assert zero_mass or n == 1
+
+
+@pytest.mark.parametrize("spec, radius", [("path:9", 4), ("grid:3x3", 1), ("tree:2:3", 2),
+                                          ("cycle:8", 2), ("path:2", 1), ("path:11", 3)])
+def test_half_lattice_equals_the_full_lattice_on_spin_sync_rows(monkeypatch, spec, radius):
+    # edge outcomes read spin products only, so every outcome row is flip-symmetric
+    rows = []
+
+    def checked(w, nb):
+        full = full_lattice_subset_entropies(w, nb)
+        for floats in (1, 2 * 3 ** nb, bms._LATTICE_FLOATS):   # one row, two, the default
+            with mock.patch.object(bms, "_LATTICE_FLOATS", floats):
+                assert np.array_equal(_subset_entropies(w, nb), full)
+        rows.append(len(w))
+        return full
+
+    monkeypatch.setattr(spin_sync, "_subset_entropies", checked)
+    for theta in (0.8, 0.3):
+        result = mi_root_boundary(SyncGraph.parse(spec, radius), theta, 0.5, exact=True)
+        assert result.method == "exact"
+    assert len(rows) == 2 and rows[0] > 1
+
+
+def test_subset_lattice_rejects_rows_that_are_not_their_reverse():
+    row = np.array([0.1, 0.2, 0.3, 0.4])
+    mirrored = row + row[::-1]
+    assert np.array_equal(_subset_entropies(mirrored, 2),
+                          full_lattice_subset_entropies(mirrored, 2))
+    for masses, n in [(row, 2), (np.stack([mirrored, row]), 2), (np.ones(1), 0)]:
+        with pytest.raises(ValueError, match="reverse"):
+            _subset_entropies(masses, n)
+
+
+def test_lattice_bytes_is_the_lattice_footprint(monkeypatch):
+    # every array the lattice takes comes from its reservation, which it fills
+    # but for the alignment slack
+    real, high = _ARENA.empty, []
+
+    def spy(n, dtype=np.float64):
+        out = real(n, dtype)
+        assert np.shares_memory(out, _ARENA.block)
+        high[-1] = max(high[-1], _ARENA.top)
+        return out
+
+    monkeypatch.setattr(_ARENA, "empty", spy)
+    rng = np.random.default_rng(7)
+    for n, rows in [(1, 1), (1, 4), (6, 1), (6, 40), (9, 256), (12, 1), (12, 3)]:
+        masses = rng.random((rows, 1 << n))
+        monkeypatch.setattr(_ARENA, "block", np.empty(0, np.uint8))
+        high.append(0)
+        with _ARENA.chunk(_lattice_bytes(n, rows)):
+            _subset_entropies(masses + masses[:, ::-1], n)
+        assert 0 <= _lattice_bytes(n, rows) - high[-1] <= 128
 
 
 def test_subset_table_matches_bincount_oracle_at_the_cap():
