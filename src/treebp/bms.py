@@ -152,6 +152,8 @@ class DeltaDistribution:
             raise ValueError("DeltaDistribution needs at least one atom")
         d = np.array([p[0] for p in pairs], dtype=float)
         w = np.array([p[1] for p in pairs], dtype=float)
+        if not (np.isfinite(d).all() and np.isfinite(w).all()):
+            raise ValueError("delta atoms and their weights must be finite numbers")
         if np.any(d < -_RANGE_SLACK) or np.any(d > 0.5 + _RANGE_SLACK):
             raise ValueError("delta atoms must lie in [0, 1/2]")
         if np.any(w < -_RANGE_SLACK):
@@ -193,10 +195,6 @@ class DeltaDistribution:
 
     def __reduce__(self):  # slots + frozen setattr defeat default pickling
         return (self.__class__, (self.atoms(),))
-
-    @classmethod
-    def point(cls, delta: float) -> "DeltaDistribution":
-        return cls([(delta, 1.0)])
 
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.deltas.tolist(), self.weights.tolist()))
@@ -340,5 +338,9 @@ def load_delta_csv(path) -> DeltaDistribution:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["delta", "weight"]:
             raise ValueError(f"{path}: expected header 'delta,weight'")
-        atoms = [(float(row[0]), float(row[1])) for row in reader if row]
+        atoms = []
+        for row in filter(None, reader):
+            if len(row) < 2:
+                raise ValueError(f"{path}, line {reader.line_num}: expected two fields, delta,weight")
+            atoms.append((float(row[0]), float(row[1])))
     return DeltaDistribution(atoms)

@@ -242,13 +242,6 @@ class EvolutionReport:
     def undecided(self) -> bool:
         return self.verdict == "undecided"
 
-    def tail_gap_ratios(self) -> list[float]:
-        """Last four gap contraction ratios whose previous gap is at least 1e-7."""
-        ratios = [r.gap_ratio for r in self.records
-                  if np.isfinite(r.gap_ratio) and r.gap >= _RATIO_FLOOR and r.gap_ratio > 0
-                  and r.gap / max(r.gap_ratio, 1e-300) >= 1e-7]
-        return ratios[-4:]
-
 
 def _sequence_change(prev: InfoMeasures, cur: InfoMeasures) -> float:
     return max(abs(cur.prob_error - prev.prob_error),

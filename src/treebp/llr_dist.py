@@ -61,6 +61,7 @@ __all__ = [
 
 _MASS_SLACK = 1e-7
 _INF_FLOOR = 1e-15
+_POISSON_TAIL = 1e-12        # poisson_convolve neglects less than this much mass
 _EDGE_BLOCK = 1 << 13        # edge_llr_map elements per block (64 kB)
 DEFAULT_SYMMETRY_TOL = 0.05  # quantization alone can displace ~h/4 of pairing mass
 # A pair sum whose second law has at most this many nonzero bins is taken as
@@ -260,21 +261,9 @@ class SymmetricLLRDistribution:
 
     # -- simple queries ----------------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.pos_inf_mass <= _INF_FLOOR and self.neg_inf_mass <= _INF_FLOOR
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum()) + self.pos_inf_mass + self.neg_inf_mass
-
-    def mean(self) -> float:
-        if not self.is_finite:
-            raise ValueError("mean undefined with mass at +-inf")
-        return float(np.dot(self.masses, self.grid.centers()))
-
     def with_infinities_clamped(self) -> "SymmetricLLRDistribution":
         """Fold the +-inf atoms onto the outermost grid bins."""
-        if self.is_finite and self.pos_inf_mass == 0.0 and self.neg_inf_mass == 0.0:
+        if self.pos_inf_mass == 0.0 and self.neg_inf_mass == 0.0:
             return self
         m = self.masses.copy()
         m[-1] += self.pos_inf_mass
@@ -588,12 +577,12 @@ def power_convolve(mu: SymmetricLLRDistribution, count: int) -> SymmetricLLRDist
 
 
 @lru_cache(maxsize=32)
-def poisson_truncation(mean_count: float, tail_tol: float = 1e-12) -> int:
-    """Smallest B with P[Poisson(mean_count) > B] < tail_tol, which sizes poisson_convolve's
+def poisson_truncation(mean_count: float) -> int:
+    """Smallest B with P[Poisson(mean_count) > B] < _POISSON_TAIL, which sizes poisson_convolve's
     padding; past a mean of about 740 the terms underflow first (ValueError)."""
     pmf = cum = math.exp(-mean_count)
     b = 0
-    while cum < 1.0 - tail_tol:
+    while cum < 1.0 - _POISSON_TAIL:
         if pmf == 0.0:
             raise ValueError(f"Poisson mean {mean_count:g} is too large to truncate "
                              "(its probabilities underflow)")
@@ -603,31 +592,28 @@ def poisson_truncation(mean_count: float, tail_tol: float = 1e-12) -> int:
     return b
 
 
-def _poisson(s: _Stack, mean_count: float, tail_tol: float = 1e-12) -> _Stack:
+def _poisson(s: _Stack, mean_count: float) -> _Stack:
     if not s.is_finite:
         raise ValueError("poisson_convolve requires a finite LLR law")
-    b = poisson_truncation(mean_count, tail_tol)
+    b = poisson_truncation(mean_count)
     return _Stack.checked(s.grid, _spectral_sum(
         s, lambda lo, hi: (np.minimum(b * lo, 0), np.maximum(b * hi, 0)),
         lambda f, *_: np.exp(np.multiply(mean_count, np.subtract(f, 1.0, out=f), out=f), out=f)))
 
 
-def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float,
-                     tail_tol: float = 1e-12) -> SymmetricLLRDistribution:
+def poisson_convolve(mu: SymmetricLLRDistribution, mean_count: float) -> SymmetricLLRDistribution:
     """Poisson(mean_count) mixture of self-convolutions (compound Poisson law).
 
     Computed in closed form as exp(mean_count (F - 1)) in the Fourier
-    domain.  ``tail_tol`` sizes the zero padding: with B the smallest count
-    such that P[count > B] < tail_tol, no term with count <= B wraps around,
-    so the neglected (wrapped or dropped) mass stays below tail_tol.
+    domain.  _POISSON_TAIL sizes the zero padding: with B the smallest count
+    such that P[count > B] < _POISSON_TAIL, no term with count <= B wraps
+    around, so the neglected (wrapped or dropped) mass stays below it.
     """
     if mean_count < 0:
         raise ValueError("mean_count must be nonnegative")
-    if not 0.0 < tail_tol <= 1e-6:
-        raise ValueError("tail_tol must lie in (0, 1e-6]")
     if mean_count == 0.0:
         return SymmetricLLRDistribution.unit(mu.grid)
-    return _poisson(_Stack.of([mu]), mean_count, tail_tol).row(0)
+    return _poisson(_Stack.of([mu]), mean_count).row(0)
 
 
 # -- functionals -----------------------------------------------------------

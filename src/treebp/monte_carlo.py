@@ -358,7 +358,8 @@ def _spread(values: np.ndarray, par: np.ndarray | None, d: int | None,
 def _sum_per_parent(values: np.ndarray, par: np.ndarray | None, d: int | None,
                     out: np.ndarray) -> np.ndarray:
     """Sum of each parent's children's values, into out; par and d as in
-    _spread.  Each sum adds its children in row order, so a run of whole
+    _spread.  Each sum reads only its own parent's children (in row order
+    with par, by numpy's pairwise reduction with d), so a run of whole
     parents sums to the same floats alone as within its level."""
     if par is None:
         return values.reshape(-1, d).sum(axis=1, out=out)
@@ -928,7 +929,8 @@ def _separation_level(model: TreeModel, survey: SurveySpec) -> tuple[float | Non
     """Largest-margin x > 0 on a 4000-point grid with d*F(x) - survey_cost > x, if one exists."""
     dist = delta_of(survey)
     if len(dist) != 1 or not 0.0 < dist.deltas[0] < 0.5:
-        raise ValueError("separation probe needs a BSC survey")
+        raise ValueError("separation probe needs a BSC survey with crossover strictly "
+                         "between 0 and 1/2")
     eta = float(dist.deltas[0])
     cost = math.log1p(-eta) - math.log(eta)
     hi = model.d * edge_llr_map(math.inf, model.theta)

@@ -73,9 +73,6 @@ class SBMInstance:
     labels: np.ndarray        # (n,) int8, +-1
     adjacency: np.ndarray     # (n, n) bool, symmetric, zero diagonal
 
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
 
 @dataclass(frozen=True)
 class SurveyRealization:
@@ -202,18 +199,10 @@ def _block_loglik(adjs: np.ndarray, n: int, a: float, b: float, revealed: np.nda
     return ll
 
 
-def label_loglik(inst: SBMInstance, survey: SurveyRealization | None = None) -> np.ndarray:
-    """_block_loglik's one row, at the labelings that agree with the survey's
-    revealed values among all 2^n; the others get -inf."""
-    revealed = np.zeros(inst.n, dtype=bool) if survey is None else survey.revealed
-    plus = revealed if survey is None else survey.values > 0
-    ll = _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b, revealed[None], plus[None])
-    if survey is None:
-        return ll[0]
-    bits = 1 << np.arange(inst.n)
-    row = np.full(1 << inst.n, -math.inf)
-    row[(np.arange(row.size) & (revealed @ bits)) == plus @ bits] = ll[0]
-    return row
+def label_loglik(inst: SBMInstance) -> np.ndarray:
+    """_block_loglik's one row for one graph and no survey: all 2^n labelings."""
+    none = np.zeros((1, inst.n), dtype=bool)
+    return _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b, none, none)[0]
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -234,8 +223,13 @@ def _entropy_from_loglik(ll: np.ndarray) -> float:
 
 def exact_entropy_for_instance(inst: SBMInstance,
                                survey: SurveyRealization | None = None) -> float:
-    """H(X | G, Y=y) in nats for one instance, by enumeration."""
-    return _entropy_from_loglik(label_loglik(inst, survey))
+    """H(X | G, Y=y) in nats for one instance, by enumeration of the labelings
+    that agree with the survey."""
+    if survey is None:
+        return _entropy_from_loglik(label_loglik(inst))
+    row = _block_loglik(inst.adjacency[None], inst.n, inst.a, inst.b,
+                        survey.revealed[None], (survey.values > 0)[None])
+    return _entropy_from_loglik(row[0])
 
 
 def _exact_entropy_chunk(rng, count, *, n, a, b, epsilon):

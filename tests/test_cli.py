@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def test_readme_examples_parse():
+    # the README's example commands, parsed but not run, stay in step with the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    commands = [shlex.split(line)[1:] for line in readme if line.startswith("treebp ")]
+    assert len(commands) == 12
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).func in vars(cli)
 
 
 def test_constants_envelope(capsys):
@@ -828,11 +838,33 @@ def test_infinite_grid_rmax_rejected(capsys):
     (("mc", "entropy", "--model", "regular:1100", "--theta", "0.01", "--survey", "bsc:0.2",
       "--depth", "1", "--samples", "10"),
      "error: --model: regular degree 1100 is past 1029"),
+    # a NaN delta ran as a perfect reveal, and a NaN weight was dropped silently
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@nan-delta.csv",
+      "--depth", "30"), "error: --survey: delta atoms and their weights must be finite numbers"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@nan-weight.csv",
+      "--depth", "30"), "error: --survey: delta atoms and their weights must be finite numbers"),
+    # an IndexError traceback
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@short-row.csv"),
+     "error: --survey: short-row.csv, line 2: expected two fields, delta,weight"),
+    # both are BSC surveys, outside the open crossover range the probe needs
+    (("mc", "wsm", "--model", "regular:3", "--theta", "0.9", "--survey", "bsc:0",
+      "--depth", "3", "--samples", "2"),
+     "error: --model/--survey/--depth/--samples/--boundary-llr: separation probe needs a BSC "
+     "survey with crossover strictly between 0 and 1/2"),
+    (("mc", "wsm", "--model", "regular:3", "--theta", "0.9", "--survey", "bsc:0.5",
+      "--depth", "3", "--samples", "2"),
+     "error: --model/--survey/--depth/--samples/--boundary-llr: separation probe needs a BSC "
+     "survey with crossover strictly between 0 and 1/2"),
 ], ids=["de-run-poisson", "de-probe-poisson", "integral-a", "integral-b", "rmax", "wsm-depth",
         "wsm-arena", "de-run-symmetry", "de-probe-symmetry", "de-run-tiny-rmax",
         "de-probe-tiny-rmax", "derivative-tiny-h", "derivative-eps", "mi-ball-cap",
-        "mi-exact-cap", "mi-ball-size", "mi-path-size", "mc-leaf-law-degree"])
-def test_boundary_defects_are_one_line_errors(capsys, recwarn, argv, start):
+        "mi-exact-cap", "mi-ball-size", "mi-path-size", "mc-leaf-law-degree", "nan-delta",
+        "nan-weight", "short-row", "wsm-bsc-0", "wsm-bsc-half"])
+def test_boundary_defects_are_one_line_errors(capsys, recwarn, monkeypatch, tmp_path, argv, start):
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("nan-delta.csv", "nan,0.5\n0.3,0.5\n"), ("nan-weight.csv", "0.1,nan\n0.3,1.0\n"),
+                       ("short-row.csv", "0.1\n")):
+        (tmp_path / name).write_text("delta,weight\n" + text)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(start)

@@ -29,7 +29,7 @@ from treebp.llr_dist import (
 from treebp.sbm import sbm_tree_model
 from treebp.thresholds import contraction_coeff
 
-from _de_step import de_step
+from _de_step import de_step, tail_gap_ratios
 
 GRID = GridConfig()
 
@@ -65,7 +65,7 @@ def test_init_conditions():
     assert perfect.pos_inf_mass == 1.0
     none = InitCondition.no_leaves().initial_distribution(GRID)
     assert none.masses[GRID.center_index] == 1.0
-    custom = InitCondition.custom(DeltaDistribution.point(0.49)).initial_distribution(GRID)
+    custom = InitCondition.custom(DeltaDistribution([(0.49, 1.0)])).initial_distribution(GRID)
     assert info_measures(custom).prob_error == pytest.approx(0.49, abs=1e-6)
     with pytest.raises(ValueError):
         InitCondition("custom").initial_distribution(GRID)
@@ -162,7 +162,7 @@ def test_run_pair_gap_invariants():
 def test_run_pair_tail_ratio_respects_contraction_coeff():
     report = run_pair(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5), DEConfig())
     c1 = contraction_coeff(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5))
-    tails = report.tail_gap_ratios()
+    tails = tail_gap_ratios(report)
     assert tails
     assert all(r <= 1.05 * c1 for r in tails)
 
@@ -278,7 +278,7 @@ def test_survey_free_fixed_point_below_kesten_stigum_is_trivial():
 
 def test_bp_fixed_point_converges_from_custom_init():
     fp = bp_fixed_point(TreeModel.regular(3, 0.5), SurveySpec.bec(0.5),
-                        InitCondition.custom(DeltaDistribution.point(0.25)))
+                        InitCondition.custom(DeltaDistribution([(0.25, 1.0)])))
     assert fp.converged
     assert fp.limit().prob_error == pytest.approx(0.10710499032073385, abs=1e-6)
 
@@ -306,7 +306,7 @@ def test_uniqueness_probe_high_snr_custom_inits():
     probe = uniqueness_probe(
         TreeModel.regular(5, 0.95), SurveySpec.trivial(),
         [InitCondition.perfect_leaves(),
-         InitCondition.custom(DeltaDistribution.point(0.49))])
+         InitCondition.custom(DeltaDistribution([(0.49, 1.0)]))])
     assert probe.status == "unique"
     assert probe.max_pe_diff < 1e-3
 

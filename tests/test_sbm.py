@@ -95,7 +95,6 @@ def test_sample_sbm_structure():
     assert set(np.unique(inst.labels)) <= {-1, 1}
     assert np.array_equal(inst.adjacency, inst.adjacency.T)
     assert not inst.adjacency.diagonal().any()
-    assert inst.edge_count() * 2 == int(inst.adjacency.sum())
     with pytest.raises(ValueError):
         sample_sbm(0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -366,8 +365,10 @@ def test_restricted_enumeration_matches_full_enumeration(n, ab, shown, seed):
     masked = np.where(agree, full, -math.inf)
     assert np.array_equal(restricted[restricted > -math.inf], full[agree & (full > -math.inf)])
     assert np.array_equal(restricted, full[agree])
-    assert np.array_equal(label_loglik(inst, survey), masked)
-    assert sbm._entropy_from_loglik(restricted) == sbm._entropy_from_loglik(masked)
+    expanded = np.full(1 << n, -math.inf)
+    expanded[agree] = restricted
+    assert np.array_equal(expanded, masked)
+    assert exact_entropy_for_instance(inst, survey) == sbm._entropy_from_loglik(masked)
 
 
 @pytest.mark.parametrize("n, epsilon, count, block_floats", [
