@@ -336,11 +336,15 @@ def load_delta_csv(path) -> DeltaDistribution:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["delta", "weight"]:
-            raise ValueError(f"{path}: expected header 'delta,weight'")
+        if header is None or [c.strip() for c in header] != ["delta", "weight"]:
+            raise ValueError(f"{path}, line 1: expected header 'delta,weight'")
         atoms = []
         for row in filter(None, reader):
-            if len(row) < 2:
-                raise ValueError(f"{path}, line {reader.line_num}: expected two fields, delta,weight")
-            atoms.append((float(row[0]), float(row[1])))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected two fields, delta,weight")
+            try:
+                atoms.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise ValueError(f"{where}: expected two numbers, got {','.join(row)!r}") from None
     return DeltaDistribution(atoms)

@@ -21,19 +21,20 @@ its survey LLR is that spin times the code's signed magnitude.  The
 deepest level's LLRs and messages are read off exact per-law tables.  A
 chunk stores levels 0..k-2; the deepest level is folded as it is drawn,
 block by block, into per-parent sums of its messages, so no array ever
-holds the whole level.  The sampler also stops expanding below
-survey-revealed nodes.  A node whose survey draw falls on the noiseless
-atom (delta = 0) knows its spin, so by the Markov property of the
-broadcast its subtree tells its ancestors nothing more: the sampler draws
-no children for it, and the upward pass gives it the LLR spin * LLR_MAX
-(density evolution's reveal is +-infinity).  A revealed root settles its
-whole tree.  The root is never pruned when its own survey is excluded.
-Surveys without a noiseless atom prune nothing and draw exactly what the
-full tree draws.  The boundary-sensitivity probe keeps every node, and
-reads each deepest block's LLRs as it is folded: its per-level statistics
-(moments of the gap, minima) merge block by block.  A chunk's level arrays
-are views of one byte block per process (_parallel._Arena), reused by
-every chunk.
+holds the whole level.  Every level reaches its children through a
+parent map, and each per-parent sum adds them in row order.  The sampler
+also stops expanding below survey-revealed nodes.  A node whose survey
+draw falls on the noiseless atom (delta = 0) knows its spin, so by the
+Markov property of the broadcast its subtree tells its ancestors nothing
+more: the sampler draws no children for it, and the upward pass gives it
+the LLR spin * LLR_MAX (density evolution's reveal is +-infinity).  A
+revealed root settles its whole tree.  The root is never pruned when its
+own survey is excluded.  Surveys without a noiseless atom prune nothing
+and draw exactly what the full tree draws.  The boundary-sensitivity
+probe keeps every node, and reads each deepest block's LLRs as it is
+folded: its per-level statistics (moments of the gap, minima) merge
+block by block.  A chunk's level arrays are views of one byte block per
+process (_parallel._Arena), reused by every chunk.
 
 Every estimator, majority_stats and majority_closed_forms included, takes
 the tree as a TreeModel.
@@ -344,39 +345,25 @@ class _NodeCodes(_InverseCDF):
         return self._tables[boundary]
 
 
-def _spread(values: np.ndarray, par: np.ndarray | None, d: int | None,
-            out: np.ndarray) -> np.ndarray:
-    """Each child's copy of its parent's value, into out: par maps children
-    to parents, or is None for contiguous blocks of d children per parent."""
-    if par is None:
-        out.reshape(-1, d)[:] = values[:, None]
-    else:
-        values.take(par, out=out, mode="clip")
-    return out
-
-
-def _sum_per_parent(values: np.ndarray, par: np.ndarray | None, d: int | None,
-                    out: np.ndarray) -> np.ndarray:
-    """Sum of each parent's children's values, into out; par and d as in
-    _spread.  Each sum reads only its own parent's children (in row order
-    with par, by numpy's pairwise reduction with d), so a run of whole
-    parents sums to the same floats alone as within its level."""
-    if par is None:
-        return values.reshape(-1, d).sum(axis=1, out=out)
+def _sum_per_parent(values: np.ndarray, par: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of each parent's children's values, into out; par maps each child
+    to its parent's row.  Each sum adds its own parent's children in row
+    order, so a run of whole parents sums to the same floats alone as
+    within its level."""
     out[:] = np.bincount(par, weights=values, minlength=out.size)   # int64 if childless
     return out
 
 
-def _parent_map(ends: np.ndarray) -> np.ndarray:
-    """The parent of each row 0..ends[-1]-1, built in the arena, from the
-    parents' running child counts ends: np.repeat(np.arange(ends.size),
-    np.diff(ends, prepend=0)).
+def _parent_map(ends: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The parent of each row 0..ends[-1]-1, built in out (ends[-1]+1
+    entries) or in the arena, from the parents' running child counts
+    ends: np.repeat(np.arange(ends.size), np.diff(ends, prepend=0)).
 
     ends[i] is the first row of parent i+1.  One parent boundary is
     scattered onto each such row (rows past the end land in a sink entry),
     and a running sum of the boundaries numbers every row with its parent.
     """
-    par = _ARENA.empty((int(ends[-1]) if ends.size else 0) + 1, np.intp)
+    par = _ARENA.empty((int(ends[-1]) if ends.size else 0) + 1, np.intp) if out is None else out
     par.fill(0)
     np.add.at(par, ends, 1)
     return np.cumsum(par[:-1], out=par[:-1])
@@ -393,33 +380,25 @@ class _ChunkLevels:
     Levels run 0..depth-1, every node is one code of its level's law, and
     sizes[j] counts level j's nodes.  The chunk stores levels 0..depth-2:
     surveys[j] holds the survey LLRs of level j (None without a survey),
-    and parents[j] maps level j to its parents' rows one level up.  It is
-    None on regular levels whose parents are all open: the i-th parent's
-    children are then the contiguous block of d entries i*d..i*d+d-1.  A
-    closed parent has no children.
+    and parents[j] maps level j to its parents' rows one level up (the
+    roots' to their virtual parents, one each).  A parent's children are
+    consecutive rows, and a closed parent has none.
 
     The deepest level k-1 is drawn last, block by block (_draw_deepest),
     and each block is folded as it is drawn (_fold_deepest).  law is its
     code law, parent_spins its parents' spins (at depth 1 a virtual +
-    parent per root), and ends its parents' running child counts, None
-    when each parent has deepest_d contiguous children.  The fold keeps
-    only sums: per boundary, each parent's sum of its children's messages
-    (at depth 1 the roots' LLRs).
+    parent per root), and ends its parents' running child counts.  The
+    fold keeps only sums: per boundary, each parent's sum of its
+    children's messages (at depth 1 the roots' LLRs).
     """
 
     sizes: list[int]
-    parents: list[np.ndarray | None]
+    parents: list[np.ndarray]
     surveys: list[np.ndarray | None]
-    d_children: int | None
     law: _NodeCodes
     parent_spins: np.ndarray
-    ends: np.ndarray | None
+    ends: np.ndarray
     sums: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def deepest_d(self) -> int | None:
-        """Children per deepest parent when ends is None: 1 at depth 1."""
-        return self.d_children if len(self.sizes) > 1 else 1
 
 
 def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
@@ -437,38 +416,34 @@ def _sample_chunk_levels(rng, model: TreeModel, survey: SurveySpec, depth: int,
     "count".  At depth 1 the deepest level is the root.
     """
     regular = model.kind == "regular"
-    d_int = int(model.d) if regular else None
     surveyed = None if is_trivial_survey(survey) else survey
     sizes: list[int] = []
-    parents: list[np.ndarray | None] = []
+    parents: list[np.ndarray] = []
     surveys: list[np.ndarray | None] = []
-    sp, ends, n = np.ones(n_trees, np.int8), None, n_trees     # a virtual + parent per root
+    sp, ends = np.ones(n_trees, np.int8), np.arange(1, n_trees + 1)   # a virtual + parent per root
     for j in range(depth):
         law = _NodeCodes.of(model, surveyed if j > 0 or include_root_survey else None, j == 0,
                             stat if j == depth - 1 else None if regular else "count", prune)
+        n = int(ends[-1]) if ends.size else 0
         sizes.append(n)
         if j == depth - 1:
             break
-        par = None if ends is None else _parent_map(ends)
+        par = _parent_map(ends)
         parents.append(par)
         codes = _ARENA.empty(n, np.intp)
         u = rng.random(out=_ARENA.empty(n))
         law(u, out=codes)
         spins = law.spin.take(codes, out=_ARENA.empty(n, np.int8), mode="clip")
-        if j > 0:
-            spins *= _spread(sp, par, d_int, _ARENA.empty(n, np.int8))
+        spins *= sp.take(par, out=_ARENA.empty(n, np.int8), mode="clip")
         sp = spins
         if law.w is None:
             surveys.append(None)
         else:   # the survey LLRs are written over the uniforms, which are spent by then
             surveys.append(law.w.take(codes, out=u, mode="clip"))
             u *= sp
-        if regular and not law.closed.any():
-            ends, n = None, n * d_int
-        else:   # the codes are spent too: their child counts, then running sums, go over them
-            ends = np.cumsum(law.children.take(codes, out=codes, mode="clip"), out=codes)
-            n = int(ends[-1]) if n else 0
-    return _ChunkLevels(sizes, parents, surveys, d_int, law, sp, ends)
+        # the codes are spent too: their child counts, then running sums, go over them
+        ends = np.cumsum(law.children.take(codes, out=codes, mode="clip"), out=codes)
+    return _ChunkLevels(sizes, parents, surveys, law, sp, ends)
 
 
 def _draw_deepest(rng, levels: _ChunkLevels, fold) -> None:
@@ -480,35 +455,31 @@ def _draw_deepest(rng, levels: _ChunkLevels, fold) -> None:
     _DRAW_BLOCK rows of lo, or one parent with more children.  Its
     uniforms are drawn in stream order, so its codes are those of one draw
     of the whole level.  par maps its rows to their parents, counted from
-    plo; it is None when each parent has deepest_d contiguous children.
-    The block's arrays are arena scratch, freed when the block ends.
+    plo, written over the block's uniforms once its codes are drawn.  The
+    block's arrays are arena scratch, freed when the block ends.
     """
-    law, ends, d = levels.law, levels.ends, levels.deepest_d
-    n_parents = levels.parent_spins.size
+    law, ends = levels.law, levels.ends
     lo = plo = 0
-    while plo < n_parents:
-        if ends is None:
-            phi = min(n_parents, plo + max(1, _DRAW_BLOCK // d))
-            hi = phi * d
-        else:
-            phi = min(plo + _DRAW_BLOCK,
-                      int(np.searchsorted(ends, lo + _DRAW_BLOCK, side="right")))
-            phi = max(phi, plo + 1)
-            hi = int(ends[phi - 1])
+    while plo < ends.size:
+        phi = min(plo + _DRAW_BLOCK,
+                  int(np.searchsorted(ends, lo + _DRAW_BLOCK, side="right")))
+        phi = max(phi, plo + 1)
+        hi = int(ends[phi - 1])
         with _ARENA.scratch():
-            codes = law(rng.random(out=_ARENA.empty(hi - lo)), out=_ARENA.empty(hi - lo, np.intp))
-            par = None if ends is None else _parent_map(
-                np.subtract(ends[plo:phi], lo, out=_ARENA.empty(phi - plo, np.intp)))
+            u = _ARENA.empty(hi - lo + 1)       # one more entry: the parent map's sink
+            codes = law(rng.random(out=u[:-1]), out=_ARENA.empty(hi - lo, np.intp))
+            par = _parent_map(np.subtract(ends[plo:phi], lo, out=_ARENA.empty(phi - plo, np.intp)),
+                              out=u.view(np.intp))
             fold(lo, hi, plo, phi, codes, par)
         lo, plo = hi, phi
 
 
 def _table_entries(table: np.ndarray, codes: np.ndarray, spins: np.ndarray,
-                   par: np.ndarray | None, d: int | None, out: np.ndarray) -> np.ndarray:
+                   par: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each node's entry of a (parent spin, code) table, into out; spins
-    are the parents' spins, and par and d place the nodes as in _spread."""
+    are the parents' spins, and par maps each node to its parent."""
     with _ARENA.scratch():
-        ps = _spread(spins, par, d, _ARENA.empty(codes.size, np.int8))
+        ps = spins.take(par, out=_ARENA.empty(codes.size, np.int8), mode="clip")
         flat = np.greater(ps, 0, out=_ARENA.empty(codes.size, np.intp))    # the spin's row
         flat *= table.shape[1]
         flat += codes
@@ -517,8 +488,7 @@ def _table_entries(table: np.ndarray, codes: np.ndarray, spins: np.ndarray,
 
 
 def _table_sums(boundary: BoundaryCondition, table: np.ndarray, codes: np.ndarray,
-                spins: np.ndarray, par: np.ndarray | None, d: int | None,
-                out: np.ndarray) -> np.ndarray:
+                spins: np.ndarray, par: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each parent's sum of its children's table entries, into out.
 
     Perfect and none tables are odd in the parent spin, so their + row is
@@ -531,8 +501,8 @@ def _table_sums(boundary: BoundaryCondition, table: np.ndarray, codes: np.ndarra
         if odd:
             table[1].take(codes, out=w, mode="clip")
         else:
-            _table_entries(table, codes, spins, par, d, w)
-        _sum_per_parent(w, par, d, out)
+            _table_entries(table, codes, spins, par, w)
+        _sum_per_parent(w, par, out)
     if odd:
         out *= spins
     return out
@@ -547,14 +517,14 @@ def _fold_deepest(rng, levels: _ChunkLevels, boundaries, read=None) -> None:
     block's codes and its nodes' LLRs, one array per boundary."""
     msg = 1 if len(levels.sizes) > 1 else 0
     tables = [levels.law.tables(b) for b in boundaries]     # (llr, msg) each
-    spins, d = levels.parent_spins, levels.deepest_d
+    spins = levels.parent_spins
     levels.sums = [_ARENA.empty(spins.size) for _ in boundaries]
 
     def fold(lo, hi, plo, phi, codes, par):
         for boundary, table, sums in zip(boundaries, tables, levels.sums):
-            _table_sums(boundary, table[msg], codes, spins[plo:phi], par, d, sums[plo:phi])
+            _table_sums(boundary, table[msg], codes, spins[plo:phi], par, sums[plo:phi])
         if read is not None:
-            read(codes, [_table_entries(table[0], codes, spins[plo:phi], par, d,
+            read(codes, [_table_entries(table[0], codes, spins[plo:phi], par,
                                         _ARENA.empty(codes.size)) for table in tables])
 
     _draw_deepest(rng, levels, fold)
@@ -572,8 +542,7 @@ def _upward_levels(r: np.ndarray, levels: _ChunkLevels, theta: float):
     for j in range(k - 2, -1, -1):
         if j < k - 2:
             msg = edge_llr_map(r, theta, out=_ARENA.empty(r.size))
-            r = _sum_per_parent(msg, levels.parents[j + 1], levels.d_children,
-                                _ARENA.empty(levels.sizes[j]))
+            r = _sum_per_parent(msg, levels.parents[j + 1], _ARENA.empty(levels.sizes[j]))
         if levels.surveys[j] is not None:
             r += levels.surveys[j]
         np.clip(r, -LLR_MAX, LLR_MAX, out=r)

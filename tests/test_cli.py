@@ -846,6 +846,19 @@ def test_infinite_grid_rmax_rejected(capsys):
     # an IndexError traceback
     (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@short-row.csv"),
      "error: --survey: short-row.csv, line 2: expected two fields, delta,weight"),
+    # a third field was dropped, an extra header field ignored, and a non-number named
+    # neither the file nor the line
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@long-row.csv",
+      "--depth", "3"), "error: --survey: long-row.csv, line 2: expected two fields, delta,weight"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey",
+      "custom:@long-header.csv", "--depth", "3"),
+     "error: --survey: long-header.csv, line 1: expected header 'delta,weight'"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey",
+      "custom:@trailing-comma.csv", "--depth", "3"),
+     "error: --survey: trailing-comma.csv, line 2: expected two fields, delta,weight"),
+    (("de", "run", "--model", "regular:3", "--theta", "0.5", "--survey", "custom:@not-a-number.csv",
+      "--depth", "3"),
+     "error: --survey: not-a-number.csv, line 2: expected two numbers, got '0.1,abc'"),
     # both are BSC surveys, outside the open crossover range the probe needs
     (("mc", "wsm", "--model", "regular:3", "--theta", "0.9", "--survey", "bsc:0",
       "--depth", "3", "--samples", "2"),
@@ -859,12 +872,15 @@ def test_infinite_grid_rmax_rejected(capsys):
         "wsm-arena", "de-run-symmetry", "de-probe-symmetry", "de-run-tiny-rmax",
         "de-probe-tiny-rmax", "derivative-tiny-h", "derivative-eps", "mi-ball-cap",
         "mi-exact-cap", "mi-ball-size", "mi-path-size", "mc-leaf-law-degree", "nan-delta",
-        "nan-weight", "short-row", "wsm-bsc-0", "wsm-bsc-half"])
+        "nan-weight", "short-row", "long-row", "long-header", "trailing-comma", "not-a-number",
+        "wsm-bsc-0", "wsm-bsc-half"])
 def test_boundary_defects_are_one_line_errors(capsys, recwarn, monkeypatch, tmp_path, argv, start):
     monkeypatch.chdir(tmp_path)
     for name, text in (("nan-delta.csv", "nan,0.5\n0.3,0.5\n"), ("nan-weight.csv", "0.1,nan\n0.3,1.0\n"),
-                       ("short-row.csv", "0.1\n")):
+                       ("short-row.csv", "0.1\n"), ("long-row.csv", "0.1,0.5,7\n"),
+                       ("trailing-comma.csv", "0.1,1.0,\n"), ("not-a-number.csv", "0.1,abc\n")):
         (tmp_path / name).write_text("delta,weight\n" + text)
+    (tmp_path / "long-header.csv").write_text("delta,weight,extra\n0.1,1.0\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(start)

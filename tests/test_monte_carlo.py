@@ -455,7 +455,8 @@ def test_estimate_entropy_matches_depth_two_enumeration(d, theta, survey, bounda
 @pytest.mark.parametrize("model, survey, depth", [
     (TreeModel.poisson(4.0, 0.8), SurveySpec.bsc(0.2), 7),
     (TreeModel.regular(4, 0.8), SurveySpec.bec(0.5), 8),
-], ids=["poisson_bsc", "regular_bec"])
+    (TreeModel.regular(3, 0.7), SurveySpec.bsc(0.2), 6),
+], ids=["poisson_bsc", "regular_bec", "regular_bsc"])
 def test_perfect_boundary_draws_the_pairs_trees(model, survey, depth):
     # the benchmark's same-trees check: --boundary perfect and the pair draw
     # the same codes, so the perfect estimate is the pair's leaves estimate
@@ -603,7 +604,9 @@ def test_clipped_finite_survey_is_not_pruned():
                                   True, prune=True)
     codes, par = _store_deepest(rng, levels)
     assert levels.sizes == [n_trees * 3 ** j for j in range(depth)]
-    assert all(par is None for par in levels.parents + [par])
+    parents = levels.parents + [par]
+    assert all(np.array_equal(parents[j + 1], np.repeat(np.arange(levels.sizes[j]), 3))
+               for j in range(depth - 1))
     assert _leaf_count(levels, codes) == n_trees * 3 ** depth
     assert np.all(np.abs(levels.surveys[1]) == LLR_MAX)
 
@@ -712,18 +715,15 @@ def test_sampler_draws_one_uniform_per_node(model, survey):
         assert rng.drawn == 0 and out.shape == (1, 40)
 
 
-def _store_deepest(rng, levels) -> tuple[np.ndarray, np.ndarray | None]:
+def _store_deepest(rng, levels) -> tuple[np.ndarray, np.ndarray]:
     """The deepest level drawn whole, the oracle of the fold: each node's
-    code and its parent's row (None when each parent has deepest_d
-    contiguous children), from the blocks of monte_carlo._draw_deepest."""
+    code and its parent's row, from the blocks of monte_carlo._draw_deepest."""
     n = levels.sizes[-1]
-    codes = np.empty(n, np.intp)
-    par = None if levels.ends is None else np.empty(n, np.intp)
+    codes, par = np.empty(n, np.intp), np.empty(n, np.intp)
 
     def store(lo, hi, plo, phi, block_codes, block_par):
         codes[lo:hi] = block_codes
-        if par is not None:
-            np.add(block_par, plo, out=par[lo:hi])
+        np.add(block_par, plo, out=par[lo:hi])
 
     monte_carlo._draw_deepest(rng, levels, store)
     return codes, par
@@ -736,19 +736,15 @@ def _leaf_count(levels, codes: np.ndarray) -> int:
 
 def _stored_entries(levels, codes, par, table: np.ndarray) -> np.ndarray:
     """Each stored deepest node's entry of a (parent spin, code) table."""
-    spins = levels.parent_spins
-    rows = np.repeat(np.arange(spins.size), levels.deepest_d) if par is None else par
-    return table[(spins[rows] > 0).astype(np.intp), codes]
+    return table[(levels.parent_spins[par] > 0).astype(np.intp), codes]
 
 
 def _stored_sums(levels, codes, par, boundary: BoundaryCondition) -> np.ndarray:
     """A stored deepest level's per-parent sums, as the upward pass took them
-    before the fold: every node's own entry of the full table, summed over
-    the whole level by one reshape or bincount."""
+    before the fold: every node's own entry of the full table (at depth 1
+    the roots' LLRs), summed over the whole level by one bincount."""
     llr, msg = levels.law.tables(boundary)
     values = _stored_entries(levels, codes, par, msg if len(levels.sizes) > 1 else llr)
-    if par is None:                                     # at depth 1 the roots' LLRs
-        return values.reshape(-1, levels.deepest_d).sum(axis=1)
     # as floats even when there are no children (bincount returns int64 on empty input)
     return np.bincount(par, weights=values,
                        minlength=levels.parent_spins.size).astype(np.float64, copy=False)
@@ -795,10 +791,10 @@ def test_fold_meets_every_block_edge(monkeypatch):
 
     def recorded(rng, levels, fold):
         empty.append(levels.sizes[-1] == 0)
-        counts = None if levels.ends is None else np.diff(levels.ends, prepend=0)
+        counts = np.diff(levels.ends, prepend=0)
 
         def record(lo, hi, plo, phi, codes, par):
-            blocks.append((hi - lo, None if counts is None else counts[plo:phi]))
+            blocks.append((hi - lo, counts[plo:phi]))
             fold(lo, hi, plo, phi, codes, par)
 
         draw(rng, levels, record)
@@ -817,11 +813,10 @@ def test_fold_meets_every_block_edge(monkeypatch):
             (TreeModel.poisson(0.05, 0.7), SurveySpec.trivial(), 2, 3)]:
         for root in (True, False):
             _check_fold(model, survey, depth, n_trees, root)
-    cut = [(rows, counts) for rows, counts in blocks if counts is not None]
-    assert any(counts.size == 1 and counts[0] > 4 for _, counts in cut)    # a parent past a block
-    assert any(rows == 4 for rows, _ in cut)    # a block that ends on a parent's last child
-    assert any(counts[0] == 0 for _, counts in cut)     # a childless parent at either edge
-    assert any(counts[-1] == 0 for _, counts in cut)
+    assert any(counts.size == 1 and counts[0] > 4 for _, counts in blocks)  # a parent past a block
+    assert any(rows == 4 for rows, _ in blocks)     # a block that ends on a parent's last child
+    assert any(counts[0] == 0 for _, counts in blocks)      # a childless parent at either edge
+    assert any(counts[-1] == 0 for _, counts in blocks)
     assert any(empty)                                   # a deepest level with no nodes
 
 
